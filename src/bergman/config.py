@@ -8,7 +8,9 @@ the criterion) a measure, a target weight, or an operator.
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +32,33 @@ from .weights import RadialWeight
 SCHEMA_VERSION = 1
 
 
+def _number(value, where):
+    """A config value as a finite float; JSON booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number (got {value!r})", field=where)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite (got {value!r})", field=where)
+    return value
+
+
+def _integer(value, where):
+    """A config value as an int; integral floats such as 3.0 are accepted."""
+    value = _number(value, where)
+    if not value.is_integer():
+        raise ConfigError(f"{where} must be an integer (got {value!r})", field=where)
+    return int(value)
+
+
 def _complex_of(value, where):
     try:
         re, im = value
-        return complex(float(re), float(im))
     except (TypeError, ValueError):
         raise ConfigError(f"expected [re, im] pair at {where}", field=where)
+    return complex(_number(re, where), _number(im, where))
 
 
 def parse_weight(spec):
@@ -44,11 +67,16 @@ def parse_weight(spec):
     kind = spec["kind"]
     try:
         if kind == "power":
-            return RadialWeight.power(float(spec["alpha"]))
+            return RadialWeight.power(_number(spec["alpha"], "weight.alpha"))
         if kind == "log_power":
-            return RadialWeight.log_power(float(spec["alpha"]), float(spec["b"]))
+            return RadialWeight.log_power(_number(spec["alpha"], "weight.alpha"),
+                                          _number(spec["b"], "weight.b"))
         if kind == "table":
-            return RadialWeight.from_table(spec["r"], spec["w"])
+            r, w = spec["r"], spec["w"]
+            if not (isinstance(r, list) and isinstance(w, list)):
+                raise ConfigError("table weight needs r and w lists", field="weight")
+            return RadialWeight.from_table([_number(x, "weight.r") for x in r],
+                                           [_number(x, "weight.w") for x in w])
     except KeyError as exc:
         raise ConfigError(f"weight spec missing {exc}", field="weight")
     raise ConfigError(f"unknown weight kind {kind!r}", field="weight")
@@ -63,10 +91,15 @@ def parse_function(spec):
             coeffs = [_complex_of(c, "function.coeffs") for c in spec["coeffs"]]
             return Polynomial(coeffs)
         if kind == "conformal_power":
+            try:
+                scale = complex(spec.get("scale", 1.0))
+            except (TypeError, ValueError):
+                raise ConfigError("function.scale must be a number",
+                                  field="function.scale")
             return ConformalPower(
                 _complex_of(spec["a"], "function.a"),
-                float(spec["gamma"]),
-                complex(spec.get("scale", 1.0)),
+                _number(spec["gamma"], "function.gamma"),
+                scale,
             )
     except KeyError as exc:
         raise ConfigError(f"function spec missing {exc}", field="function")
@@ -81,9 +114,9 @@ def parse_selfmap(spec):
         if kind == "identity":
             return Identity()
         if kind == "scale":
-            return Scale(float(spec["r"]))
+            return Scale(_number(spec["r"], "phi.r"))
         if kind == "power":
-            return PowerMap(int(spec["k"]))
+            return PowerMap(_integer(spec["k"], "phi.k"))
         if kind == "moebius":
             return Moebius(_complex_of(spec["c"], "phi.c"))
         if kind == "composition":
@@ -99,14 +132,15 @@ def parse_measure(spec, grid):
     kind = spec["kind"]
     try:
         if kind == "power_density":
-            return RadialDensityMeasure.from_power(float(spec["beta"]), grid)
+            return RadialDensityMeasure.from_power(_number(spec["beta"], "measure.beta"),
+                                                   grid)
         if kind == "weight_density":
             return RadialDensityMeasure.from_weight(parse_weight(spec["weight"]), grid)
         if kind == "atoms_csv":
             return AtomicMeasure.from_csv(spec["path"])
     except KeyError as exc:
         raise ConfigError(f"measure spec missing {exc}", field="measure")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read atoms csv: {exc}", field="measure")
     raise ConfigError(f"unknown measure kind {kind!r}", field="measure")
 
@@ -116,7 +150,7 @@ def parse_operator(spec):
         raise ConfigError("operator spec must be an object", field="operator")
     phi = parse_selfmap(spec.get("phi", {"kind": "identity"}))
     u = parse_function(spec.get("u", {"kind": "poly", "coeffs": [[1.0, 0.0]]}))
-    n = int(spec.get("n", 0))
+    n = _integer(spec.get("n", 0), "operator.n")
     if n < 0:
         raise ConfigError("operator n must be nonnegative", field="operator.n")
     return OperatorSpec(phi, u, n)
@@ -135,7 +169,7 @@ class ExperimentConfig:
     lattice_r: float = 0.3
     gamma: float | None = None
     convention: str = "standard"
-    _grid: QuadratureGrid | None = field(default=None, repr=False)
+    _grids: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_dict(cls, raw):
@@ -146,17 +180,23 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config schema must be {SCHEMA_VERSION} (got {schema!r})", field="schema"
             )
+        operator = raw.get("operator", {})
+        if not isinstance(operator, dict):
+            raise ConfigError("operator spec must be an object", field="operator")
         cfg = cls(raw=raw)
-        cfg.seed = int(raw.get("seed", 0))
-        cfg.p = float(raw.get("p", 2.0))
-        cfg.q = float(raw.get("q", 2.0))
-        cfg.n = int(raw.get("n", raw.get("operator", {}).get("n", 0)))
-        cfg.grid_level = int(raw.get("grid_level", 9))
-        cfg.lattice_r = float(raw.get("lattice_r", 0.3))
-        cfg.gamma = None if raw.get("gamma") is None else float(raw["gamma"])
+        cfg.seed = _integer(raw.get("seed", 0), "seed")
+        cfg.p = _number(raw.get("p", 2.0), "p")
+        cfg.q = _number(raw.get("q", 2.0), "q")
+        operator_n = _integer(operator.get("n", 0), "operator.n")
+        cfg.n = _integer(raw["n"], "n") if "n" in raw else operator_n
+        cfg.grid_level = _integer(raw.get("grid_level", 9), "grid_level")
+        cfg.lattice_r = _number(raw.get("lattice_r", 0.3), "lattice_r")
+        cfg.gamma = None if raw.get("gamma") is None else _number(raw["gamma"], "gamma")
         cfg.convention = raw.get("carleson_convention", "standard")
         if cfg.p <= 0 or cfg.q <= 0:
             raise ConfigError("exponents p, q must be positive", field="p")
+        if cfg.seed < 0:
+            raise ConfigError("seed must be nonnegative", field="seed")
         if not (0.0 < cfg.lattice_r < 1.0):
             raise ConfigError("lattice_r must lie in (0, 1)", field="lattice_r")
         if cfg.convention not in ("standard", "literal"):
@@ -178,11 +218,11 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def grid(self, level=None):
-        if level is not None and (self._grid is None or self._grid.levels != level):
-            return QuadratureGrid(level)
-        if self._grid is None:
-            self._grid = QuadratureGrid(self.grid_level)
-        return self._grid
+        """The quadrature grid of a level (default grid_level), built once."""
+        level = self.grid_level if level is None else level
+        if level not in self._grids:
+            self._grids[level] = QuadratureGrid(level)
+        return self._grids[level]
 
     def require(self, key):
         if key not in self.raw:

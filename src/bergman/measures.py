@@ -76,10 +76,16 @@ def _ring_layout(levels, radial_subcells):
 class QuadratureGrid:
     """Boundary-refined polar node/weight set for the normalized area measure.
 
-    nodes/weights/gaps are flat arrays; ring_index maps each node to its
-    radial ring (a fixed gap value), which radial integrands exploit.
-    Weights sum to 1 exactly up to roundoff.  Instances are immutable and
-    shared freely.
+    nodes/weights/gaps are flat arrays over all nodes.  The nodes come in
+    rings: ring k holds ring_counts[k] equally spaced angular midpoints at
+    the common gap ring_gaps[k], carries the full-circle mass
+    ring_weights[k], and occupies the contiguous node block where
+    ring_index == k (so gaps == ring_gaps[ring_index] exactly).  A quantity
+    that depends on |z| alone is therefore evaluated once per ring and
+    broadcast through ring_index; the angular counts are constant within a
+    dyadic band, so band-wide angular templates apply to every ring of the
+    band.  Weights sum to 1 exactly up to roundoff.  Instances are immutable
+    and shared freely.
     """
 
     def __init__(self, levels, angular_base=16, radial_subcells=4):
@@ -96,7 +102,7 @@ class QuadratureGrid:
             )
 
         gap_chunks, weight_chunks, node_chunks, ring_chunks = [], [], [], []
-        ring_gaps, ring_weights = [], []
+        ring_gaps, ring_weights, ring_counts = [], [], []
         ring = 0
         for u, w_rad, band in zip(*_ring_layout(self.levels, self.radial_subcells)):
             n_theta = self.angular_base * 2 ** band
@@ -108,6 +114,7 @@ class QuadratureGrid:
             ring_chunks.append(np.full(n_theta, ring, dtype=np.int32))
             ring_gaps.append(u)
             ring_weights.append(w_rad * 2.0)  # full-circle mass
+            ring_counts.append(n_theta)
             ring += 1
         self.gaps = np.concatenate(gap_chunks)
         self.weights = np.concatenate(weight_chunks)
@@ -115,14 +122,11 @@ class QuadratureGrid:
         self.ring_index = np.concatenate(ring_chunks)
         self.ring_gaps = np.array(ring_gaps)
         self.ring_weights = np.array(ring_weights)
+        self.ring_counts = np.array(ring_counts)
 
     @property
     def node_count(self):
         return len(self.nodes)
-
-    def depth_mask(self, min_gap):
-        """Nodes no deeper than min_gap; used for truncation diagnostics."""
-        return self.gaps >= min_gap
 
     def integrate(self, g):
         """Sum g over nodes against the area weights.
@@ -244,8 +248,8 @@ class RadialDensityMeasure(DiscMeasure):
 
     def support_nodes(self):
         if self._node_masses is None:
-            dens = self._weight.density_at_gap(self.grid.gaps)
-            self._node_masses = dens * self.grid.weights
+            dens = self._weight.density_at_gap(self.grid.ring_gaps)
+            self._node_masses = dens[self.grid.ring_index] * self.grid.weights
         return self.grid.nodes, self._node_masses
 
     def total_mass(self):
@@ -323,6 +327,17 @@ class CallableDensityMeasure(DiscMeasure):
         return {"kind": "density", "name": self.name}
 
 
+_ATOM_COLUMNS = ("re", "im", "mass")
+
+
+def _parses(cell):
+    try:
+        float(cell)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 class AtomicMeasure(DiscMeasure):
     """A finite sum of point masses inside the disc."""
 
@@ -333,7 +348,7 @@ class AtomicMeasure(DiscMeasure):
             raise DomainError("points and masses must have matching shapes")
         if np.any(masses < 0.0) or np.any(~np.isfinite(masses)):
             raise DomainError("atom masses must be finite and nonnegative")
-        if np.any(np.abs(points) >= 1.0):
+        if not np.all(np.abs(points) < 1.0):  # also rejects NaN coordinates
             raise DomainError("atoms must lie inside the open disc")
         self.name = name
         self.points = points
@@ -347,8 +362,21 @@ class AtomicMeasure(DiscMeasure):
     def from_csv(cls, path, name=None):
         rows = []
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows.append((float(row["re"]), float(row["im"]), float(row["mass"])))
+            reader = csv.DictReader(fh)
+            for col in _ATOM_COLUMNS:
+                if col not in (reader.fieldnames or ()):
+                    raise DomainError(f"atoms csv {path}: no {col!r} column")
+            try:
+                for row in reader:
+                    rows.append((float(row["re"]), float(row["im"]), float(row["mass"])))
+            except UnicodeDecodeError:  # unreadable file, not a bad cell
+                raise
+            except (TypeError, ValueError):
+                col = next(c for c in _ATOM_COLUMNS if not _parses(row[c]))
+                raise DomainError(
+                    f"atoms csv {path}, line {reader.line_num}: column {col!r} "
+                    f"is not a number ({row[col]!r})"
+                ) from None
         if not rows:
             return cls(np.array([], dtype=complex), np.array([]), name=name or str(path))
         arr = np.array(rows)

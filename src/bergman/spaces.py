@@ -303,7 +303,7 @@ def bergman_norm(f, p, w, grid):
     if p <= 0:
         raise DomainError("p must be positive")
     vals = np.abs(f(grid.nodes) if callable(f) or isinstance(f, AnalyticFunction) else f)
-    dens = w.density_at_gap(grid.gaps)
+    dens = w.density_at_gap(grid.ring_gaps)[grid.ring_index]
     return float(np.sum(vals ** p * dens * grid.weights) ** (1.0 / p))
 
 

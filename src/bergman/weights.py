@@ -535,7 +535,7 @@ def weighted_area(w, region, grid=None):
         inside = region.contains(grid.nodes)
         if not np.any(inside):
             return 0.0
-        dens = w.density_at_gap(grid.gaps[inside])
+        dens = w.density_at_gap(grid.ring_gaps)[grid.ring_index[inside]]
         return float(np.sum(dens * grid.weights[inside]))
 
     if isinstance(region, geometry.WholeDisc):

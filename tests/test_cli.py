@@ -2,10 +2,15 @@
 
 import csv
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman.cli import main
+from bergman.config import ExperimentConfig
+from bergman.errors import ConfigError
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -68,6 +73,99 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code != 0
+
+
+class TestInputValidation:
+    """Malformed values end in exit 2 with a JSON error, never a traceback."""
+
+    FUNCTION = {"kind": "poly", "coeffs": [[1.0, 0.0]]}
+
+    def error_of(self, tmp_path, capsys, extra, argv=("norm",)):
+        cfg = write_config(tmp_path, {"function": self.FUNCTION, **extra})
+        code = run([*argv, "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 2
+        return json.loads(capsys.readouterr().out)["error"]
+
+    def test_nan_exponent(self, tmp_path, capsys):
+        err = self.error_of(tmp_path, capsys, {"p": float("nan")})
+        assert err["field"] == "p"
+
+    def test_operator_not_an_object(self, tmp_path, capsys):
+        err = self.error_of(tmp_path, capsys, {"operator": 5})
+        assert err["field"] == "operator"
+
+    def test_non_numeric_exponent(self, tmp_path, capsys):
+        err = self.error_of(tmp_path, capsys, {"p": "abc"})
+        assert err["field"] == "p"
+
+    @pytest.mark.parametrize("key, value", [
+        ("q", float("inf")), ("q", True), ("lattice_r", "x"),
+        ("lattice_r", float("nan")), ("gamma", float("nan")), ("gamma", "2"),
+        ("seed", "x"), ("seed", 1.5), ("seed", -1), ("grid_level", 7.5),
+        ("grid_level", None), ("n", "x"), ("p", 10 ** 400),
+    ], ids=lambda v: repr(v)[:12])
+    def test_bad_scalar(self, tmp_path, capsys, key, value):
+        err = self.error_of(tmp_path, capsys, {key: value})
+        assert err["type"] == "config" and err["field"] == key
+
+    @pytest.mark.parametrize("section, spec, field", [
+        ("weight", {"kind": "power", "alpha": "x"}, "weight.alpha"),
+        ("weight", {"kind": "log_power", "alpha": 1.0, "b": float("nan")}, "weight.b"),
+        ("function", {"kind": "conformal_power", "a": [0.5, 0.0], "gamma": "x"},
+         "function.gamma"),
+        ("function", {"kind": "poly", "coeffs": [[1.0, float("nan")]]}, "function.coeffs"),
+        ("function", {"kind": "conformal_power", "a": [0.5, 0.0], "gamma": 2.0,
+                      "scale": "abc"}, "function.scale"),
+        ("weight", {"kind": "table", "r": ["a", 1.0], "w": [1.0, 0.0]}, "weight.r"),
+        ("weight", {"kind": "table", "r": 0.5, "w": [1.0, 0.0]}, "weight"),
+    ])
+    def test_bad_spec_number(self, tmp_path, capsys, section, spec, field):
+        err = self.error_of(tmp_path, capsys, {section: spec})
+        assert err["type"] == "config" and err["field"] == field
+
+    def test_bad_operator_order(self, tmp_path, capsys):
+        err = self.error_of(tmp_path, capsys, {"operator": {"n": "x"}})
+        assert err["field"] == "operator.n"
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["n", "kind"]), inner, max_size=2),
+        max_leaves=6,
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(["seed", "p", "q", "n", "grid_level", "lattice_r", "gamma",
+                         "carleson_convention", "operator"]),
+        json_values, max_size=5))
+    def test_from_dict_accepts_or_raises_config_error(self, fields):
+        try:
+            cfg = ExperimentConfig.from_dict({"schema": 1, **fields})
+        except ConfigError:
+            return
+        assert all(math.isfinite(v) for v in (cfg.p, cfg.q, cfg.lattice_r))
+        assert cfg.gamma is None or math.isfinite(cfg.gamma)
+
+    def write_atoms(self, tmp_path, lines):
+        atoms = tmp_path / "atoms.csv"
+        atoms.write_text("\n".join(lines) + "\n")
+        return str(atoms)
+
+    def test_atoms_csv_missing_column(self, tmp_path, capsys):
+        path = self.write_atoms(tmp_path, ["x,im,mass", "0.1,0.2,1.0"])
+        err = self.error_of(tmp_path, capsys,
+                            {"measure": {"kind": "atoms_csv", "path": path}},
+                            argv=("criterion", "embedding-sup"))
+        assert path in err["message"] and "'re'" in err["message"]
+        assert "measure spec missing" not in err["message"]
+
+    def test_atoms_csv_non_numeric_cell(self, tmp_path, capsys):
+        path = self.write_atoms(tmp_path, ["re,im,mass", "0.1,0.2,1.0", "0.3,0.1,heavy"])
+        err = self.error_of(tmp_path, capsys,
+                            {"measure": {"kind": "atoms_csv", "path": path}},
+                            argv=("criterion", "embedding-sup"))
+        assert path in err["message"] and "'mass'" in err["message"]
 
 
 class TestCommands:

@@ -1,0 +1,209 @@
+"""Per-ring evaluation of radial quantities against per-node references.
+
+Every radial quantity on a QuadratureGrid is evaluated once per ring and
+broadcast through ring_index.  The references here evaluate the same
+quantity on every node, as the grid's flat arrays allow, and the results
+must agree to 1e-12 relative.  verify_gamma's ring-and-band summation is
+checked against the plain per-node kernel loop, and its angular template
+against the closed-form angular mean of the kernel.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import hyp2f1
+
+from bergman import (
+    ConformalPower,
+    Polynomial,
+    RadialDensityMeasure,
+    RadialWeight,
+    bergman_norm,
+    derivative_bound_sup,
+    make_grid,
+    verify_gamma,
+)
+from bergman.criteria import _ring_kernel_means
+from bergman.geometry import carleson_square
+from bergman.weights import weighted_area
+
+RTOL = 1e-12
+
+WEIGHTS = {
+    "power": lambda: RadialWeight.power(1.0),
+    "log_power": lambda: RadialWeight.log_power(1.0, 2.0),
+}
+
+
+@pytest.fixture(scope="module", params=[6, 9])
+def grid(request):
+    return make_grid(request.param)
+
+
+@pytest.fixture(scope="module", params=sorted(WEIGHTS))
+def weight(request):
+    return WEIGHTS[request.param]()
+
+
+def functions():
+    rng = np.random.default_rng(7)
+    polys = [Polynomial(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+             for d in (1, 5, 12)]
+    return polys + [ConformalPower(0.9j, 3.0), ConformalPower(0.99, 2.0)]
+
+
+def node_norm(f, p, dens, grid):
+    """bergman_norm from the weight density on every node (dens)."""
+    return float(np.sum(np.abs(f(grid.nodes)) ** p * dens * grid.weights) ** (1.0 / p))
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= RTOL * abs(want), (got, want)
+
+
+def test_ring_arrays_broadcast_to_nodes(grid):
+    assert np.array_equal(grid.ring_gaps[grid.ring_index], grid.gaps)
+    assert np.array_equal(np.bincount(grid.ring_index), grid.ring_counts)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_bergman_norm_matches_node_reference(grid, weight, p):
+    for w in (weight, weight.tilde_weight()):
+        dens = w.density_at_gap(grid.gaps)
+        for f in functions():
+            assert_close(bergman_norm(f, p, w, grid), node_norm(f, p, dens, grid))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_derivative_bound_matches_node_reference(grid, weight, n):
+    p = 2.0
+    dens = weight.density_at_gap(grid.gaps)
+    ws = weight.carleson_mass_at_gap(grid.gaps) ** (1.0 / p)
+    for f in functions():
+        dvals = np.abs(f.eval_deriv(n, grid.nodes))
+        want = float(np.max(dvals * ws * grid.gaps ** n)) / node_norm(f, p, dens, grid)
+        assert_close(derivative_bound_sup(f, n, p, weight, grid), want)
+
+
+def test_support_nodes_match_node_reference(grid, weight):
+    mu = RadialDensityMeasure.from_weight(weight, grid)
+    pts, masses = mu.support_nodes()
+    want = weight.density_at_gap(grid.gaps) * grid.weights
+    assert pts is grid.nodes
+    np.testing.assert_allclose(masses, want, rtol=RTOL, atol=0.0)
+
+
+def test_weighted_area_on_grid_matches_node_reference(grid, weight):
+    region = carleson_square(0.8 * np.exp(0.4j))
+    inside = region.contains(grid.nodes)
+    want = float(np.sum(weight.density_at_gap(grid.gaps[inside]) * grid.weights[inside]))
+    assert_close(weighted_area(weight, region, grid=grid), want)
+
+
+# ---------------------------------------------------------------------------
+# verify_gamma
+# ---------------------------------------------------------------------------
+
+def node_verify_gamma(w, p, gamma, basepoints=None, grid=None):
+    """The per-node kernel loop verify_gamma replaced, kept as the oracle."""
+    if basepoints is None:
+        a_gaps = 2.0 ** (-np.arange(21) / 2.0)
+    else:
+        a_gaps = 1.0 - np.abs(np.asarray(basepoints, dtype=complex))
+        a_gaps = a_gaps[a_gaps > 0]
+    a_vals = 1.0 - a_gaps
+    pre = w.density_at_gap(grid.gaps) * grid.weights
+    e = gamma * p
+    shallow_mask = grid.gaps >= 2.0 ** (-grid.levels)
+    lhs = np.empty(len(a_vals))
+    lhs_shallow = np.empty(len(a_vals))
+    for i, a in enumerate(a_vals):
+        kern = np.abs(1.0 - a * grid.nodes) ** (-e)
+        contrib = pre * kern
+        lhs[i] = np.sum(contrib)
+        lhs_shallow[i] = np.sum(contrib[shallow_mask])
+    rhs = w.tail_integral_at_gap(a_gaps) / a_gaps ** (e - 1.0)
+    ratio = lhs / rhs
+    ratio_shallow = lhs_shallow / rhs
+    worst = float(np.max(ratio))
+    worst_shallow = float(np.max(ratio_shallow))
+    drift = abs(worst - worst_shallow) / max(worst, 1e-300)
+    half = len(a_gaps) // 2
+    x = -np.log(a_gaps[half:])
+    y = np.log(np.maximum(ratio[half:], 1e-300))
+    slope = float(np.polyfit(x, y, 1)[0])
+    passed = bool(drift < 0.10 and slope <= 0.05 and np.isfinite(worst))
+    return passed, worst
+
+
+GAMMA_CASES = [(2.0, 3.0), (1.0, 6.0), (2.0, 0.5)]  # (p, gamma); the last fails
+
+
+@pytest.mark.parametrize("p, gamma", GAMMA_CASES)
+def test_verify_gamma_matches_node_oracle(weight, p, gamma):
+    grid = make_grid(10)
+    passed, worst = verify_gamma(weight, p, gamma, grid=grid)
+    want_passed, want_worst = node_verify_gamma(weight, p, gamma, grid=grid)
+    assert passed == want_passed
+    assert_close(worst, want_worst)
+
+
+def test_verify_gamma_matches_node_oracle_with_basepoints(weight):
+    grid = make_grid(10)
+    radii = 1.0 - 2.0 ** (-np.arange(0, 20, 1.5))
+    basepoints = np.concatenate([radii * np.exp(1j * np.arange(len(radii))), [1.0, 1j]])
+    for p, gamma in GAMMA_CASES:
+        got = verify_gamma(weight, p, gamma, basepoints=basepoints, grid=grid)
+        want = node_verify_gamma(weight, p, gamma, basepoints=basepoints, grid=grid)
+        assert got[0] == want[0]
+        assert_close(got[1], want[1])
+
+
+@pytest.mark.parametrize("level, passes", [(4, False), (5, True)])
+def test_verify_gamma_shallow_statistic_drops_the_cap(level, passes):
+    """For the unweighted area and shallow basepoints the refinement drift
+    is about the area of the closing cap, 1 - (1 - 2^-L)^2: 12% at L = 4,
+    6% at L = 5, either side of the 10% bound."""
+    grid = make_grid(level)
+    w = RadialWeight.power(0.0)
+    basepoints = np.array([0.0, 0.1, 0.2, 0.3])
+    got = verify_gamma(w, 2.0, 2.0, basepoints=basepoints, grid=grid)
+    want = node_verify_gamma(w, 2.0, 2.0, basepoints=basepoints, grid=grid)
+    assert got[0] == want[0] == passes
+    assert_close(got[1], want[1])
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5, 4.0])
+def test_band_template_matches_hypergeometric_mean(c):
+    """(1/2pi) int |1 - x e^{i theta}|^{-2c} d theta = 2F1(c, c; 1; x^2).
+
+    The midpoint rule on n angles is exact up to aliasing terms of order
+    x^n, so the template must reproduce the closed form wherever x^n is
+    negligible."""
+    grid = make_grid(9)
+    a_gaps = 2.0 ** (-np.arange(21) / 2.0)
+    a_vals = 1.0 - a_gaps
+    checked = 0
+    for n_theta in np.unique(grid.ring_counts):
+        rings = grid.ring_counts == n_theta
+        gaps = grid.ring_gaps[rings]
+        means = _ring_kernel_means(a_vals, a_gaps, gaps, int(n_theta), 2.0 * c)
+        x = a_vals[:, None] * (1.0 - gaps)[None, :]
+        with np.errstate(under="ignore"):
+            resolved = x ** int(n_theta) <= 1e-14
+        exact = hyp2f1(c, c, 1.0, x[resolved] ** 2)
+        np.testing.assert_allclose(means[resolved], exact, rtol=1e-10, atol=0.0)
+        checked += int(np.sum(resolved))
+    assert checked > 500
+
+
+def test_band_template_odd_count_matches_full_circle():
+    a = np.array([0.0, 0.5, 0.97])
+    gaps = np.array([0.3, 0.02])
+    n_theta = 7
+    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+    z = (1.0 - gaps)[:, None] * np.exp(1j * theta)[None, :]
+    want = np.mean(np.abs(1.0 - a[:, None, None] * z[None]) ** -3.0, axis=2)
+    got = _ring_kernel_means(a, 1.0 - a, gaps, n_theta, 3.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
