@@ -321,7 +321,7 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, grid=None, level=16,
     else:
         # polar evaluation mesh, capped at the atomic resolution
         if isinstance(mu, AtomicMeasure) and len(mu.points):
-            deepest = float(mu._gaps_sorted[0])
+            deepest = mu.min_gap
             level = min(level, max(3, int(-math.log2(max(deepest, 1e-300))) - 1))
             notes.append(f"evaluation depth capped at the atom resolution (level {level})")
         gaps_r, ring_w = radial_rings(level, subcells)

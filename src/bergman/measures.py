@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 
 import numpy as np
 
@@ -206,9 +207,17 @@ class DiscMeasure:
         pts, masses = self.support_nodes()
         return np.sum(np.asarray(g(pts)) * masses).item()
 
+    _index = None
+
+    def _support_index(self):
+        """The _SupportIndex of support_nodes(), built on first use."""
+        if self._index is None:
+            self._index = _SupportIndex(*self.support_nodes())
+        return self._index
+
 
 def _disc_params(center_abs, gaps, r):
-    """Euclidean (c, R, gap_outer) of Delta(a, r) from |a| and 1-|a|."""
+    """Euclidean (c, R, gap_outer, gap_inner) of Delta(a, r) from |a| and 1-|a|."""
     one_minus_sq = gaps * (2.0 - gaps)  # 1 - |a|^2
     denom = 1.0 - r * r * center_abs ** 2
     c = (1.0 - r * r) * center_abs / denom
@@ -216,6 +225,116 @@ def _disc_params(center_abs, gaps, r):
     g_out = gaps * (1.0 - r) / (1.0 + r * center_abs)
     g_in = gaps * (1.0 + r) / (1.0 - r * center_abs)
     return c, R, g_out, g_in
+
+
+def _octave(u):
+    """The octave band k with 2^-(k+1) <= u < 2^-k, read off u's binary exponent."""
+    return -np.frexp(u)[1]
+
+
+# Window padding: relative on gaps and the asin argument, absolute on angles.
+# It only widens windows; membership is decided by the exact test.
+_WINDOW_PAD = 1e-12
+# Sort keys are 8 * band + angle; angles lie in [-pi, pi], so the band runs
+# [8b - 4, 8b + 4] are disjoint and each holds its band's atoms in angle order.
+_BAND_STRIDE = 8.0
+_CENTER_BLOCK = 1 << 16  # centres per block of windows
+_CANDIDATE_CHUNK = 1 << 16  # candidate points tested per step
+
+
+class _SupportIndex:
+    """Points with masses, sorted by (octave band of the gap, angle), for
+    pseudo-disc sums that visit only the points that can lie in each disc.
+
+    Delta(a, r) is the Euclidean disc D(ce, R).  Its points have gaps between
+    the disc's outer and inner gaps, so they lie in a few octave bands; when
+    R < |ce| they also lie within asin(R/|ce|) of arg(ce) (otherwise the disc
+    holds the origin and every angle).  Each (centre, band) pair thus reads
+    one or two contiguous runs of the sorted keys (two where the angle window
+    wraps at +-pi), found with searchsorted.  Every point of those windows
+    takes the exact |p - ce| < R test, so a generous window changes nothing.
+    """
+
+    def __init__(self, points, masses):
+        bands = _octave(1.0 - np.abs(points))
+        keys = _BAND_STRIDE * bands + np.angle(points)
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.points = points[order]
+        self.masses = masses[order]
+        self.band_range = (bands.min(), bands.max()) if len(bands) else None
+
+    def pseudo_disc_masses(self, centers, r, center_gaps=None):
+        """Mass of the points in Delta(a, r) for each centre a."""
+        centers = np.atleast_1d(np.asarray(centers, dtype=complex))
+        if center_gaps is None:
+            center_gaps = 1.0 - np.abs(centers)
+        out = np.zeros(len(centers))
+        if self.band_range is not None:
+            for s in range(0, len(centers), _CENTER_BLOCK):
+                b = slice(s, s + _CENTER_BLOCK)
+                out[b] = self._block_masses(centers[b], center_gaps[b], r)
+        return out
+
+    @staticmethod
+    def _angle_windows(theta, c, R):
+        """Per centre, two angle intervals (lo1, hi1, lo2, hi2) relative to a
+        band's key base; an empty one has lo > hi."""
+        half = np.arcsin(np.minimum(R / np.maximum(c, 1e-300) * (1.0 + _WINDOW_PAD), 1.0))
+        half += _WINDOW_PAD  # <= pi/2 + pad, so at most one end wraps
+        whole = R >= c
+        lo, hi = theta - half, theta + half
+        wrap_lo, wrap_hi = lo < -math.pi, hi > math.pi
+        edge = _BAND_STRIDE / 2.0
+        arcs = np.empty((len(theta), 4))
+        arcs[:, 0] = np.where(wrap_lo, lo + _TWO_PI, lo)
+        arcs[:, 1] = np.where(wrap_lo | wrap_hi, edge, hi)
+        arcs[:, 2] = -edge
+        arcs[:, 3] = np.where(wrap_lo, hi, np.where(wrap_hi, hi - _TWO_PI, -2.0 * edge))
+        arcs[whole] = (-edge, edge, 1.0, -1.0)
+        return arcs
+
+    def _block_masses(self, centers, center_gaps, r):
+        """pseudo_disc_masses of one block of centres."""
+        mods = np.abs(centers)
+        c, R, g_out, g_in = _disc_params(mods, center_gaps, r)
+        ce = np.where(mods > 0, centers / np.maximum(mods, 1e-300), 1.0) * c
+        owner, start, length = self._windows(ce, c, R, g_out, g_in)
+        end = np.cumsum(length)
+        begin = end - length
+        shift = start - begin  # candidate t of window w is point t + shift[w]
+        total = int(end[-1]) if len(end) else 0
+        out = np.zeros(len(ce))
+        for t0 in range(0, total, _CANDIDATE_CHUNK):
+            t1 = min(t0 + _CANDIDATE_CHUNK, total)
+            w0, w1 = np.searchsorted(end, [t0, t1 - 1], "right")
+            ws = slice(w0, w1 + 1)
+            counts = np.minimum(end[ws], t1) - np.maximum(begin[ws], t0)
+            w = np.repeat(np.arange(w0, w1 + 1), counts)
+            idx = np.arange(t0, t1) + shift[w]
+            k = owner[w]  # nondecreasing: windows are ordered by centre
+            inside = np.abs(self.points[idx] - ce[k]) < R[k]
+            out[k[0]:k[-1] + 1] += np.bincount(k[inside] - k[0],
+                                               weights=self.masses[idx[inside]],
+                                               minlength=k[-1] - k[0] + 1)
+        return out
+
+    def _windows(self, ce, c, R, g_out, g_in):
+        """(owner centre, start, length) of the nonempty runs of sorted points
+        that can lie in D(ce, R), ordered by owner."""
+        lo, hi = self.band_range
+        band_lo = np.maximum(_octave(g_in * (1.0 + _WINDOW_PAD)), lo)
+        band_hi = np.minimum(_octave(g_out * (1.0 - _WINDOW_PAD)), hi)
+        n_bands = np.maximum(band_hi - band_lo + 1, 0)
+        owner = np.repeat(np.arange(len(ce)), n_bands)  # one entry per (centre, band)
+        first = np.cumsum(n_bands) - n_bands
+        base = _BAND_STRIDE * (band_lo[owner] + np.arange(len(owner)) - first[owner])
+        arcs = self._angle_windows(np.angle(ce), c, R)
+        bounds = base[:, None] + arcs[owner]  # lo1 hi1 lo2 hi2 in key units
+        start = np.searchsorted(self.keys, bounds[:, 0::2].ravel(), "left")
+        length = np.searchsorted(self.keys, bounds[:, 1::2].ravel(), "right") - start
+        keep = length > 0
+        return np.repeat(owner, 2)[keep], start[keep], length[keep]
 
 
 class RadialDensityMeasure(DiscMeasure):
@@ -311,17 +430,7 @@ class CallableDensityMeasure(DiscMeasure):
         return self.grid.nodes, self._node_masses
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
-        centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-        if center_gaps is None:
-            center_gaps = 1.0 - np.abs(centers)
-        pts, masses = self.support_nodes()
-        c, R, _, _ = _disc_params(np.abs(centers), center_gaps, r)
-        ce = centers * np.where(np.abs(centers) > 0, c / np.maximum(np.abs(centers), 1e-300), 0.0)
-        out = np.empty(len(centers))
-        for i in range(len(centers)):
-            inside = np.abs(pts - ce[i]) < R[i]
-            out[i] = np.sum(masses[inside])
-        return out
+        return self._support_index().pseudo_disc_masses(centers, r, center_gaps)
 
     def to_json(self):
         return {"kind": "density", "name": self.name}
@@ -331,11 +440,31 @@ _ATOM_COLUMNS = ("re", "im", "mass")
 
 
 def _parses(cell):
+    """Whether np.loadtxt reads cell as a float: Python's float() without its
+    digit-group underscores and non-ASCII digits."""
     try:
         float(cell)
     except (TypeError, ValueError):
         return False
-    return True
+    return "_" not in cell and cell.strip().isascii()
+
+
+def _atoms_csv_error(path, cols, exc):
+    """The DomainError for an atoms CSV that np.loadtxt rejected, naming the
+    file, line and column of the first cell that is missing or not a number."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:  # blank lines carry no atom
+                continue
+            for col, i in zip(_ATOM_COLUMNS, cols):
+                cell = row[i] if i < len(row) else None
+                if not _parses(cell):
+                    what = "is missing" if cell is None else f"is not a number ({cell!r})"
+                    return DomainError(
+                        f"atoms csv {path}, line {reader.line_num}: column {col!r} {what}")
+    return DomainError(f"atoms csv {path}: {exc}")
 
 
 class AtomicMeasure(DiscMeasure):
@@ -353,65 +482,45 @@ class AtomicMeasure(DiscMeasure):
         self.name = name
         self.points = points
         self.masses = masses
-        order = np.argsort(1.0 - np.abs(points))
-        self._gaps_sorted = (1.0 - np.abs(points))[order]
-        self._pts_sorted = points[order]
-        self._masses_sorted = masses[order]
+
+    @property
+    def min_gap(self):
+        """The deepest atom's gap min(1 - |p|); inf for an empty cloud."""
+        return float(np.min(1.0 - np.abs(self.points), initial=np.inf))
 
     @classmethod
     def from_csv(cls, path, name=None):
-        rows = []
+        """Read atoms from a CSV with a header naming re, im and mass columns.
+
+        The columns may come in any order, other columns are ignored, cells
+        may be quoted and blank lines are skipped; '#' is not a comment.
+        """
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+            position = {col: i for i, col in enumerate(next(csv.reader(fh), []))}
             for col in _ATOM_COLUMNS:
-                if col not in (reader.fieldnames or ()):
+                if col not in position:
                     raise DomainError(f"atoms csv {path}: no {col!r} column")
+            cols = [position[col] for col in _ATOM_COLUMNS]
             try:
-                for row in reader:
-                    rows.append((float(row["re"]), float(row["im"]), float(row["mass"])))
+                with warnings.catch_warnings():  # a header-only file is an empty cloud
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    arr = np.loadtxt(fh, delimiter=",", usecols=cols, comments=None,
+                                     quotechar='"', ndmin=2)
             except UnicodeDecodeError:  # unreadable file, not a bad cell
                 raise
-            except (TypeError, ValueError):
-                col = next(c for c in _ATOM_COLUMNS if not _parses(row[c]))
-                raise DomainError(
-                    f"atoms csv {path}, line {reader.line_num}: column {col!r} "
-                    f"is not a number ({row[col]!r})"
-                ) from None
-        if not rows:
-            return cls(np.array([], dtype=complex), np.array([]), name=name or str(path))
-        arr = np.array(rows)
+            except ValueError as exc:
+                raise _atoms_csv_error(path, cols, exc) from None
         return cls(arr[:, 0] + 1j * arr[:, 1], arr[:, 2], name=name or str(path))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im", "mass"])
-            for p, m in zip(self.points, self.masses):
-                writer.writerow([repr(float(p.real)), repr(float(p.imag)),
-                                 repr(float(m))])
+        np.savetxt(path, np.column_stack([self.points.real, self.points.imag, self.masses]),
+                   fmt="%.17g", delimiter=",", header=",".join(_ATOM_COLUMNS), comments="")
 
     def support_nodes(self):
         return self.points, self.masses
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
-        centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-        if center_gaps is None:
-            center_gaps = 1.0 - np.abs(centers)
-        mods = np.abs(centers)
-        c, R, g_out, g_in = _disc_params(mods, center_gaps, r)
-        phase = np.where(mods > 0, centers / np.maximum(mods, 1e-300), 1.0)
-        ce = phase * c
-        out = np.empty(len(centers))
-        for i in range(len(centers)):
-            lo = np.searchsorted(self._gaps_sorted, g_out[i] * (1.0 - 1e-12), "left")
-            hi = np.searchsorted(self._gaps_sorted, g_in[i] * (1.0 + 1e-12), "right")
-            if lo >= hi:
-                out[i] = 0.0
-                continue
-            pts = self._pts_sorted[lo:hi]
-            inside = np.abs(pts - ce[i]) < R[i]
-            out[i] = np.sum(self._masses_sorted[lo:hi][inside])
-        return out
+        return self._support_index().pseudo_disc_masses(centers, r, center_gaps)
 
     def to_json(self):
         return {"kind": "atoms", "count": len(self.points), "name": self.name}

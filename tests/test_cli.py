@@ -167,6 +167,19 @@ class TestInputValidation:
                             argv=("criterion", "embedding-sup"))
         assert path in err["message"] and "'mass'" in err["message"]
 
+    @pytest.mark.parametrize("row, column", [
+        ("0.3,0.1", "mass"),  # short row
+        ("0.3,zero,1.0", "im"),
+        ("0.3,0.1,1_000", "mass"),  # digit groups: float() reads them, loadtxt does not
+    ])
+    def test_atoms_csv_bad_row_names_line_and_column(self, tmp_path, capsys, row, column):
+        path = self.write_atoms(tmp_path, ["re,im,mass", "0.1,0.2,1.0", "", row, "0.2,0.2,1.0"])
+        err = self.error_of(tmp_path, capsys,
+                            {"measure": {"kind": "atoms_csv", "path": path}},
+                            argv=("criterion", "embedding-sup"))
+        assert path in err["message"] and "line 4" in err["message"]
+        assert repr(column) in err["message"]
+
 
 class TestCommands:
     def test_classify_weight(self, tmp_path):

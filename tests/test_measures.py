@@ -1,9 +1,14 @@
 """Grids, disc measures, and the weighted pushforward."""
 
+import csv
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bergman import (
@@ -24,6 +29,7 @@ from bergman import (
     radial_rings,
     rho,
 )
+from bergman import measures
 from bergman.errors import SelfMapViolationError
 
 
@@ -138,6 +144,65 @@ class TestMeasureOf:
             expect = masses[rho(c, pts) < 0.3].sum()
             assert got[i] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
+           r=st.sampled_from([0.05, 0.3, 0.9]))
+    def test_atomic_disc_masses_property(self, seed, n, r):
+        rng = np.random.default_rng(seed)
+        edges = 1.0 - 2.0 ** -np.arange(1, 13)  # gaps exactly 2^-k
+        pts = np.concatenate([
+            np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n)),
+            edges + 0j,
+            -edges + 0j,  # angle +pi
+            np.conj(-edges + 0j),  # angle -pi
+        ]) if n else np.array([], dtype=complex)
+        masses = rng.uniform(0, 1, len(pts))
+        mu = AtomicMeasure(pts, masses)
+        theta = 2 * np.pi * rng.uniform(0, 1, 6)
+        centers = np.concatenate([
+            [0.0, -0.6, -0.6 + 1e-9j, -0.6 - 1e-9j, np.conj(-0.6 + 0j), -(1 - 2.0 ** -6)],
+            0.5 * r * np.exp(1j * theta),  # discs that hold the origin
+            np.sqrt(rng.uniform(0, 0.999, 8)) * np.exp(2j * np.pi * rng.uniform(0, 1, 8)),
+        ])
+        got = mu.pseudo_disc_masses(centers, r)
+        for i, c in enumerate(centers):
+            expect = masses[rho(c, pts) < r].sum()
+            assert got[i] == pytest.approx(expect, rel=1e-12, abs=1e-300)
+
+    def test_atomic_disc_masses_across_chunks(self, monkeypatch):
+        # windows split across candidate chunks and centres across blocks
+        monkeypatch.setattr(measures, "_CANDIDATE_CHUNK", 7)
+        monkeypatch.setattr(measures, "_CENTER_BLOCK", 3)
+        rng = np.random.default_rng(8)
+        pts = np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500))
+        masses = rng.uniform(0, 1, 500)
+        centers = np.concatenate([[0.0, -0.6 + 1e-9j],
+                                  0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, 9))])
+        got = AtomicMeasure(pts, masses).pseudo_disc_masses(centers, 0.5)
+        expect = [masses[rho(c, pts) < 0.5].sum() for c in centers]
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_callable_density_disc_masses_vs_bruteforce(self, grid8):
+        rng = np.random.default_rng(5)
+        mu = CallableDensityMeasure(lambda z: 1.0 + z.real ** 2, grid8)
+        pts, masses = mu.support_nodes()
+        centers = np.concatenate([
+            [0.0, -0.6 + 1e-9j, 0.2j, 0.97],
+            rng.uniform(-0.7, 0.7, 8) + 1j * rng.uniform(-0.7, 0.7, 8),
+        ])
+        for r in (0.05, 0.3, 0.9):
+            got = mu.pseudo_disc_masses(centers, r)
+            expect = [masses[rho(c, pts) < r].sum() for c in centers]
+            assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_atomic_min_gap(self):
+        rng = np.random.default_rng(6)
+        pts = 0.9 * np.exp(2j * np.pi * rng.uniform(0, 1, 50))
+        pts[17] = 0.999j
+        mu = AtomicMeasure(pts, np.ones(50))
+        assert mu.min_gap == 1.0 - abs(pts[17])
+        assert AtomicMeasure(np.array([], dtype=complex), np.array([])).min_gap == math.inf
+
     def test_callable_density_matches_radial(self, grid10):
         beta = 1.0
         radial = RadialDensityMeasure.from_power(beta, grid10)
@@ -204,3 +269,54 @@ class TestPushforward:
         back = AtomicMeasure.from_csv(path)
         assert np.array_equal(back.points, mu.points)
         assert np.array_equal(back.masses, mu.masses)
+
+
+def row_parse(path):
+    """Reference reader: one csv.DictReader row and three float() calls per atom."""
+    with open(path, newline="") as fh:
+        rows = [(float(row["re"]), float(row["im"]), float(row["mass"]))
+                for row in csv.DictReader(fh)]
+    arr = np.array(rows).reshape(-1, 3)
+    return arr[:, 0] + 1j * arr[:, 1], arr[:, 2]
+
+
+class TestAtomsCsv:
+    @pytest.fixture
+    def cells(self):
+        """A 17-digit np.savetxt cloud as rows of (re, im, mass) cells."""
+        rng = np.random.default_rng(7)
+        n = 300
+        pts = np.sqrt(rng.uniform(0, 0.998, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack([pts.real, pts.imag, rng.uniform(0, 1, n)]),
+                   fmt="%.17g", delimiter=",")
+        return [line.split(",") for line in buf.getvalue().splitlines()]
+
+    LAYOUTS = {
+        "plain": lambda rows: ["re,im,mass"] + [",".join(r) for r in rows],
+        "crlf": lambda rows: ["re,im,mass\r"] + [",".join(r) + "\r" for r in rows],
+        "quoted": lambda rows: ['"re","im",mass'] + [f'"{a}",{b},"{c}"' for a, b, c in rows],
+        "blank_lines": lambda rows: ["re,im,mass", ""] + [
+            ",".join(r) + ("\n" if i % 7 == 0 else "") for i, r in enumerate(rows)],
+        "reordered_extra": lambda rows: ["mass,tag,im,re,note"] + [
+            f"{c},t{i},{b},{a},x,y" for i, (a, b, c) in enumerate(rows)],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_bulk_parse_matches_row_parse(self, tmp_path, cells, layout):
+        path = tmp_path / "atoms.csv"
+        path.write_bytes(("\n".join(self.LAYOUTS[layout](cells)) + "\n").encode())
+        mu = AtomicMeasure.from_csv(path)
+        points, masses = row_parse(path)
+        assert len(mu.points) == len(cells)
+        assert mu.points.tobytes() == points.tobytes()
+        assert mu.masses.tobytes() == masses.tobytes()
+
+    def test_header_only_file_is_empty_and_silent(self, tmp_path, capsys):
+        path = tmp_path / "atoms.csv"
+        path.write_text("re,im,mass\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = AtomicMeasure.from_csv(path)
+        assert len(mu.points) == 0 and len(mu.masses) == 0
+        assert capsys.readouterr().err == ""
