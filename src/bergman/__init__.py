@@ -46,9 +46,7 @@ from .measures import (
     DiscMeasure,
     QuadratureGrid,
     RadialDensityMeasure,
-    integrate,
     make_grid,
-    measure_of,
     pushforward,
     radial_rings,
 )
@@ -66,7 +64,6 @@ from .spaces import (
     SelfMap,
     apply_operator,
     bergman_norm,
-    deriv_eval,
     hardy_means,
     norm_against_measure,
     test_function,

@@ -53,6 +53,12 @@ def _integer(value, where):
     return int(value)
 
 
+def _list_of(value, where):
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list (got {value!r})", field=where)
+    return value
+
+
 def _complex_of(value, where):
     try:
         re, im = value
@@ -88,8 +94,8 @@ def parse_function(spec):
     kind = spec["kind"]
     try:
         if kind == "poly":
-            coeffs = [_complex_of(c, "function.coeffs") for c in spec["coeffs"]]
-            return Polynomial(coeffs)
+            coeffs = _list_of(spec["coeffs"], "function.coeffs")
+            return Polynomial([_complex_of(c, "function.coeffs") for c in coeffs])
         if kind == "conformal_power":
             try:
                 scale = complex(spec.get("scale", 1.0))
@@ -120,7 +126,7 @@ def parse_selfmap(spec):
         if kind == "moebius":
             return Moebius(_complex_of(spec["c"], "phi.c"))
         if kind == "composition":
-            return MapComposition([parse_selfmap(m) for m in spec["maps"]])
+            return MapComposition([parse_selfmap(m) for m in _list_of(spec["maps"], "phi")])
     except KeyError as exc:
         raise ConfigError(f"self-map spec missing {exc}", field="phi")
     raise ConfigError(f"unknown self-map kind {kind!r}", field="phi")

@@ -125,8 +125,8 @@ def _growth_verdict(full, shallow):
     return growth, "inconclusive"
 
 
-def _tail_sups(gaps, vals):
-    """(delta, sup over gaps <= delta) for delta = 2^-k down the lattice."""
+def _tail(gaps, vals, reduce):
+    """(delta, reduce(vals over gaps <= delta)) for delta = 2^-k down the lattice."""
     if len(gaps) == 0:
         return []
     out = []
@@ -136,7 +136,7 @@ def _tail_sups(gaps, vals):
         mask = gaps <= 2.0 ** (-k)
         if not np.any(mask):
             break
-        out.append((2.0 ** (-k), float(np.max(vals[mask]))))
+        out.append((2.0 ** (-k), float(reduce(vals[mask]))))
         k += 1
     return out
 
@@ -158,13 +158,18 @@ def _compact_from_tail(tail):
     return "inconclusive"
 
 
-def _band_maxima(gaps, vals):
-    """Per-octave maxima: band k collects gaps in [2^-k-1, 2^-k)."""
-    bands = np.floor(-np.log2(np.maximum(gaps, 1e-300))).astype(int)
-    out = {}
+def _band_peaks(gaps, vals):
+    """{band k: index of the band's largest value (first on ties)}, ascending
+    in k.  Band k collects the gaps in (2^-(k+1), 2^-k], the closed end that
+    the tail masks gaps <= 2^-k use; k is read exactly off the binary
+    exponent, one band shallower for an exact power of two."""
+    mant, exp = np.frexp(gaps)
+    bands = (mant == 0.5) - exp
+    peaks = {}
     for b in np.unique(bands):
-        out[int(b)] = float(np.max(vals[bands == b]))
-    return out
+        idx = np.nonzero(bands == b)[0]
+        peaks[int(b)] = int(idx[np.argmax(vals[idx])])
+    return peaks
 
 
 def _sup_report(criterion_id, params, pts, gaps, vals, truncated=0, notes=None):
@@ -172,7 +177,7 @@ def _sup_report(criterion_id, params, pts, gaps, vals, truncated=0, notes=None):
     pts, gaps, vals = pts[order], gaps[order], vals[order]
     sup_full = float(np.max(vals)) if len(vals) else 0.0
     min_gap = float(np.min(gaps)) if len(gaps) else 1.0
-    bands = _band_maxima(gaps, vals)
+    bands = {k: float(vals[i]) for k, i in _band_peaks(gaps, vals).items()}
     # Refinement signal: deepening the lattice by two dyadic levels adds the
     # two deepest bands; the statistic that deepening moves is the tail
     # supremum, so compare the deepest band against the one two levels up.
@@ -186,7 +191,7 @@ def _sup_report(criterion_id, params, pts, gaps, vals, truncated=0, notes=None):
         # a compact range, no refinement signal
         shallow_stat = deep_stat = sup_full
         growth, verdict = 1.0, "bounded-consistent"
-    tail = _tail_sups(gaps, vals)
+    tail = _tail(gaps, vals, np.max)
     return CriterionReport(
         criterion_id=criterion_id,
         params=params,
@@ -252,16 +257,8 @@ def _ls_assemble(params, centers, gaps, bvals, weights_ls, s, level, truncated,
     shallow_mask = gaps >= 2.0 ** (-(level - 1))
     shallow = float(np.sum(contrib[shallow_mask]))
     growth, verdict = _growth_verdict(total, shallow)
-    # tail of the defining integral, not a sup
-    tail = []
-    k = 0
+    tail = _tail(gaps, contrib, np.sum)  # of the defining integral, not a sup
     min_gap = np.min(gaps) if len(gaps) else 1.0
-    while 2.0 ** (-k) >= min_gap * (1.0 - 1e-12):
-        mask = gaps <= 2.0 ** (-k)
-        if not np.any(mask):
-            break
-        tail.append((2.0 ** (-k), float(np.sum(contrib[mask]))))
-        k += 1
     if verdict == "bounded-consistent":
         compact = "vanishing-tail"
     elif verdict == "divergent":
@@ -445,21 +442,11 @@ def hinf_criterion(op, p, w, grid=None, level=10, convention="standard"):
     zs, zgaps = grid.nodes[keep], pgaps[keep]
 
     # keep one representative per dyadic band of |phi| for the report
-    band = np.floor(-np.log2(np.maximum(zgaps, 1e-300))).astype(int)
-    reps_pts, reps_gaps, reps_vals = [], [], []
-    for b in np.unique(band):
-        mask = band == b
-        i = int(np.argmax(quantity[mask]))
-        reps_pts.append(zs[mask][i])
-        reps_gaps.append(zgaps[mask][i])
-        reps_vals.append(quantity[mask][i])
-    reps_pts = np.array(reps_pts, dtype=complex)
-    reps_gaps = np.array(reps_gaps)
-    reps_vals = np.array(reps_vals)
+    reps = np.array(list(_band_peaks(zgaps, quantity).values()), dtype=int)
 
     params = {"p": p, "n": op.n, "weight": w.name, "phi": repr(op.phi),
               "u": repr(op.u), "convention": convention}
-    report = _sup_report("HINF_SUP", params, reps_pts, reps_gaps, reps_vals,
+    report = _sup_report("HINF_SUP", params, zs[reps], zgaps[reps], quantity[reps],
                          truncated=truncated)
     sup_phi_structural = op.phi.sup_abs()
     report.params["sup_phi_grid"] = float(np.max(pmod)) if len(pmod) else 0.0
@@ -496,7 +483,7 @@ def maximal_function(mu, w, alpha, z, searchpoints=None, convention="standard"):
     dphi = np.abs((np.angle(z) - np.angle(pts) + math.pi) % (2.0 * math.pi) - math.pi)
     admissible = (mods == 0.0) | ((abs(z) >= mods) & (dphi < halfwidth))
     pts = pts[admissible]
-    w_masses = np.atleast_1d(w.carleson_mass(np.abs(pts), convention=convention))
+    w_masses = np.atleast_1d(w.carleson_mass_at_gap(1.0 - np.abs(pts), convention))
     mu_masses = mu.carleson_masses(pts, convention=convention)
     ok = w_masses > _MASS_FLOOR
     if not np.any(ok):

@@ -38,6 +38,40 @@ _GL24_X = (_GL24_X + 1.0) / 2.0
 _GL24_W = _GL24_W / 2.0
 
 
+def _polar_rule(c, R, gap_outer):
+    """Disc-centred polar rule for (1/pi) * integrals of radial densities over
+    the Euclidean discs D(c, R), c >= 0 the distance of each centre from 0.
+
+    Vectorized over discs: returns (gaps, weights) of shapes (discs, 24, 48)
+    and (discs, 24, 1), with 24 Gauss-Legendre radii s and 48 midpoint
+    angles psi about each centre.  The gaps 1-|node| are
+    cancellation-free: 1-|node|^2 is a sum of nonnegative terms anchored at
+    the disc's outer gap g0,
+
+        g0(2-g0) + 2c[(R-s) + 2 s sin^2(psi/2)] + (R-s)(R+s),
+
+    divided by 1 + |node|.  The weights sum to R^2 for each disc.
+    """
+    n_angular = 48
+    psi = (np.arange(n_angular) + 0.5) * (_TWO_PI / n_angular)
+    vers = 2.0 * np.sin(psi / 2.0) ** 2
+    s = R[:, None] * _GL24_X[None, :]
+    r_minus_s = R[:, None] * (1.0 - _GL24_X)[None, :]
+    # |c + s e^{i psi}|^2 = c^2 + 2 c s cos(psi) + s^2  (c rotated real)
+    sq = (c[:, None, None] ** 2
+          + 2.0 * c[:, None, None] * s[:, :, None] * np.cos(psi)[None, None, :]
+          + (s ** 2)[:, :, None])
+    one_minus_sq = (
+        (gap_outer * (2.0 - gap_outer))[:, None, None]
+        + 2.0 * c[:, None, None] * (r_minus_s[:, :, None]
+                                    + s[:, :, None] * vers[None, None, :])
+        + (r_minus_s * (R[:, None] + s))[:, :, None]
+    )
+    gaps = one_minus_sq / (1.0 + np.sqrt(np.clip(sq, 0.0, 1.0)))
+    weights = (R[:, None] * _GL24_W[None, :] * s)[:, :, None] * (2.0 / n_angular)
+    return gaps, weights
+
+
 def _wrapped_angle_gap(z, w):
     """|arg z - arg w| wrapped into [0, pi]."""
     d = np.angle(np.asarray(z)) - np.angle(np.asarray(w))
@@ -150,32 +184,16 @@ class PseudoDisc:
         pts = np.asarray(pts, dtype=complex)
         return np.abs(pts - self.euclid_center) < self.euclid_radius
 
-    def polar_sample(self, n_radial=24, n_angular=48):
+    def polar_sample(self):
         """Quadrature nodes for (1/pi) * integral over the disc of a radial density.
 
         Returns (gaps, weights): gaps are 1-|node| (stable near the
         boundary), weights sum to euclid_radius^2 (the normalized area).
         """
-        R = self.euclid_radius
-        c = abs(self.euclid_center)
-        s = R * _GL24_X
-        r_minus_s = R * (1.0 - _GL24_X)
-        w_s = R * _GL24_W * s
-        psi = (np.arange(n_angular) + 0.5) * (_TWO_PI / n_angular)
-        # |c + s e^{i psi}|^2 = c^2 + 2 c s cos(psi) + s^2  (c rotated real)
-        sq = c * c + 2.0 * c * np.outer(s, np.cos(psi)) + s[:, None] ** 2
-        # 1-|pt|^2 as a sum of nonnegative terms anchored at the outer gap:
-        # g0(2-g0) + 2c[(R-s) + 2 s sin^2(psi/2)] + (R-s)(R+s)
-        g0 = self.gap_outer
-        vers = 2.0 * np.sin(psi / 2.0) ** 2
-        one_minus_sq = (
-            g0 * (2.0 - g0)
-            + 2.0 * c * (r_minus_s[:, None] + np.outer(s, vers))
-            + (r_minus_s * (R + s))[:, None]
-        )
-        gaps = one_minus_sq / (1.0 + np.sqrt(np.minimum(np.maximum(sq, 0.0), 1.0)))
-        weights = np.broadcast_to(w_s[:, None] * (2.0 / n_angular), sq.shape)
-        return gaps.ravel(), weights.ravel().copy()
+        gaps, weights = _polar_rule(np.array([abs(self.euclid_center)]),
+                                    np.array([self.euclid_radius]),
+                                    np.array([self.gap_outer]))
+        return gaps.ravel(), np.broadcast_to(weights, gaps.shape).ravel()
 
     def to_json(self):
         return {

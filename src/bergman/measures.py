@@ -29,12 +29,10 @@ from .weights import RadialWeight, weighted_area
 __all__ = [
     "QuadratureGrid",
     "make_grid",
-    "integrate",
     "DiscMeasure",
     "RadialDensityMeasure",
     "CallableDensityMeasure",
     "AtomicMeasure",
-    "measure_of",
     "pushforward",
 ]
 
@@ -161,11 +159,6 @@ def radial_rings(levels, radial_subcells=4):
     replication; enough for integrals of radial profiles."""
     gaps, masses, _ = _ring_layout(levels, radial_subcells)
     return gaps, 2.0 * masses
-
-
-def integrate(g, grid):
-    """Integral of g over the disc against normalized area, on the grid."""
-    return grid.integrate(g)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +355,6 @@ class RadialDensityMeasure(DiscMeasure):
     def from_weight(cls, w, grid):
         return cls(w.density_at_gap, grid, name=f"density({w.name})")
 
-    def density_at_gap(self, u):
-        return self._weight.density_at_gap(u)
-
     def support_nodes(self):
         if self._node_masses is None:
             dens = self._weight.density_at_gap(self.grid.ring_gaps)
@@ -380,31 +370,14 @@ class RadialDensityMeasure(DiscMeasure):
     def carleson_masses(self, bases, convention="standard"):
         bases = np.atleast_1d(np.asarray(bases, dtype=complex))
         return np.atleast_1d(
-            self._weight.carleson_mass(np.abs(bases), convention=convention))
+            self._weight.carleson_mass_at_gap(1.0 - np.abs(bases), convention=convention))
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
         centers = np.atleast_1d(np.asarray(centers, dtype=complex))
         if center_gaps is None:
             center_gaps = 1.0 - np.abs(centers)
         c, R, g_out, _ = _disc_params(np.abs(centers), center_gaps, r)
-        # disc-centered polar rule, shared nodes across all centers
-        glx, glw = geometry._GL24_X, geometry._GL24_W
-        n_ang = 48
-        psi = (np.arange(n_ang) + 0.5) * (_TWO_PI / n_ang)
-        vers = 2.0 * np.sin(psi / 2.0) ** 2
-        s = R[:, None] * glx[None, :]
-        r_minus_s = R[:, None] * (1.0 - glx)[None, :]
-        sq = (c[:, None, None] ** 2
-              + 2.0 * c[:, None, None] * s[:, :, None] * np.cos(psi)[None, None, :]
-              + (s ** 2)[:, :, None])
-        one_minus_sq = (
-            (g_out * (2.0 - g_out))[:, None, None]
-            + 2.0 * c[:, None, None] * (r_minus_s[:, :, None]
-                                        + s[:, :, None] * vers[None, None, :])
-            + (r_minus_s * (R[:, None] + s))[:, :, None]
-        )
-        gaps = one_minus_sq / (1.0 + np.sqrt(np.clip(sq, 0.0, 1.0)))
-        w = (R[:, None] * glw[None, :] * s)[:, :, None] * (2.0 / n_ang)
+        gaps, w = geometry._polar_rule(c, R, g_out)
         vals = self._weight.density_at_gap(gaps.ravel()).reshape(gaps.shape)
         return np.einsum("bij,bij->b", vals, np.broadcast_to(w, gaps.shape))
 
@@ -524,11 +497,6 @@ class AtomicMeasure(DiscMeasure):
 
     def to_json(self):
         return {"kind": "atoms", "count": len(self.points), "name": self.name}
-
-
-def measure_of(mu, region):
-    """mu(region) for the regions the criteria need."""
-    return mu.measure_of(region)
 
 
 def pushforward(phi, h, mu):

@@ -29,7 +29,6 @@ __all__ = [
     "Moebius",
     "MapComposition",
     "OperatorSpec",
-    "deriv_eval",
     "apply_operator",
     "bergman_norm",
     "norm_against_measure",
@@ -131,11 +130,6 @@ class FunctionSum(AnalyticFunction):
         for c, f in zip(self.factors, self.parts):
             out = out + c * f.eval_deriv(n, z)
         return out
-
-
-def deriv_eval(f, n, z):
-    """f^{(n)}(z); n = 0 is plain evaluation."""
-    return f.eval_deriv(n, z)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +326,7 @@ def test_function(a, gamma, p, w):
     """Unit-scale probe at basepoint a: conformal power normalized by the
     Carleson-square mass at a (whole-disc mass for a = 0)."""
     a = complex(a)
-    mass = w.carleson_mass(abs(a))
+    mass = w.carleson_mass_at_gap(1.0 - abs(a))
     if not np.isfinite(mass) or mass < 1e-300:
         raise DegenerateBasepointError(
             f"Carleson mass underflowed at |a| = {abs(a):.12g}"

@@ -3,15 +3,16 @@
 A radial weight is a nonnegative integrable density w(r) on [0, 1).  The
 objects of interest are built from its tail integrals
 
-    tail_integral(r)  =  int_r^1 w(s) ds          (written w-hat in the
-                                                   doubling-weight literature)
-    tail_density(r)   =  tail_integral(r) / (1-r)
-    moment(x)         =  int_0^1 r^x w(r) dr
+    tail_integral_at_gap(u)  =  int_{1-u}^1 w(s) ds   (written w-hat in the
+                                                      doubling-weight literature)
+    tail_density_at_gap(u)   =  tail_integral_at_gap(u) / u
+    moment(x)                =  int_0^1 r^x w(r) dr
 
 and from masses of boundary regions (Carleson squares, tents, pseudo-
-hyperbolic discs).  Everything is computed in "gap space" u = 1 - r: the
-standard weights (1-r)^a and their ilk are exact functions of u, so working
-in u avoids catastrophic cancellation arbitrarily close to the boundary.
+hyperbolic discs).  Everything is computed and taken in "gap space"
+u = 1 - r: the standard weights (1-r)^a and their ilk are exact functions of
+u, so working in u avoids catastrophic cancellation arbitrarily close to the
+boundary.  Callers holding a radius pass 1 - r.
 
 Quadrature strategy: integrals from the boundary inward are summed over
 dyadic octaves of u with a fixed Gauss-Legendre rule per octave.  Power-like
@@ -127,14 +128,16 @@ class RadialWeight:
         # ascending in u, from the deep end up to u = 1
         self._mesh_u = np.sort(2.0 ** (-j / 8.0))
         self._check_nonnegative()
-        self._tails = {
-            "hat": self._build_tail(lambda u: self._gap(u)),
-            "rmom": self._build_tail(lambda u: (1.0 - u) * self._gap(u)),
-            "umom": self._build_tail(lambda u: u * self._gap(u)),
+        # integrands of the cached tails: w, r w and u w as functions of u
+        self._integrands = {
+            "hat": self._gap,
+            "rmom": lambda u: (1.0 - u) * self._gap(u),
+            "umom": lambda u: u * self._gap(u),
         }
-        total = self.tail_integral(0.0)
+        self._tails = {kind: self._build_tail(kind) for kind in self._integrands}
+        total = self.tail_integral_at_gap(1.0)
         if not np.isfinite(total) or total < 0.0 or (total == 0.0 and not allow_zero):
-            raise IntegrabilityError("tail_integral(0) must be finite and positive")
+            raise IntegrabilityError("tail_integral_at_gap(1) must be finite and positive")
 
     # -- construction helpers -------------------------------------------------
 
@@ -186,15 +189,6 @@ class RadialWeight:
 
         return cls(gap, name="table", **kw)
 
-    @classmethod
-    def from_density(cls, evaluator, name="custom", **kw):
-        """Wrap a plain density r -> w(r).
-
-        Note: evaluating through 1-u loses precision for u below ~1e-8; the
-        dedicated constructors keep deep-boundary arithmetic exact.
-        """
-        return cls(lambda u: np.asarray(evaluator(1.0 - np.asarray(u))), name=name, **kw)
-
     # -- internals ------------------------------------------------------------
 
     def _gap(self, u):
@@ -206,8 +200,10 @@ class RadialWeight:
         if np.any(~np.isfinite(vals[probe > 1e-12])) or np.any(vals < 0.0):
             raise DomainError("weight density must be finite and nonnegative")
 
-    def _build_tail(self, f):
-        """Cumulative integrals T[i] = int_0^{mesh_u[i]} f du, ascending mesh."""
+    def _build_tail(self, kind):
+        """Cumulative integrals T[i] = int_0^{mesh_u[i]} f du of one cached
+        integrand, ascending mesh."""
+        f = self._integrands[kind]
         mesh = self._mesh_u
         T = np.empty_like(mesh)
         T[0] = _octave_integral(f, mesh[0])
@@ -224,11 +220,7 @@ class RadialWeight:
             raise DomainError("gap argument must lie in [0, 1]")
         mesh = self._mesh_u
         T = self._tails[kind]
-        f = {
-            "hat": lambda x: self._gap(x),
-            "rmom": lambda x: (1.0 - x) * self._gap(x),
-            "umom": lambda x: x * self._gap(x),
-        }[kind]
+        f = self._integrands[kind]
         out = np.zeros_like(u)
         deep = u < mesh[0]
         for idx in np.nonzero(deep)[0]:
@@ -247,34 +239,16 @@ class RadialWeight:
 
     # -- public operations ----------------------------------------------------
 
-    def density(self, r):
-        """The weight density w(r) itself."""
-        return self._gap(1.0 - np.asarray(r, dtype=float))
-
     def density_at_gap(self, u):
-        """w evaluated at r = 1-u, taking the gap directly (exact near 1)."""
+        """The weight density w at r = 1-u (exact near the boundary)."""
         return self._gap(u)
 
-    def tail_integral(self, r):
-        """int_r^1 w(s) ds for r in [0, 1]; vectorized, ~1e-8 relative or better."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > 1.0):
-            raise DomainError("radius must lie in [0, 1]")
-        return self._tail_at_gap("hat", 1.0 - r)
-
     def tail_integral_at_gap(self, u):
-        """tail_integral(1-u) without forming 1-u (exact for deep u)."""
+        """int_{1-u}^1 w(s) ds for u in [0, 1]; vectorized, ~1e-8 relative or better."""
         return self._tail_at_gap("hat", u)
 
-    def tail_density(self, r):
-        """tail_integral(r) / (1-r); requires r < 1."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r >= 1.0):
-            raise DomainError("tail_density requires r < 1")
-        u = 1.0 - r
-        return self._tail_at_gap("hat", u) / u
-
     def tail_density_at_gap(self, u):
+        """tail_integral_at_gap(u) / u; requires u > 0."""
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0.0):
             raise DomainError("tail_density requires a positive gap")
@@ -295,31 +269,13 @@ class RadialWeight:
         """Weighted area of the whole disc, area measure normalized by pi."""
         return 2.0 * self._tail_at_gap("rmom", 1.0)
 
-    def carleson_mass(self, rho, convention="standard"):
-        """Weighted area of the Carleson square with basepoint radius rho.
-
-        The square at z != 0 has angular width (1-|z|) and radial side
-        [|z|, 1) (standard convention) or (1-|z|, 1) (the literal variant,
-        kept for comparison).  rho == 0 returns the whole-disc mass.
-        """
-        rho = np.asarray(rho, dtype=float)
-        scalar = rho.ndim == 0
-        rho = np.atleast_1d(rho).astype(float)
-        if np.any(rho < 0.0) or np.any(rho >= 1.0):
-            raise DomainError("basepoint radius must lie in [0, 1)")
-        u = 1.0 - rho
-        if convention == "standard":
-            radial = self._tail_at_gap("rmom", u)
-        elif convention == "literal":
-            radial = self._tail_at_gap("rmom", np.minimum(rho, 1.0))
-        else:
-            raise DomainError(f"unknown Carleson convention {convention!r}")
-        out = u * radial / math.pi
-        out = np.where(rho == 0.0, self.disc_mass(), out)
-        return float(out[0]) if scalar else out
-
     def carleson_mass_at_gap(self, u, convention="standard"):
-        """carleson_mass at rho = 1-u, taking the gap directly."""
+        """Weighted area of the Carleson square at a basepoint of gap u = 1-|z|.
+
+        The square at z != 0 has angular width u and radial side [|z|, 1)
+        (standard convention) or (u, 1) (the literal variant, kept for
+        comparison).  u == 1 (z = 0) returns the whole-disc mass.
+        """
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         u = np.atleast_1d(u).astype(float)
@@ -328,23 +284,22 @@ class RadialWeight:
         if convention == "standard":
             radial = self._tail_at_gap("rmom", u)
         elif convention == "literal":
-            radial = self._tail_at_gap("rmom", np.minimum(1.0 - u, 1.0))
+            radial = self._tail_at_gap("rmom", 1.0 - u)
         else:
             raise DomainError(f"unknown Carleson convention {convention!r}")
         out = u * radial / math.pi
         out = np.where(u == 1.0, self.disc_mass(), out)
         return float(out[0]) if scalar else out
 
-    def tent_mass(self, rho):
-        """Weighted area of the tent with vertex radius rho in (0, 1)."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0) or np.any(rho >= 1.0):
-            raise DomainError("tent vertex radius must lie in (0, 1)")
-        u = 1.0 - rho
+    def tent_mass_at_gap(self, u):
+        """Weighted area of the tent whose vertex has gap u in (0, 1)."""
+        u = np.asarray(u, dtype=float)
+        if np.any(u <= 0.0) or np.any(u >= 1.0):
+            raise DomainError("tent vertex gap must lie in (0, 1)")
         return (u * self._tail_at_gap("hat", u) - self._tail_at_gap("umom", u)) / math.pi
 
     def tilde_weight(self, name=None):
-        """The derived weight r -> tail_density(r) as a RadialWeight."""
+        """The derived weight u -> tail_density_at_gap(u) as a RadialWeight."""
         return RadialWeight(
             lambda u: self.tail_integral_at_gap(u) / u,
             name=name or f"tilde({self.name})",
@@ -543,11 +498,10 @@ def weighted_area(w, region, grid=None):
     if isinstance(region, geometry.CarlesonSquare):
         if region.is_whole_disc:
             return w.disc_mass()
-        return float(
-            w.carleson_mass(abs(region.base), convention=region.convention)
-        )
+        return float(w.carleson_mass_at_gap(1.0 - abs(region.base),
+                                            convention=region.convention))
     if isinstance(region, geometry.Tent):
-        return float(w.tent_mass(abs(region.vertex)))
+        return float(w.tent_mass_at_gap(1.0 - abs(region.vertex)))
     if isinstance(region, geometry.PseudoDisc):
         gaps, wts = region.polar_sample()
         return float(np.sum(w.density_at_gap(gaps) * wts))

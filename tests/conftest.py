@@ -28,11 +28,3 @@ def unit_weight():
 def rng():
     return np.random.default_rng(20240817)
 
-
-def random_polynomials(rng, count, max_degree=20):
-    out = []
-    for _ in range(count):
-        deg = int(rng.integers(1, max_degree + 1))
-        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        out.append(coeffs)
-    return out

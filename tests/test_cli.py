@@ -1,11 +1,15 @@
 """CLI orchestration: exit codes, report files, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergman.cli import main
@@ -118,10 +122,17 @@ class TestInputValidation:
                       "scale": "abc"}, "function.scale"),
         ("weight", {"kind": "table", "r": ["a", 1.0], "w": [1.0, 0.0]}, "weight.r"),
         ("weight", {"kind": "table", "r": 0.5, "w": [1.0, 0.0]}, "weight"),
+        ("function", {"kind": "poly", "coeffs": None}, "function.coeffs"),
     ])
     def test_bad_spec_number(self, tmp_path, capsys, section, spec, field):
         err = self.error_of(tmp_path, capsys, {section: spec})
         assert err["type"] == "config" and err["field"] == field
+
+    def test_composition_maps_not_a_list(self, tmp_path, capsys):
+        err = self.error_of(tmp_path, capsys,
+                            {"operator": {"phi": {"kind": "composition", "maps": 5}}},
+                            argv=("criterion", "hinf"))
+        assert err["type"] == "config" and err["field"] == "phi"
 
     def test_bad_operator_order(self, tmp_path, capsys):
         err = self.error_of(tmp_path, capsys, {"operator": {"n": "x"}})
@@ -311,3 +322,58 @@ class TestDeterminism:
                         "--deterministic"]) == 0
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+_DROP = object()  # mutation that deletes the field instead of replacing it
+
+
+def _is_deep_level(value):
+    """A grid level above 6: valid, but too slow a grid for a fuzz example."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and value > 6)
+
+
+class TestCliFuzz:
+    """One field of a small valid config replaced by an arbitrary JSON value
+    (or dropped): every run ends in an exit code, never a traceback, and every
+    error is one JSON line."""
+
+    BASE = {
+        "schema": 1, "seed": 3, "p": 2.0, "q": 2.0, "n": 0, "grid_level": 4,
+        "lattice_r": 0.3, "gamma": None, "carleson_convention": "standard",
+        "weight": {"kind": "power", "alpha": 0.5},
+        "function": {"kind": "poly", "coeffs": [[1.0, 0.0], [0.5, -0.5]]},
+    }
+    FIELDS = [*BASE, "weight.kind", "weight.alpha", "function.kind",
+              "function.coeffs"]
+    COMMANDS = [("classify-weight", "--mesh", "64"), ("norm",), ("verify", "pseudodisc")]
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(FIELDS),
+           value=st.just(_DROP) | TestInputValidation.json_values,
+           argv=st.sampled_from(COMMANDS))
+    def test_mutated_config_exits_cleanly(self, field, value, argv):
+        if field == "grid_level":
+            assume(not _is_deep_level(value))
+        cfg = json.loads(json.dumps(self.BASE))
+        *parents, key = field.split(".")
+        target = cfg
+        for name in parents:
+            target = target[name]
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run([*argv, "--config", path, "--out", os.path.join(tmp, "o"),
+                            "--deterministic"])
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error"}

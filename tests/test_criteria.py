@@ -23,6 +23,7 @@ from bergman import (
     probe_lattice,
     verify_gamma,
 )
+from bergman.criteria import _band_peaks
 
 ONE = Polynomial([1.0])
 
@@ -111,6 +112,15 @@ class TestEmbeddingSup:
         report = embedding_sup_criterion(1.0, 2.0, 0, unit_weight, mu)
         tail_vals = [v for _, v in report.tail]
         assert all(a >= b - 1e-15 for a, b in zip(tail_vals, tail_vals[1:]))
+
+
+class TestDyadicBands:
+    def test_band_is_closed_at_the_top(self):
+        # 2^-k and the next double above 2^-(k+1) both lie in band k,
+        # (2^-(k+1), 2^-k], the band whose top the tail mask gaps <= 2^-k closes
+        for k in range(61):
+            gaps = np.array([2.0 ** -k, np.nextafter(2.0 ** -(k + 1), 1.0)])
+            assert _band_peaks(gaps, np.array([1.0, 2.0])) == {k: 1}, k
 
 
 class TestEmbeddingLs:

@@ -18,7 +18,6 @@ from bergman import (
     Scale,
     apply_operator,
     bergman_norm,
-    deriv_eval,
     hardy_means,
 )
 from bergman import test_function as probe_function
@@ -49,20 +48,20 @@ def central_diff(f, n, z):
 class TestDerivEval:
     def test_cubic_second_derivative(self):
         f = Polynomial([0, 0, 0, 1.0])
-        assert deriv_eval(f, 2, 0.5) == pytest.approx(3.0)
+        assert f.eval_deriv(2, 0.5) == pytest.approx(3.0)
 
     def test_conformal_power_first_derivative(self):
         f = ConformalPower(0.5, 2.0)
-        assert deriv_eval(f, 1, 0.0) == pytest.approx(0.25)
+        assert f.eval_deriv(1, 0.0) == pytest.approx(0.25)
 
     def test_order_zero_is_evaluation(self, rng):
         f = ConformalPower(0.3 + 0.2j, 1.5, scale=2.0)
         z = 0.4 - 0.1j
-        assert deriv_eval(f, 0, z) == f(z)
+        assert f.eval_deriv(0, z) == f(z)
 
     def test_beyond_degree_vanishes(self):
         f = Polynomial([1.0, 2.0, 3.0])
-        assert deriv_eval(f, 3, 0.7) == 0.0
+        assert f.eval_deriv(3, 0.7) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_against_finite_differences(self, rng, n):
@@ -76,7 +75,7 @@ class TestDerivEval:
         ]
         pts = 0.9 * np.sqrt(rng.uniform(0, 1, 100)) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
         for f in funcs:
-            exact = deriv_eval(f, n, pts)
+            exact = f.eval_deriv(n, pts)
             approx = central_diff(f, n, pts)
             sup = np.max(np.abs(exact))
             assert np.max(np.abs(exact - approx)) < 1e-6 * sup

@@ -28,7 +28,7 @@ def power_weight(alpha):
 
 class TestTailIntegral:
     def test_empty_interval_is_zero(self):
-        assert power_weight(0.0).tail_integral(1.0) == 0.0
+        assert power_weight(0.0).tail_integral_at_gap(1 - 1.0) == 0.0
 
     @pytest.mark.parametrize("alpha,r", [(0.0, 0.5), (1.0, 0.0), (1.0, 0.5),
                                          (-0.5, 0.25), (3.0, 0.9)])
@@ -38,7 +38,7 @@ class TestTailIntegral:
         expected = (1.0 - r) ** (alpha + 1.0) / (alpha + 1.0)
         oracle, _ = quad(lambda s: (1.0 - s) ** alpha, r, 1.0)
         assert expected == pytest.approx(oracle, rel=1e-9)
-        assert w.tail_integral(r) == pytest.approx(expected, rel=1e-12)
+        assert w.tail_integral_at_gap(1 - r) == pytest.approx(expected, rel=1e-12)
 
     def test_smooth_weight_against_quadrature_oracle(self):
         w = RadialWeight.log_power(1.0, 2.0)
@@ -46,12 +46,12 @@ class TestTailIntegral:
             oracle, _ = quad(
                 lambda s: (1.0 - s) * (1.0 - np.log(1.0 - s)) ** 2, r, 1.0,
                 epsabs=1e-14, epsrel=1e-13)
-            assert w.tail_integral(r) == pytest.approx(oracle, rel=1e-8)
+            assert w.tail_integral_at_gap(1 - r) == pytest.approx(oracle, rel=1e-8)
 
     def test_monotone_nonincreasing(self):
         w = RadialWeight.log_power(0.5, 1.0)
         r = np.linspace(0.0, 0.999, 200)
-        vals = w.tail_integral(r)
+        vals = w.tail_integral_at_gap(1 - r)
         assert np.all(np.diff(vals) <= 1e-15)
 
     def test_non_integrable_weight_rejected(self):
@@ -61,25 +61,25 @@ class TestTailIntegral:
     def test_table_weight_interpolates(self):
         r = np.linspace(0.0, 1.0, 11)
         w = RadialWeight.from_table(r, np.ones_like(r))
-        assert w.tail_integral(0.25) == pytest.approx(0.75, rel=1e-10)
+        assert w.tail_integral_at_gap(1 - 0.25) == pytest.approx(0.75, rel=1e-10)
 
 
 class TestTailDensity:
     def test_unit_weight_at_zero(self):
-        assert power_weight(0.0).tail_density(0.0) == pytest.approx(1.0)
+        assert power_weight(0.0).tail_density_at_gap(1 - 0.0) == pytest.approx(1.0)
 
     def test_linear_weight(self):
         # tail(0.5) = 0.5^2/2 = 0.125, divided by 0.5
         oracle, _ = quad(lambda s: 1.0 - s, 0.5, 1.0)
-        assert power_weight(1.0).tail_density(0.5) == pytest.approx(oracle / 0.5)
-        assert power_weight(1.0).tail_density(0.5) == pytest.approx(0.25)
+        assert power_weight(1.0).tail_density_at_gap(1 - 0.5) == pytest.approx(oracle / 0.5)
+        assert power_weight(1.0).tail_density_at_gap(1 - 0.5) == pytest.approx(0.25)
 
     def test_unit_weight_deep(self):
-        assert power_weight(0.0).tail_density(0.9) == pytest.approx(1.0)
+        assert power_weight(0.0).tail_density_at_gap(1 - 0.9) == pytest.approx(1.0)
 
     def test_domain_error_at_one(self):
         with pytest.raises(DomainError):
-            power_weight(0.0).tail_density(1.0)
+            power_weight(0.0).tail_density_at_gap(1 - 1.0)
 
 
 class TestMoment:
@@ -165,7 +165,7 @@ class TestWeightedArea:
         # omega(S(z)) comparable to (1-|z|)^(2+alpha) toward the boundary
         w = power_weight(alpha)
         rho = 1.0 - 2.0 ** (-np.arange(2, 14))
-        masses = w.carleson_mass(rho)
+        masses = w.carleson_mass_at_gap(1 - rho)
         ratios = masses / (1.0 - rho) ** (2.0 + alpha)
         assert np.max(ratios) / np.min(ratios) < 1.5
 
@@ -173,7 +173,8 @@ class TestWeightedArea:
         # omega(S(z)) within one multiplicative constant of tail(|z|)(1-|z|)
         w = power_weight(1.0)
         rho = 1.0 - 2.0 ** (-np.arange(1, 20))
-        ratios = w.carleson_mass(rho) / (w.tail_integral(rho) * (1.0 - rho))
+        ratios = w.carleson_mass_at_gap(1 - rho) / (
+            w.tail_integral_at_gap(1 - rho) * (1.0 - rho))
         assert np.max(ratios) / np.min(ratios) < 2.0
 
     def test_grid_route_matches_radial_route(self):
@@ -199,7 +200,7 @@ class TestWeightedArea:
         # tents and squares carry comparable mass for upper-doubling weights
         w = power_weight(1.0)
         rho = 1.0 - 2.0 ** (-np.arange(1, 16))
-        ratios = w.tent_mass(rho) / w.carleson_mass(rho)
+        ratios = w.tent_mass_at_gap(1 - rho) / w.carleson_mass_at_gap(1 - rho)
         assert np.all(ratios > 0.1)
         assert np.all(ratios < 1.0)
 
