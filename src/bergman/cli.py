@@ -143,8 +143,7 @@ def cmd_criterion(args):
             gamma, validated = res.gamma, res.verified
         report = criteria.berezin_criterion(
             op, cfg.p, cfg.q, w, nu, gamma, grid=cfg.grid(),
-            gamma_validated=validated, convention=cfg.convention,
-            threads=args.threads)
+            gamma_validated=validated, convention=cfg.convention)
     elif which == "hinf":
         op = cfg.operator()
         report = criteria.hinf_criterion(
@@ -286,8 +285,6 @@ def build_parser():
     common.add_argument("--out", default="out", help="directory for report files")
     common.add_argument("--grid-level", type=int, default=None,
                         help="override the config grid level")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for basepoint sweeps")
     common.add_argument("--deterministic", action="store_true",
                         help="omit timestamps so reports are byte-stable")
 

@@ -143,7 +143,13 @@ def parse_measure(spec, grid):
         if kind == "weight_density":
             return RadialDensityMeasure.from_weight(parse_weight(spec["weight"]), grid)
         if kind == "atoms_csv":
-            return AtomicMeasure.from_csv(spec["path"])
+            path = spec["path"]
+            # open() would take an int (or a bool) as a file descriptor and
+            # raise ValueError on a NUL byte
+            if not isinstance(path, str) or "\0" in path:
+                raise ConfigError(f"measure.path must be a file name (got {path!r})",
+                                  field="measure.path")
+            return AtomicMeasure.from_csv(path)
     except KeyError as exc:
         raise ConfigError(f"measure spec missing {exc}", field="measure")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,9 +359,8 @@ def op_pushforward_criterion(op, p, q, w, nu, r=0.3, grid=None, level=12,
 # Berezin-type and H-infinity criteria
 # ---------------------------------------------------------------------------
 
-def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, depth=None,
-                      grid=None, gamma_validated=None, convention="standard",
-                      threads=1):
+def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, grid=None,
+                      gamma_validated=None, convention="standard"):
     """Kernel-integral criterion for p <= q.
 
     nu may be a RadialWeight (the measure nu dA, discretized on the grid) or
@@ -386,9 +384,7 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, depth=None,
     if np.any(np.abs(phin) >= 1.0):
         raise SelfMapViolationError("self-map left the open disc on the support")
     if basepoints is None:
-        if depth is None:
-            depth = max(4, grid.levels - 2)
-        pts, gaps = geometry.probe_lattice(depth=depth)
+        pts, gaps = geometry.probe_lattice(depth=max(4, grid.levels - 2))
     else:
         pts = np.asarray(basepoints, dtype=complex)
         gaps = 1.0 - np.abs(pts)
@@ -403,11 +399,7 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, depth=None,
         return kern @ uq
 
     chunks = [np.arange(i, min(i + 32, len(pts))) for i in range(0, len(pts), 32)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            integrals = list(ex.map(sweep, chunks))
-    else:
-        integrals = [sweep(c) for c in chunks]
+    integrals = [sweep(c) for c in chunks]
     integral = np.concatenate(integrals) if integrals else np.zeros(0)
     vals = gaps ** (gamma * q) * integral / ws
     notes = []

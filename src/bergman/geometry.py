@@ -95,9 +95,6 @@ class WholeDisc:
     def contains(self, pts):
         return np.abs(np.asarray(pts, dtype=complex)) < 1.0
 
-    def to_json(self):
-        return {"region": "disc"}
-
 
 @dataclass(frozen=True)
 class CarlesonSquare:
@@ -140,13 +137,6 @@ class CarlesonSquare:
         radial = np.abs(pts) >= self.radial_lower
         angular = _wrapped_angle_gap(pts, self.base) < self.angular_halfwidth
         return inside & radial & angular
-
-    def to_json(self):
-        return {
-            "region": "carleson_square",
-            "base": [self.base.real, self.base.imag],
-            "convention": self.convention,
-        }
 
 
 @dataclass(frozen=True)
@@ -195,13 +185,6 @@ class PseudoDisc:
                                     np.array([self.gap_outer]))
         return gaps.ravel(), np.broadcast_to(weights, gaps.shape).ravel()
 
-    def to_json(self):
-        return {
-            "region": "pseudo_disc",
-            "center": [self.center.real, self.center.imag],
-            "radius": self.radius,
-        }
-
 
 @dataclass(frozen=True)
 class Tent:
@@ -225,9 +208,6 @@ class Tent:
         ok = (m < 1.0) & (m > v)
         return ok & (_wrapped_angle_gap(pts, self.vertex) < halfwidth)
 
-    def to_json(self):
-        return {"region": "tent", "vertex": [self.vertex.real, self.vertex.imag]}
-
 
 @dataclass(frozen=True)
 class NtRegion:
@@ -249,9 +229,6 @@ class NtRegion:
         ok = (m < 1.0) & (m < v)
         return ok & (_wrapped_angle_gap(pts, self.vertex) < halfwidth)
 
-    def to_json(self):
-        return {"region": "nt_region", "vertex": [self.vertex.real, self.vertex.imag]}
-
 
 @dataclass(frozen=True)
 class Annulus:
@@ -270,15 +247,6 @@ class Annulus:
             return ok
         d = (np.angle(pts) - self.theta0) % _TWO_PI
         return ok & (d < self.angular_width)
-
-    def to_json(self):
-        return {
-            "region": "annulus",
-            "r_inner": self.r_inner,
-            "r_outer": self.r_outer,
-            "theta0": self.theta0,
-            "angular_width": self.angular_width,
-        }
 
 
 def pseudo_disc(a, r):

@@ -381,9 +381,6 @@ class RadialDensityMeasure(DiscMeasure):
         vals = self._weight.density_at_gap(gaps.ravel()).reshape(gaps.shape)
         return np.einsum("bij,bij->b", vals, np.broadcast_to(w, gaps.shape))
 
-    def to_json(self):
-        return {"kind": "radial_density", "name": self.name}
-
 
 class CallableDensityMeasure(DiscMeasure):
     """d(mu) = f(z) dA for a general pointwise density, sampled on the grid."""
@@ -404,9 +401,6 @@ class CallableDensityMeasure(DiscMeasure):
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
         return self._support_index().pseudo_disc_masses(centers, r, center_gaps)
-
-    def to_json(self):
-        return {"kind": "density", "name": self.name}
 
 
 _ATOM_COLUMNS = ("re", "im", "mass")
@@ -494,9 +488,6 @@ class AtomicMeasure(DiscMeasure):
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
         return self._support_index().pseudo_disc_masses(centers, r, center_gaps)
-
-    def to_json(self):
-        return {"kind": "atoms", "count": len(self.points), "name": self.name}
 
 
 def pushforward(phi, h, mu):

@@ -309,11 +309,12 @@ def norm_against_measure(g, q, mu):
     return float(np.sum(np.abs(g(pts)) ** q * masses) ** (1.0 / q))
 
 
-def hardy_means(f, p, r, n_angles=2048):
-    """Circle mean M_p(r, f); p = inf gives the maximum modulus."""
+def hardy_means(f, p, r):
+    """Circle mean M_p(r, f) over 2048 equispaced angles; p = inf gives the
+    maximum modulus."""
     if not (0.0 <= r < 1.0):
         raise DomainError("radius must lie in [0, 1)")
-    theta = np.arange(n_angles) * (2.0 * math.pi / n_angles)
+    theta = np.arange(2048) * (2.0 * math.pi / 2048)
     vals = np.abs(f(r * np.exp(1j * theta)))
     if p == math.inf:
         return float(np.max(vals))

@@ -49,6 +49,12 @@ _GL_W = _GL_W / 2.0
 # Tail integrals below this are treated as numerically extinct.
 _UNDERFLOW_FLOOR = 1e-300
 
+# Geometric meshes u_j = 2^(-j/8): the tail caches cover j = 0 .. 8*48, and
+# an octave sweep toward u = 0 stops after 600 halvings.
+_PER_OCTAVE = 8
+_MESH_OCTAVES = 48
+_MAX_OCTAVES = 600
+
 
 def _segment_integral(f, lo, hi):
     """Gauss-Legendre integral of f over [lo, hi] (vectorized in f)."""
@@ -58,7 +64,7 @@ def _segment_integral(f, lo, hi):
     return float((hi - lo) * np.dot(_GL_W, f(x)))
 
 
-def _octave_integral(f, u0, max_octaves=600):
+def _octave_integral(f, u0):
     """Integral of f over (0, u0] by dyadic octaves toward u = 0.
 
     Uses geometric extrapolation once the octave terms settle into a ratio,
@@ -72,7 +78,7 @@ def _octave_integral(f, u0, max_octaves=600):
     ratios = []
     tiny_streak = 0
     zero_streak = 0
-    for m in range(max_octaves):
+    for m in range(_MAX_OCTAVES):
         hi = u0 * 2.0 ** (-m)
         lo = hi / 2.0
         term = _segment_integral(f, lo, hi)
@@ -112,21 +118,17 @@ class RadialWeight:
         |z| = 1.
     name:
         Text tag used in reports.
-    mesh_levels:
-        Depth of the cached geometric mesh u_j = 2^(-j/8); the cache covers
-        j = 0 .. 8*mesh_levels.
 
-    Instances are immutable after construction and safe to share between
-    workers.
+    The tails are cached on the geometric mesh u_j = 2^(-j/8),
+    j = 0 .. 8*48.  Instances are immutable after construction.
     """
 
-    def __init__(self, gap_density, name="custom", mesh_levels=48, allow_zero=False):
+    def __init__(self, gap_density, name="custom", allow_zero=False):
         self._gap_density = gap_density
         self.name = name
-        self.mesh_levels = int(mesh_levels)
-        j = np.arange(8 * self.mesh_levels + 1)
+        j = np.arange(_PER_OCTAVE * _MESH_OCTAVES + 1)
         # ascending in u, from the deep end up to u = 1
-        self._mesh_u = np.sort(2.0 ** (-j / 8.0))
+        self._mesh_u = np.sort(2.0 ** (-j / _PER_OCTAVE))
         self._check_nonnegative()
         # integrands of the cached tails: w, r w and u w as functions of u
         self._integrands = {
@@ -142,25 +144,24 @@ class RadialWeight:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def power(cls, alpha, **kw):
+    def power(cls, alpha):
         """w(r) = (1-r)^alpha, integrable for alpha > -1."""
         if alpha <= -1.0:
             raise IntegrabilityError("power weight needs alpha > -1")
-        return cls(lambda u: u ** alpha, name=f"power({alpha:g})", **kw)
+        return cls(lambda u: u ** alpha, name=f"power({alpha:g})")
 
     @classmethod
-    def log_power(cls, alpha, b, **kw):
+    def log_power(cls, alpha, b):
         """w(r) = (1-r)^alpha * (log(e/(1-r)))^b."""
         if alpha <= -1.0:
             raise IntegrabilityError("log_power weight needs alpha > -1")
         return cls(
             lambda u: u ** alpha * (1.0 - np.log(u)) ** b,
             name=f"log_power({alpha:g},{b:g})",
-            **kw,
         )
 
     @classmethod
-    def exp_inverse(cls, **kw):
+    def exp_inverse(cls):
         """w(r) = exp(-1/(1-r)); rapidly vanishing, not upper doubling."""
 
         def gap(u):
@@ -170,10 +171,10 @@ class RadialWeight:
             out[mask] = np.exp(-1.0 / u[mask])
             return out
 
-        return cls(gap, name="exp_inverse", **kw)
+        return cls(gap, name="exp_inverse")
 
     @classmethod
-    def from_table(cls, r, w, **kw):
+    def from_table(cls, r, w):
         """Linear interpolation through sample points (r_i, w_i)."""
         r = np.asarray(r, dtype=float)
         w = np.asarray(w, dtype=float)
@@ -187,7 +188,7 @@ class RadialWeight:
         def gap(u):
             return np.interp(1.0 - np.asarray(u, dtype=float), r, w)
 
-        return cls(gap, name="table", **kw)
+        return cls(gap, name="table")
 
     # -- internals ------------------------------------------------------------
 
@@ -303,7 +304,6 @@ class RadialWeight:
         return RadialWeight(
             lambda u: self.tail_integral_at_gap(u) / u,
             name=name or f"tilde({self.name})",
-            mesh_levels=self.mesh_levels,
         )
 
     def __repr__(self):
@@ -368,27 +368,23 @@ _STABILITY_TOL = 0.02
 _LOWER_MARGIN = 1.05
 
 
-def _mesh_gaps(points, per_octave=8):
-    j = np.arange(points)
-    return 2.0 ** (-j / per_octave)
-
-
-def _dyadic_ratio_stats(w, points, per_octave=8):
+def _dyadic_ratio_stats(w, points):
     """Tail values on the geometric mesh plus shifted meshes for K = 2,4,8,16."""
-    u = _mesh_gaps(points + 4 * per_octave, per_octave)
+    u = 2.0 ** (-np.arange(points + 4 * _PER_OCTAVE) / _PER_OCTAVE)
     hat = w.tail_integral_at_gap(u)
     floor = _UNDERFLOW_FLOOR
     alive = hat > floor
     # keep the contiguous prefix of mesh points whose halved/16th gaps survive
     n_ok = points
     for j in range(points):
-        if not alive[j + 4 * per_octave]:
+        if not alive[j + 4 * _PER_OCTAVE]:
             n_ok = j
             break
     truncated_at = None if n_ok == points else float(1.0 - u[n_ok])
     n_ok = max(n_ok, 2)
     ratios = {}
-    for shift, K in ((per_octave, 2), (2 * per_octave, 4), (3 * per_octave, 8), (4 * per_octave, 16)):
+    for octaves, K in enumerate((2, 4, 8, 16), start=1):
+        shift = octaves * _PER_OCTAVE
         ratios[K] = hat[:n_ok] / hat[shift : shift + n_ok]
     return u[:n_ok], hat[:n_ok], ratios, truncated_at
 
@@ -519,14 +515,6 @@ class GammaResult:
     worst_constant: float
     attempts: int
 
-    def to_json(self):
-        return {
-            "gamma": self.gamma,
-            "verified": self.verified,
-            "worst_constant": self.worst_constant,
-            "attempts": self.attempts,
-        }
-
 
 def gamma_exponent(w, p, report=None, mesh=128):
     """Berezin kernel exponent 2*(beta+2)/p from the fitted upper decay rate."""
@@ -537,7 +525,11 @@ def gamma_exponent(w, p, report=None, mesh=128):
     return 2.0 * (report.exponents[1] + 2.0) / p
 
 
-def gamma_for(w, p, report=None, grid=None, max_retries=3):
+# gamma_for escalates gamma by 1.5 at most this many times.
+_GAMMA_RETRIES = 3
+
+
+def gamma_for(w, p, report=None, grid=None):
     """gamma_exponent escalated by 1.5 until the kernel-domination test passes.
 
     Returns a GammaResult; gamma is usable either way, with verified=False
@@ -547,14 +539,14 @@ def gamma_for(w, p, report=None, grid=None, max_retries=3):
 
     gamma = gamma_exponent(w, p, report=report)
     result = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(_GAMMA_RETRIES + 1):
         passed, worst = criteria.verify_gamma(w, p, gamma, grid=grid)
         result = GammaResult(gamma, passed, worst, attempt + 1)
         if passed:
             return result
         gamma *= 1.5
     warnings.warn(
-        f"gamma_for: no verified exponent after {max_retries} escalations "
+        f"gamma_for: no verified exponent after {_GAMMA_RETRIES} escalations "
         f"(last worst constant {result.worst_constant:.3g})"
     )
     return result

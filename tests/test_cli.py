@@ -178,6 +178,15 @@ class TestInputValidation:
                             argv=("criterion", "embedding-sup"))
         assert path in err["message"] and "'mass'" in err["message"]
 
+    @pytest.mark.parametrize("path", [None, ["a"], 987654, "a\0b"],
+                             ids=["null", "list", "not-an-fd", "nul-byte"])
+    def test_atoms_csv_path_not_a_file_name(self, tmp_path, capsys, path):
+        # an int would be opened as a file descriptor; 987654 is never open
+        err = self.error_of(tmp_path, capsys,
+                            {"measure": {"kind": "atoms_csv", "path": path}},
+                            argv=("criterion", "embedding-sup"))
+        assert err["type"] == "config" and err["field"] == "measure.path"
+
     @pytest.mark.parametrize("row, column", [
         ("0.3,0.1", "mass"),  # short row
         ("0.3,zero,1.0", "im"),
@@ -336,35 +345,45 @@ def _is_deep_level(value):
 class TestCliFuzz:
     """One field of a small valid config replaced by an arbitrary JSON value
     (or dropped): every run ends in an exit code, never a traceback, and every
-    error is one JSON line."""
+    error is one JSON line.  The measure is either a three-atom CSV written
+    next to the config or a radial power density."""
 
     BASE = {
         "schema": 1, "seed": 3, "p": 2.0, "q": 2.0, "n": 0, "grid_level": 4,
         "lattice_r": 0.3, "gamma": None, "carleson_convention": "standard",
         "weight": {"kind": "power", "alpha": 0.5},
         "function": {"kind": "poly", "coeffs": [[1.0, 0.0], [0.5, -0.5]]},
+        "measure": {"kind": "atoms_csv", "path": "atoms.csv"},
     }
+    MEASURES = [BASE["measure"], {"kind": "power_density", "beta": 1.0}]
     FIELDS = [*BASE, "weight.kind", "weight.alpha", "function.kind",
-              "function.coeffs"]
-    COMMANDS = [("classify-weight", "--mesh", "64"), ("norm",), ("verify", "pseudodisc")]
+              "function.coeffs", "measure.kind", "measure.path", "measure.beta"]
+    COMMANDS = [("classify-weight", "--mesh", "64"), ("norm",), ("verify", "pseudodisc"),
+                ("criterion", "embedding-sup")]
+    ATOMS = "re,im,mass\n0.5,0.1,1.0\n-0.9,0.2,0.01\n0.0,0.99,1e-4\n"
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(field=st.sampled_from(FIELDS),
            value=st.just(_DROP) | TestInputValidation.json_values,
-           argv=st.sampled_from(COMMANDS))
-    def test_mutated_config_exits_cleanly(self, field, value, argv):
+           argv=st.sampled_from(COMMANDS),
+           measure=st.sampled_from(MEASURES))
+    def test_mutated_config_exits_cleanly(self, field, value, argv, measure):
         if field == "grid_level":
             assume(not _is_deep_level(value))
-        cfg = json.loads(json.dumps(self.BASE))
-        *parents, key = field.split(".")
-        target = cfg
-        for name in parents:
-            target = target[name]
-        if value is _DROP:
-            del target[key]
-        else:
-            target[key] = value
         with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "atoms.csv"), "w") as fh:
+                fh.write(self.ATOMS)
+            cfg = json.loads(json.dumps({**self.BASE, "measure": measure}))
+            if "path" in cfg["measure"]:
+                cfg["measure"]["path"] = os.path.join(tmp, "atoms.csv")
+            *parents, key = field.split(".")
+            target = cfg
+            for name in parents:
+                target = target[name]
+            if value is _DROP:
+                target.pop(key, None)
+            else:
+                target[key] = value
             path = os.path.join(tmp, "config.json")
             with open(path, "w") as fh:
                 json.dump(cfg, fh)
