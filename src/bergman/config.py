@@ -132,16 +132,19 @@ def parse_selfmap(spec):
     raise ConfigError(f"unknown self-map kind {kind!r}", field="phi")
 
 
-def parse_measure(spec, grid):
+def parse_measure(spec, make_grid):
+    """The measure of a spec; make_grid() supplies the grid of a density kind
+    and is not called for an atom cloud."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("measure spec must be an object with a 'kind'", field="measure")
     kind = spec["kind"]
     try:
         if kind == "power_density":
             return RadialDensityMeasure.from_power(_number(spec["beta"], "measure.beta"),
-                                                   grid)
+                                                   make_grid())
         if kind == "weight_density":
-            return RadialDensityMeasure.from_weight(parse_weight(spec["weight"]), grid)
+            return RadialDensityMeasure.from_weight(parse_weight(spec["weight"]),
+                                                    make_grid())
         if kind == "atoms_csv":
             path = spec["path"]
             # open() would take an int (or a bool) as a file descriptor and
@@ -247,8 +250,8 @@ class ExperimentConfig:
     def target_weight(self):
         return parse_weight(self.require("target_weight"))
 
-    def measure(self, grid=None):
-        return parse_measure(self.require("measure"), grid or self.grid())
+    def measure(self):
+        return parse_measure(self.require("measure"), self.grid)
 
     def operator(self):
         return parse_operator(self.require("operator"))

@@ -36,6 +36,7 @@ essentially flat (>= 90%).  Everything in between stays inconclusive.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -239,10 +240,10 @@ def embedding_sup_criterion(p, q, n, w, mu, r=0.3, basepoints=None, depth=14,
         pts = np.asarray(basepoints, dtype=complex)
         gaps = 1.0 - np.abs(pts)
     masses = mu.pseudo_disc_masses(pts, r, gaps)
-    ws = np.atleast_1d(w.carleson_mass_at_gap(gaps, convention))
+    ws = np.atleast_1d(w.carleson_mass_at_gap(gaps, convention)) ** (q / p)
     keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
     truncated = int(np.sum(~keep))
-    vals = masses[keep] / (ws[keep] ** (q / p) * gaps[keep] ** (n * q))
+    vals = masses[keep] / (ws[keep] * gaps[keep] ** (n * q))
     params = {"p": p, "q": q, "n": n, "r": r, "weight": w.name,
               "measure": getattr(mu, "name", "measure"), "convention": convention}
     return _sup_report("EMB_SUP", params, pts[keep], gaps[keep], vals,
@@ -359,6 +360,51 @@ def op_pushforward_criterion(op, p, q, w, nu, r=0.3, grid=None, level=12,
 # Berezin-type and H-infinity criteria
 # ---------------------------------------------------------------------------
 
+# Berezin sweep blocks: basepoint rows per task, support nodes per slice.  A
+# 16 x 1024 slice keeps about 400 kB of kernel buffers per worker, so the
+# sweep runs from cache instead of streaming a full rows x support block.
+_SWEEP_ROWS = 16
+_SWEEP_SLICE = 1024
+
+
+def _kernel_sweep(pts, phin, uq, e):
+    """sum_j |1 - conj(a) phin_j|^(-e) uq_j for every basepoint a in pts.
+
+    Each chunk of _SWEEP_ROWS basepoints accumulates its sums over support
+    slices of _SWEEP_SLICE nodes in a fixed order, inside one thread, so the
+    result does not depend on how many workers share the chunks.  The chunks
+    are spread over the CPUs this process may run on.
+    """
+
+    def sweep(start):
+        ca = np.conj(pts[start:start + _SWEEP_ROWS])[:, None]
+        cbuf = np.empty((len(ca), _SWEEP_SLICE), dtype=complex)
+        kbuf = np.empty((len(ca), _SWEEP_SLICE))
+        acc = np.zeros(len(ca))
+        for lo in range(0, len(phin), _SWEEP_SLICE):
+            hi = min(lo + _SWEEP_SLICE, len(phin))
+            c, k = cbuf[:, :hi - lo], kbuf[:, :hi - lo]
+            np.multiply(ca, phin[lo:hi], out=c)
+            np.subtract(1.0, c, out=c)
+            np.abs(c, out=k)
+            np.power(k, -e, out=k)
+            acc += k @ uq[lo:hi]
+        return acc
+
+    starts = range(0, len(pts), _SWEEP_ROWS)
+    # the affinity mask (taskset, cgroup cpusets) where the OS reports one
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(cpus, len(starts)))
+    # imported here: loading the pool module adds about 0.7 MB to the peak
+    # RSS of every CLI process, and only this sweep uses it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        integrals = list(pool.map(sweep, starts))
+    return np.concatenate(integrals) if integrals else np.zeros(0)
+
+
 def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, grid=None,
                       gamma_validated=None, convention="standard"):
     """Kernel-integral criterion for p <= q.
@@ -392,15 +438,7 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, grid=None,
     keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
     truncated = int(np.sum(~keep))
     pts, gaps, ws = pts[keep], gaps[keep], ws[keep]
-    e = (gamma + op.n) * q
-
-    def sweep(idx):
-        kern = np.abs(1.0 - np.conj(pts[idx])[:, None] * phin[None, :]) ** (-e)
-        return kern @ uq
-
-    chunks = [np.arange(i, min(i + 32, len(pts))) for i in range(0, len(pts), 32)]
-    integrals = [sweep(c) for c in chunks]
-    integral = np.concatenate(integrals) if integrals else np.zeros(0)
+    integral = _kernel_sweep(pts, phin, uq, (gamma + op.n) * q)
     vals = gaps ** (gamma * q) * integral / ws
     notes = []
     if gamma_validated is None:

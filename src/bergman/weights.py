@@ -55,6 +55,10 @@ _PER_OCTAVE = 8
 _MESH_OCTAVES = 48
 _MAX_OCTAVES = 600
 
+# Gaps per block of the (gaps x 16) Gauss-Legendre expansion in _tail_at_gap:
+# about 2 MB per block and per temporary.
+_TAIL_CHUNK = 16384
+
 
 def _segment_integral(f, lo, hi):
     """Gauss-Legendre integral of f over [lo, hi] (vectorized in f)."""
@@ -213,12 +217,18 @@ class RadialWeight:
         return T
 
     def _tail_at_gap(self, kind, u):
-        """T(u) = int_0^u f du for the cached integrand, vectorized."""
+        """T(u) = int_0^u f du for the cached integrand, vectorized.
+
+        Each distinct gap is evaluated once (grids and self-map images repeat
+        their gaps ring by ring) and the values are scattered back; the
+        Gauss-Legendre expansion runs _TAIL_CHUNK gaps at a time.
+        """
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         u = np.atleast_1d(u).astype(float)
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise DomainError("gap argument must lie in [0, 1]")
+        u, inverse = np.unique(u, return_inverse=True)
         mesh = self._mesh_u
         T = self._tails[kind]
         f = self._integrands[kind]
@@ -227,15 +237,17 @@ class RadialWeight:
         for idx in np.nonzero(deep)[0]:
             if u[idx] > 0.0:
                 out[idx] = _octave_integral(f, u[idx])
-        main = ~deep
-        if np.any(main):
-            um = u[main]
+        main = np.nonzero(~deep)[0]
+        for lo in range(0, len(main), _TAIL_CHUNK):
+            sel = main[lo:lo + _TAIL_CHUNK]
+            um = u[sel]
             i = np.searchsorted(mesh, um, side="right") - 1
             base = mesh[i]
             width = um - base
             x = base[:, None] + width[:, None] * _GL_X[None, :]
             part = width * (f(x.ravel()).reshape(x.shape) @ _GL_W)
-            out[main] = T[i] + part
+            out[sel] = T[i] + part
+        out = out[inverse]
         return float(out[0]) if scalar else out
 
     # -- public operations ----------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bergman import criteria
 from bergman.cli import main
 from bergman.config import ExperimentConfig
 from bergman.errors import ConfigError
@@ -308,6 +309,51 @@ class TestCommands:
         assert run(["criterion", "embedding-ls", "--config", cfg, "--out", out,
                     "--deterministic"]) == 0
 
+    def test_atoms_csv_measure_builds_no_grid(self, tmp_path):
+        atoms = tmp_path / "atoms.csv"
+        atoms.write_text("re,im,mass\n0.1,0.2,1.0\n-0.4,0.0,0.5\n")
+        cfg = ExperimentConfig.load(write_config(tmp_path, {
+            "measure": {"kind": "atoms_csv", "path": str(atoms)}}))
+        assert len(cfg.measure().points) == 2
+        assert cfg._grids == {}
+
+
+class TestNonFiniteReports:
+    def test_embedding_sup_large_q_over_p_is_finite(self, tmp_path):
+        # wS(a)^(q/p) = wS(a)^500 underflows to 0 at basepoints whose bare
+        # mass clears the floor: they are truncated, not divided by
+        atoms = tmp_path / "atoms.csv"
+        atoms.write_text("re,im,mass\n0.5,0.1,1.0\n-0.9,0.2,0.01\n0.0,0.99,1e-4\n")
+        cfg = write_config(tmp_path, {
+            "p": 2.0, "q": 1000.0, "weight": {"kind": "power", "alpha": 0.5},
+            "measure": {"kind": "atoms_csv", "path": str(atoms)}})
+        out = tmp_path / "o"
+        assert run(["criterion", "embedding-sup", "--config", cfg, "--out", out,
+                    "--deterministic"]) == 0
+        result = _strict_json((out / "report.json").read_text())["result"]
+        assert result["truncated"] > 0
+        assert math.isfinite(result["statistic"])
+
+    def test_non_finite_result_exits_2(self, tmp_path, capsys, monkeypatch):
+        hinf = criteria.hinf_criterion
+
+        def nan_statistic(*args, **kwargs):
+            report = hinf(*args, **kwargs)
+            report.statistic = math.nan
+            return report
+
+        monkeypatch.setattr(criteria, "hinf_criterion", nan_statistic)
+        cfg = write_config(tmp_path, {
+            "grid_level": 5,
+            "operator": {"phi": {"kind": "scale", "r": 0.5},
+                         "u": {"kind": "poly", "coeffs": [[1, 0]]}, "n": 0}})
+        out = tmp_path / "o"
+        assert run(["criterion", "hinf", "--config", cfg, "--out", out,
+                    "--deterministic"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert "not finite" in err["message"]
+        assert not (out / "report.json").exists()
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
@@ -342,38 +388,57 @@ def _is_deep_level(value):
             and value > 6)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and +-Infinity, as a strict JSON reader does."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestCliFuzz:
     """One field of a small valid config replaced by an arbitrary JSON value
-    (or dropped): every run ends in an exit code, never a traceback, and every
-    error is one JSON line.  The measure is either a three-atom CSV written
-    next to the config or a radial power density."""
+    (or dropped): every run ends in an exit code, never a traceback, every
+    error is one JSON line, and every report written is strict JSON.  The
+    measure is either a three-atom CSV written next to the config or a radial
+    power density."""
 
     BASE = {
         "schema": 1, "seed": 3, "p": 2.0, "q": 2.0, "n": 0, "grid_level": 4,
-        "lattice_r": 0.3, "gamma": None, "carleson_convention": "standard",
+        "lattice_r": 0.3, "gamma": 3.0, "carleson_convention": "standard",
         "weight": {"kind": "power", "alpha": 0.5},
+        "target_weight": {"kind": "power", "alpha": 1.0},
         "function": {"kind": "poly", "coeffs": [[1.0, 0.0], [0.5, -0.5]]},
         "measure": {"kind": "atoms_csv", "path": "atoms.csv"},
+        "operator": {"phi": {"kind": "moebius", "c": [0.3, 0.1]},
+                     "u": {"kind": "poly", "coeffs": [[1.0, 0.0], [0.5, 0.0]]},
+                     "n": 0},
     }
     MEASURES = [BASE["measure"], {"kind": "power_density", "beta": 1.0}]
     FIELDS = [*BASE, "weight.kind", "weight.alpha", "function.kind",
-              "function.coeffs", "measure.kind", "measure.path", "measure.beta"]
-    COMMANDS = [("classify-weight", "--mesh", "64"), ("norm",), ("verify", "pseudodisc"),
-                ("criterion", "embedding-sup")]
+              "function.coeffs", "measure.kind", "measure.path", "measure.beta",
+              "operator.phi", "operator.u", "operator.n"]
+    # (argv, fields set before the mutation): the q < p criteria get q = 1
+    COMMANDS = [(("classify-weight", "--mesh", "64"), {}), (("norm",), {}),
+                (("verify", "pseudodisc"), {}), (("criterion", "embedding-sup"), {}),
+                (("criterion", "embedding-ls"), {"q": 1.0}),
+                (("criterion", "carleson"), {"q": 1.0}),
+                (("criterion", "berezin"), {}), (("criterion", "hinf"), {})]
     ATOMS = "re,im,mass\n0.5,0.1,1.0\n-0.9,0.2,0.01\n0.0,0.99,1e-4\n"
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(field=st.sampled_from(FIELDS),
            value=st.just(_DROP) | TestInputValidation.json_values,
-           argv=st.sampled_from(COMMANDS),
+           command=st.sampled_from(COMMANDS),
            measure=st.sampled_from(MEASURES))
-    def test_mutated_config_exits_cleanly(self, field, value, argv, measure):
+    def test_mutated_config_exits_cleanly(self, field, value, command, measure):
         if field == "grid_level":
             assume(not _is_deep_level(value))
+        argv, preset = command
+        report = None
         with tempfile.TemporaryDirectory() as tmp:
             with open(os.path.join(tmp, "atoms.csv"), "w") as fh:
                 fh.write(self.ATOMS)
-            cfg = json.loads(json.dumps({**self.BASE, "measure": measure}))
+            cfg = json.loads(json.dumps({**self.BASE, **preset, "measure": measure}))
             if "path" in cfg["measure"]:
                 cfg["measure"]["path"] = os.path.join(tmp, "atoms.csv")
             *parents, key = field.split(".")
@@ -391,8 +456,14 @@ class TestCliFuzz:
             with contextlib.redirect_stdout(out):
                 code = run([*argv, "--config", path, "--out", os.path.join(tmp, "o"),
                             "--deterministic"])
+            report_path = os.path.join(tmp, "o", "report.json")
+            if os.path.exists(report_path):
+                with open(report_path) as fh:
+                    report = fh.read()
         assert code in (0, 1, 2, 3)
         if code in (2, 3):
             lines = out.getvalue().splitlines()
             assert len(lines) == 1
             assert set(json.loads(lines[0])) == {"error"}
+        if report is not None:
+            _strict_json(report)

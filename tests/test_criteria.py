@@ -1,5 +1,11 @@
 """Criterion functionals: verdicts against closed-form exponent oracles."""
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from bergman import test_function as probe_function
@@ -23,6 +29,7 @@ from bergman import (
     probe_lattice,
     verify_gamma,
 )
+from bergman import criteria
 from bergman.criteria import _band_peaks
 
 ONE = Polynomial([1.0])
@@ -223,6 +230,82 @@ class TestBerezin:
         report = berezin_criterion(op, 2.0, 2.0, unit_weight, unit_weight,
                                    3.0, grid=grid8)
         assert any("gamma" in note for note in report.notes)
+
+
+class TestKernelSweep:
+    """The Berezin sweep in row chunks and support slices against the direct
+    full-block kernel sum."""
+
+    @staticmethod
+    def problem(n_pts, n_support, seed):
+        gen = np.random.default_rng(seed)
+
+        def disc_points(n, radius):
+            return (radius * np.sqrt(gen.uniform(0, 1, n))
+                    * np.exp(2j * np.pi * gen.uniform(0, 1, n)))
+
+        pts, phin = disc_points(n_pts, 0.999), disc_points(n_support, 0.99)
+        return pts, phin, gen.uniform(0.0, 1.0, n_support)
+
+    @staticmethod
+    def direct(pts, phin, uq, e):
+        return np.abs(1.0 - np.conj(pts)[:, None] * phin[None, :]) ** (-e) @ uq
+
+    @pytest.mark.parametrize("n_pts", [1, 16, 37])
+    def test_matches_full_block(self, n_pts):
+        # 3,195 support nodes: three full slices and a partial one
+        pts, phin, uq = self.problem(n_pts, 3 * criteria._SWEEP_SLICE + 123, n_pts)
+        got = criteria._kernel_sweep(pts, phin, uq, 5.3)
+        want = self.direct(pts, phin, uq, 5.3)
+        assert got.shape == (n_pts,)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_independent_of_cpu_count(self, monkeypatch):
+        # 3 chunks on 1 CPU, and on 64 CPUs (fewer chunks than CPUs)
+        pts, phin, uq = self.problem(40, 2500, 7)
+        runs = []
+        for cpus in (1, 64):
+            monkeypatch.setattr(criteria.os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            runs.append(criteria._kernel_sweep(pts, phin, uq, 4.0))
+        assert np.array_equal(runs[0], runs[1])
+        np.testing.assert_allclose(runs[0], self.direct(pts, phin, uq, 4.0),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_every_basepoint_truncated(self, unit_weight, grid8):
+        # wS(a)^(q/p) underflows below the mass floor at both basepoints
+        op = OperatorSpec(Identity(), ONE, 0)
+        report = berezin_criterion(op, 1.0, 100.0, unit_weight, unit_weight, 3.0,
+                                   basepoints=[0.999, 0.999j], grid=grid8)
+        assert report.truncated == 2
+        assert report.samples == [] and report.statistic == 0.0
+        assert len(criteria._kernel_sweep(np.zeros(0, complex), np.zeros(5, complex),
+                                          np.ones(5), 3.0)) == 0
+
+    @pytest.mark.skipif(shutil.which("taskset") is None
+                        or not hasattr(os, "sched_getaffinity"), reason="needs taskset")
+    def test_report_independent_of_affinity(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "schema": 1, "p": 2.0, "q": 2.0, "grid_level": 8, "gamma": 3.0,
+            "weight": {"kind": "power", "alpha": 1.0},
+            "target_weight": {"kind": "power", "alpha": 4.5},
+            "operator": {"phi": {"kind": "moebius", "c": [0.3, 0.1]},
+                         "u": {"kind": "poly", "coeffs": [[1, 0], [0.5, 0.5]]},
+                         "n": 1}}))
+        src = os.path.dirname(os.path.dirname(criteria.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        blobs = []
+        one_cpu = ["taskset", "-c", str(min(os.sched_getaffinity(0)))]
+        for name, prefix in (("one", one_cpu), ("all", [])):
+            out = tmp_path / name
+            subprocess.run([*prefix, sys.executable, "-m", "bergman", "criterion",
+                            "berezin", "--config", str(cfg), "--out", str(out),
+                            "--deterministic"], env=env, check=True,
+                           capture_output=True, timeout=300)
+            blobs.append((out / "report.json").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestHinf:
