@@ -19,17 +19,13 @@ from .errors import (
 from .geometry import (
     Annulus,
     CarlesonSquare,
-    NtRegion,
     PseudoDisc,
-    Tent,
     WholeDisc,
     carleson_square,
-    nt_region,
     probe_lattice,
     pseudo_disc,
     r_lattice,
     rho,
-    tent,
 )
 from .weights import (
     GammaResult,
@@ -64,7 +60,6 @@ from .spaces import (
     SelfMap,
     apply_operator,
     bergman_norm,
-    hardy_means,
     norm_against_measure,
     test_function,
 )

@@ -242,15 +242,18 @@ def _verify_lemma21(cfg):
     family = [spaces.test_function(a, gamma, cfg.p, w)
               for a in (0.0, 0.5, 0.5j, 0.9, 0.99 * 1j)]
     family += _random_polynomials(rng, 20)
+    levels = (cfg.grid_level, cfg.grid_level + 2)
+    norms = {lvl: [spaces.bergman_norm(f, cfg.p, w, cfg.grid(lvl)) for f in family]
+             for lvl in levels}
     worst_change, overall = 0.0, 0.0
     for n in (0, 1, 2):
         sups = {}
-        for lvl in (cfg.grid_level, cfg.grid_level + 2):
+        for lvl in levels:
             grid = cfg.grid(lvl)
             sups[lvl] = max(
-                criteria.derivative_bound_sup(f, n, cfg.p, w, grid,
+                criteria.derivative_bound_sup(f, n, cfg.p, w, grid, norm,
                                               convention=cfg.convention)
-                for f in family
+                for f, norm in zip(family, norms[lvl])
             )
         base, fine = sups[cfg.grid_level], sups[cfg.grid_level + 2]
         worst_change = max(worst_change, abs(fine - base) / fine)

@@ -305,12 +305,9 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, grid=None, level=16,
     s = p / (p - q)
     if grid is not None:
         level = grid.levels
-        subcells = grid.radial_subcells
-    else:
-        subcells = 4
     notes = []
     if isinstance(mu, RadialDensityMeasure):
-        gaps, ring_w = radial_rings(level, subcells)
+        gaps, ring_w = radial_rings(level)
         centers = (1.0 - gaps).astype(complex)
         masses = mu.pseudo_disc_masses(centers, r, gaps)
         angular_w = np.ones_like(gaps)
@@ -321,7 +318,7 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, grid=None, level=16,
             deepest = mu.min_gap
             level = min(level, max(3, int(-math.log2(max(deepest, 1e-300))) - 1))
             notes.append(f"evaluation depth capped at the atom resolution (level {level})")
-        gaps_r, ring_w = radial_rings(level, subcells)
+        gaps_r, ring_w = radial_rings(level)
         n_ang = 32
         theta = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
         centers = ((1.0 - gaps_r)[:, None] * np.exp(1j * theta)[None, :]).ravel()
@@ -635,18 +632,22 @@ def operator_norm_lower_bound(op, p, q, w, nu, family, grid, target="lq"):
 
 
 def norm_equivalence_ratios(functions, p, w, grid, tilde=None):
-    """|f| against the tail-density weight over |f| against w, per function."""
+    """|f| against the tail-density weight over |f| against w, per function.
+
+    Each function is evaluated on the grid once, for both norms."""
     wt = tilde if tilde is not None else w.tilde_weight()
-    return np.array([
-        bergman_norm(f, p, wt, grid) / bergman_norm(f, p, w, grid)
-        for f in functions
-    ])
+    ratios = []
+    for f in functions:
+        vals = np.abs(f(grid.nodes))
+        ratios.append(bergman_norm(vals, p, wt, grid) / bergman_norm(vals, p, w, grid))
+    return np.array(ratios)
 
 
-def derivative_bound_sup(f, n, p, w, grid, convention="standard"):
+def derivative_bound_sup(f, n, p, w, grid, norm, convention="standard"):
     """Empirical constant in the pointwise derivative bound:
-    sup over grid of |f^{(n)}(z)| wS(z)^{1/p} (1-|z|)^n / |f|_{A^p_w}."""
+    sup over grid of |f^{(n)}(z)| wS(z)^{1/p} (1-|z|)^n / |f|_{A^p_w},
+    where norm is the caller's bergman_norm(f, p, w, grid)."""
     dvals = np.abs(f.eval_deriv(n, grid.nodes))
     ws = np.atleast_1d(w.carleson_mass_at_gap(grid.ring_gaps, convention)) ** (1.0 / p)
     ratio = dvals * ws[grid.ring_index] * (grid.ring_gaps ** n)[grid.ring_index]
-    return float(np.max(ratio) / bergman_norm(f, p, w, grid))
+    return float(np.max(ratio) / norm)

@@ -19,14 +19,10 @@ __all__ = [
     "rho",
     "pseudo_disc",
     "carleson_square",
-    "tent",
-    "nt_region",
     "r_lattice",
     "probe_lattice",
     "PseudoDisc",
     "CarlesonSquare",
-    "Tent",
-    "NtRegion",
     "Annulus",
     "WholeDisc",
 ]
@@ -187,50 +183,6 @@ class PseudoDisc:
 
 
 @dataclass(frozen=True)
-class Tent:
-    """Tent with vertex z != 0: points w with |w| > |z| whose argument is
-    within (1 - |z|/|w|)/2 of arg z."""
-
-    vertex: complex
-
-    def __post_init__(self):
-        if self.vertex == 0:
-            raise DomainError("tent is undefined for vertex 0")
-        if abs(self.vertex) >= 1.0:
-            raise DomainError("tent vertex must lie in the disc")
-
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        m = np.abs(pts)
-        v = abs(self.vertex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            halfwidth = 0.5 * (1.0 - v / np.where(m > 0, m, np.nan))
-        ok = (m < 1.0) & (m > v)
-        return ok & (_wrapped_angle_gap(pts, self.vertex) < halfwidth)
-
-
-@dataclass(frozen=True)
-class NtRegion:
-    """Non-tangential approach region with vertex z in the closed disc, z != 0."""
-
-    vertex: complex
-
-    def __post_init__(self):
-        if self.vertex == 0:
-            raise DomainError("approach region is undefined for vertex 0")
-        if abs(self.vertex) > 1.0 + 1e-12:
-            raise DomainError("vertex must lie in the closed disc")
-
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        m = np.abs(pts)
-        v = abs(self.vertex)
-        halfwidth = 0.5 * (1.0 - m / v)
-        ok = (m < 1.0) & (m < v)
-        return ok & (_wrapped_angle_gap(pts, self.vertex) < halfwidth)
-
-
-@dataclass(frozen=True)
 class Annulus:
     """Polar box r_inner <= |z| < r_outer, arg in [theta0, theta0 + width)."""
 
@@ -255,14 +207,6 @@ def pseudo_disc(a, r):
 
 def carleson_square(z, convention="standard"):
     return CarlesonSquare(complex(z), convention)
-
-
-def tent(z):
-    return Tent(complex(z))
-
-
-def nt_region(z):
-    return NtRegion(complex(z))
 
 
 # ---------------------------------------------------------------------------

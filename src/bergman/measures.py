@@ -1,11 +1,12 @@
 """Quadrature grids on the disc, disc measures, and the weighted pushforward.
 
 The grid is boundary-refined: dyadic annuli 1-2^{-k} <= |z| < 1-2^{-k-1} for
-k = 0..L-1 plus a closing cap (0 < 1-|z| <= 2^{-L}), each annulus carrying a
-fixed number of radial subcells (two Gauss-Legendre nodes per subcell, exact
+k = 0..L-1 plus a closing cap (0 < 1-|z| <= 2^{-L}), each annulus carrying
+_RADIAL_SUBCELLS radial subcells (two Gauss-Legendre nodes per subcell, exact
 for cubic radial integrands) and an angular midpoint count proportional to
-2^k.  All radial bookkeeping happens through the boundary gap u = 1-|z|,
-which every node stores exactly.
+2^k.  The nodes come in rings of constant |z|, and all radial bookkeeping
+happens once per ring through its boundary gap u = 1-|z|: the grid stores
+ring gaps and masses, and maps each node to its ring.
 
 Measures come in three representations: a radial density (backed by the
 same tail-integral machinery as radial weights, so region masses reduce to
@@ -29,6 +30,7 @@ from .weights import RadialWeight, weighted_area
 __all__ = [
     "QuadratureGrid",
     "make_grid",
+    "radial_rings",
     "DiscMeasure",
     "RadialDensityMeasure",
     "CallableDensityMeasure",
@@ -38,90 +40,85 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _MAX_GRID_NODES = 100_000_000
+_RADIAL_SUBCELLS = 4
 
 # 2-point Gauss-Legendre on [0, 1]
 _GL2_X = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 _GL2_W = np.array([0.5, 0.5])
 
 
-def _ring_layout(levels, radial_subcells):
-    """Radial rings of the boundary-refined grid.
+def _ring_layout(levels):
+    """Radial rings of the boundary-refined grid, band by band (k = 0..levels)
+    and in ascending gap within a band.
 
     Returns (gaps, radial masses int (1-u) du * GL weight, band index).  The
     dyadic annuli split into uniform u-subcells; the closing cap splits
     geometrically toward u = 0.  Two GL nodes per subcell make the layout
     exact for cubic radial integrands.
     """
-    m = radial_subcells
-    gaps, masses, bands = [], [], []
+    m = _RADIAL_SUBCELLS
+    gaps, masses = [], []
     for k in range(levels + 1):
         u_hi = 2.0 ** (-k)
         if k < levels:
             edges = np.linspace(u_hi / 2.0, u_hi, m + 1)
-            subs = [(edges[i], edges[i + 1]) for i in range(m)]
         else:
-            cap = [u_hi * 2.0 ** (-i) for i in range(m)] + [0.0]
-            subs = [(cap[i + 1], cap[i]) for i in range(m)][::-1]
-        for lo, hi in subs:
-            width = hi - lo
-            for x, wgl in zip(_GL2_X, _GL2_W):
-                u = lo + width * x
-                gaps.append(u)
-                masses.append(wgl * width * (1.0 - u))
-                bands.append(min(k, levels))
-    return np.array(gaps), np.array(masses), np.array(bands, dtype=int)
+            edges = np.array([0.0] + [u_hi * 2.0 ** (-i) for i in range(m)][::-1])
+        lo = edges[:-1, None]
+        width = edges[1:, None] - lo
+        u = lo + width * _GL2_X
+        gaps.append(u.ravel())
+        masses.append((_GL2_W * width * (1.0 - u)).ravel())
+    bands = np.repeat(np.arange(levels + 1), 2 * m)
+    return np.concatenate(gaps), np.concatenate(masses), bands
 
 
 class QuadratureGrid:
     """Boundary-refined polar node/weight set for the normalized area measure.
 
-    nodes/weights/gaps are flat arrays over all nodes.  The nodes come in
-    rings: ring k holds ring_counts[k] equally spaced angular midpoints at
-    the common gap ring_gaps[k], carries the full-circle mass
-    ring_weights[k], and occupies the contiguous node block where
-    ring_index == k (so gaps == ring_gaps[ring_index] exactly).  A quantity
-    that depends on |z| alone is therefore evaluated once per ring and
-    broadcast through ring_index; the angular counts are constant within a
-    dyadic band, so band-wide angular templates apply to every ring of the
-    band.  Weights sum to 1 exactly up to roundoff.  Instances are immutable
-    and shared freely.
+    The grid is a stack of rings.  Ring k sits at the gap ring_gaps[k],
+    carries the full-circle mass ring_weights[k], and holds ring_counts[k]
+    equally spaced angular midpoints.  nodes and weights are flat arrays
+    over all nodes, ring after ring, and ring_index maps each node to its
+    ring, so a node's gap is ring_gaps[ring_index[i]].  A quantity that
+    depends on |z| alone is therefore evaluated once per ring and broadcast
+    through ring_index.  The angular counts are constant within a dyadic
+    band, so band-wide angular templates apply to every ring of the band.
+    Weights sum to 1 exactly up to roundoff.  Instances are immutable and
+    shared freely.
     """
 
-    def __init__(self, levels, angular_base=16, radial_subcells=4):
+    radial_subcells = _RADIAL_SUBCELLS
+
+    def __init__(self, levels, angular_base=16):
         if not (1 <= levels <= 24):
             raise DomainError("grid level must lie in 1..24")
         self.levels = int(levels)
         self.angular_base = int(angular_base)
-        self.radial_subcells = int(radial_subcells)
 
-        est = 4 * self.radial_subcells * self.angular_base * 2 ** self.levels
+        est = 4 * _RADIAL_SUBCELLS * self.angular_base * 2 ** self.levels
         if est > _MAX_GRID_NODES:
             raise ResourceLimitError(
                 f"grid would need about {est} nodes (> {_MAX_GRID_NODES})"
             )
 
-        gap_chunks, weight_chunks, node_chunks, ring_chunks = [], [], [], []
-        ring_gaps, ring_weights, ring_counts = [], [], []
-        ring = 0
-        for u, w_rad, band in zip(*_ring_layout(self.levels, self.radial_subcells)):
+        gaps, masses, bands = _ring_layout(self.levels)
+        counts = self.angular_base * 2 ** bands
+        self.ring_gaps = gaps
+        self.ring_weights = masses * 2.0  # full-circle mass
+        self.ring_counts = counts
+        self.ring_index = np.repeat(np.arange(len(gaps), dtype=np.int32), counts)
+        self.weights = (masses * (_TWO_PI / counts) / math.pi)[self.ring_index]
+        # each band is a (rings, n_theta) block of the flat node array
+        self.nodes = np.empty(len(self.ring_index), dtype=complex)
+        start = 0
+        for band, band_gaps in enumerate(gaps.reshape(self.levels + 1, -1)):
             n_theta = self.angular_base * 2 ** band
             theta = (np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)
-            w_node = w_rad * (_TWO_PI / n_theta) / math.pi
-            gap_chunks.append(np.full(n_theta, u))
-            weight_chunks.append(np.full(n_theta, w_node))
-            node_chunks.append((1.0 - u) * np.exp(1j * theta))
-            ring_chunks.append(np.full(n_theta, ring, dtype=np.int32))
-            ring_gaps.append(u)
-            ring_weights.append(w_rad * 2.0)  # full-circle mass
-            ring_counts.append(n_theta)
-            ring += 1
-        self.gaps = np.concatenate(gap_chunks)
-        self.weights = np.concatenate(weight_chunks)
-        self.nodes = np.concatenate(node_chunks)
-        self.ring_index = np.concatenate(ring_chunks)
-        self.ring_gaps = np.array(ring_gaps)
-        self.ring_weights = np.array(ring_weights)
-        self.ring_counts = np.array(ring_counts)
+            stop = start + len(band_gaps) * n_theta
+            block = self.nodes[start:stop].reshape(len(band_gaps), n_theta)
+            np.multiply((1.0 - band_gaps)[:, None], np.exp(1j * theta)[None, :], out=block)
+            start = stop
 
     @property
     def node_count(self):
@@ -139,8 +136,9 @@ class QuadratureGrid:
         bad = ~np.isfinite(vals)
         if np.any(bad):
             i = int(np.argmax(bad))
+            gap = self.ring_gaps[self.ring_index[i]]
             raise DomainError(
-                f"integrand is not finite at node {self.nodes[i]} (gap {self.gaps[i]:g})"
+                f"integrand is not finite at node {self.nodes[i]} (gap {gap:g})"
             )
         return float(np.sum(vals * self.weights))
 
@@ -150,14 +148,14 @@ class QuadratureGrid:
         )
 
 
-def make_grid(levels, angular_base=16, radial_subcells=4):
-    return QuadratureGrid(levels, angular_base, radial_subcells)
+def make_grid(levels, angular_base=16):
+    return QuadratureGrid(levels, angular_base)
 
 
-def radial_rings(levels, radial_subcells=4):
+def radial_rings(levels):
     """Ring gaps and full-circle ring masses of a grid, without the angular
     replication; enough for integrals of radial profiles."""
-    gaps, masses, _ = _ring_layout(levels, radial_subcells)
+    gaps, masses, _ = _ring_layout(levels)
     return gaps, 2.0 * masses
 
 
@@ -333,8 +331,8 @@ class _SupportIndex:
 class RadialDensityMeasure(DiscMeasure):
     """d(mu) = f(|z|) dA for a radial density f, given through the gap u=1-|z|.
 
-    Region masses reduce to 1-d tail integrals (squares, tents, annuli, the
-    whole disc) or to a disc-centered polar rule (pseudohyperbolic discs),
+    Region masses reduce to 1-d tail integrals (squares, annuli, the whole
+    disc) or to a disc-centered polar rule (pseudohyperbolic discs),
     so they are accurate independently of any grid.  The grid is still
     carried: it defines the discrete support for pushforwards.
     """
@@ -478,10 +476,6 @@ class AtomicMeasure(DiscMeasure):
             except ValueError as exc:
                 raise _atoms_csv_error(path, cols, exc) from None
         return cls(arr[:, 0] + 1j * arr[:, 1], arr[:, 2], name=name or str(path))
-
-    def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.points.real, self.points.imag, self.masses]),
-                   fmt="%.17g", delimiter=",", header=",".join(_ATOM_COLUMNS), comments="")
 
     def support_nodes(self):
         return self.points, self.masses

@@ -10,7 +10,6 @@ accepted.  The principal branch of the complex power is unambiguous here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "apply_operator",
     "bergman_norm",
     "norm_against_measure",
-    "hardy_means",
     "test_function",
 ]
 
@@ -307,20 +305,6 @@ def norm_against_measure(g, q, mu):
         raise DomainError("q must be positive")
     pts, masses = mu.support_nodes()
     return float(np.sum(np.abs(g(pts)) ** q * masses) ** (1.0 / q))
-
-
-def hardy_means(f, p, r):
-    """Circle mean M_p(r, f) over 2048 equispaced angles; p = inf gives the
-    maximum modulus."""
-    if not (0.0 <= r < 1.0):
-        raise DomainError("radius must lie in [0, 1)")
-    theta = np.arange(2048) * (2.0 * math.pi / 2048)
-    vals = np.abs(f(r * np.exp(1j * theta)))
-    if p == math.inf:
-        return float(np.max(vals))
-    if p <= 0:
-        raise DomainError("p must be positive or inf")
-    return float(np.mean(vals ** p) ** (1.0 / p))
 
 
 def test_function(a, gamma, p, w):

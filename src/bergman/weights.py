@@ -8,8 +8,8 @@ objects of interest are built from its tail integrals
     tail_density_at_gap(u)   =  tail_integral_at_gap(u) / u
     moment(x)                =  int_0^1 r^x w(r) dr
 
-and from masses of boundary regions (Carleson squares, tents, pseudo-
-hyperbolic discs).  Everything is computed and taken in "gap space"
+and from masses of boundary regions (Carleson squares, pseudohyperbolic
+discs, annuli).  Everything is computed and taken in "gap space"
 u = 1 - r: the standard weights (1-r)^a and their ilk are exact functions of
 u, so working in u avoids catastrophic cancellation arbitrarily close to the
 boundary.  Callers holding a radius pass 1 - r.
@@ -134,11 +134,10 @@ class RadialWeight:
         # ascending in u, from the deep end up to u = 1
         self._mesh_u = np.sort(2.0 ** (-j / _PER_OCTAVE))
         self._check_nonnegative()
-        # integrands of the cached tails: w, r w and u w as functions of u
+        # integrands of the cached tails: w and r w as functions of u
         self._integrands = {
             "hat": self._gap,
             "rmom": lambda u: (1.0 - u) * self._gap(u),
-            "umom": lambda u: u * self._gap(u),
         }
         self._tails = {kind: self._build_tail(kind) for kind in self._integrands}
         total = self.tail_integral_at_gap(1.0)
@@ -303,13 +302,6 @@ class RadialWeight:
         out = u * radial / math.pi
         out = np.where(u == 1.0, self.disc_mass(), out)
         return float(out[0]) if scalar else out
-
-    def tent_mass_at_gap(self, u):
-        """Weighted area of the tent whose vertex has gap u in (0, 1)."""
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
-            raise DomainError("tent vertex gap must lie in (0, 1)")
-        return (u * self._tail_at_gap("hat", u) - self._tail_at_gap("umom", u)) / math.pi
 
     def tilde_weight(self, name=None):
         """The derived weight u -> tail_density_at_gap(u) as a RadialWeight."""
@@ -508,8 +500,6 @@ def weighted_area(w, region, grid=None):
             return w.disc_mass()
         return float(w.carleson_mass_at_gap(1.0 - abs(region.base),
                                             convention=region.convention))
-    if isinstance(region, geometry.Tent):
-        return float(w.tent_mass_at_gap(1.0 - abs(region.vertex)))
     if isinstance(region, geometry.PseudoDisc):
         gaps, wts = region.polar_sample()
         return float(np.sum(w.density_at_gap(gaps) * wts))

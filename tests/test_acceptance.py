@@ -28,6 +28,7 @@ from bergman import (
     RadialWeight,
     Scale,
     berezin_criterion,
+    bergman_norm,
     classify,
     derivative_bound_sup,
     embedding_ls_criterion,
@@ -115,8 +116,8 @@ def test_03_norm_equivalence():
     for alpha in (0.0, 1.0):
         w = RadialWeight.power(alpha)
         tilde = w.tilde_weight()
-        dens = {lvl: (w.density_at_gap(g.gaps) * g.weights,
-                      tilde.density_at_gap(g.gaps) * g.weights)
+        dens = {lvl: (w.density_at_gap(g.ring_gaps[g.ring_index]) * g.weights,
+                      tilde.density_at_gap(g.ring_gaps[g.ring_index]) * g.weights)
                 for lvl, g in grids.items()}
         mods = {lvl: None for lvl in grids}
         for p in (0.5, 1.0, 2.0, 4.0):
@@ -152,7 +153,8 @@ def test_04_derivative_bound():
     grids = {lvl: make_grid(lvl) for lvl in (8, 10)}
     worst = {}
     for n in (0, 1, 2):
-        sups = {lvl: max(derivative_bound_sup(f, n, p, w, g) for f in family)
+        sups = {lvl: max(derivative_bound_sup(f, n, p, w, g, bergman_norm(f, p, w, g))
+                         for f in family)
                 for lvl, g in grids.items()}
         assert np.isfinite(sups[10])
         change = abs(sups[10] - sups[8]) / sups[10]

@@ -9,12 +9,10 @@ from bergman import (
     DomainError,
     ResourceLimitError,
     carleson_square,
-    nt_region,
     probe_lattice,
     pseudo_disc,
     r_lattice,
     rho,
-    tent,
 )
 
 disc_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False,
@@ -121,25 +119,6 @@ class TestCarlesonSquare:
         assert not carleson_square(0.3, "literal").contains(pt)
         assert not carleson_square(0.72, "standard").contains(0.5)
         assert carleson_square(0.72, "literal").contains(0.5)
-
-
-class TestTentRegion:
-    def test_tent_at_zero_rejected(self):
-        with pytest.raises(DomainError):
-            tent(0.0)
-
-    def test_duality(self, rng):
-        # zeta in T(z) iff z in Gamma(zeta), on random pairs
-        z = rng.uniform(0.05, 0.95, 10_000) * np.exp(2j * np.pi * rng.uniform(0, 1, 10_000))
-        zeta = rng.uniform(0.05, 0.95, 10_000) * np.exp(2j * np.pi * rng.uniform(0, 1, 10_000))
-        in_tent = np.array([tent(a).contains(b) for a, b in zip(z[:200], zeta[:200])])
-        in_region = np.array([nt_region(b).contains(a) for a, b in zip(z[:200], zeta[:200])])
-        assert np.array_equal(in_tent, in_region)
-
-    def test_tent_shrinks_toward_boundary(self):
-        probe = 0.97 * np.exp(0.01j)
-        assert tent(0.9).contains(probe)
-        assert not tent(0.96).contains(probe)
 
 
 class TestLattices:

@@ -41,7 +41,7 @@ class TestGrid:
 
     def test_nodes_inside_disc(self, grid8):
         assert np.all(np.abs(grid8.nodes) < 1.0)
-        assert np.all(grid8.gaps > 0.0)
+        assert np.all(grid8.ring_gaps[grid8.ring_index] > 0.0)
 
     def test_constant_integral(self, grid8):
         assert grid8.integrate(lambda z: np.full(z.shape, 2.5)) == pytest.approx(2.5)
@@ -84,7 +84,7 @@ class TestGrid:
             make_grid(0)
 
     def test_ring_arrays_match_standalone(self, grid8):
-        gaps, weights = radial_rings(8, grid8.radial_subcells)
+        gaps, weights = radial_rings(8)
         assert np.array_equal(gaps, grid8.ring_gaps)
         assert np.allclose(weights, grid8.ring_weights, rtol=1e-15)
 
@@ -263,14 +263,6 @@ class TestPushforward:
         mu = AtomicMeasure(np.append(drawn.points, 0.99), np.append(drawn.masses, 1.0))
         with pytest.raises(SelfMapViolationError):
             pushforward(lambda z: 1.02 * z, None, mu)
-
-    def test_csv_round_trip(self, tmp_path, rng):
-        mu = self._atoms(rng, n=50)
-        path = tmp_path / "atoms.csv"
-        mu.to_csv(path)
-        back = AtomicMeasure.from_csv(path)
-        assert np.array_equal(back.points, mu.points)
-        assert np.array_equal(back.masses, mu.masses)
 
 
 def row_parse(path):

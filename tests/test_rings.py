@@ -1,14 +1,17 @@
 """Per-ring evaluation of radial quantities against per-node references.
 
-Every radial quantity on a QuadratureGrid is evaluated once per ring and
-broadcast through ring_index.  The references here evaluate the same
-quantity on every node, as the grid's flat arrays allow, and the results
-must agree to 1e-12 relative.  verify_gamma's ring-and-band summation is
-checked against the plain per-node kernel loop, and its angular template
-against the closed-form angular mean of the kernel.
+The grid is built band by band from its ring arrays; seed_layout, the plain
+ring-by-ring construction it replaced, is the oracle its arrays must match
+bit for bit.  Every radial quantity on a QuadratureGrid is evaluated once
+per ring and broadcast through ring_index.  The references here evaluate the
+same quantity on every node, with the per-node gaps of seed_layout, and the
+results must agree to 1e-12 relative.  verify_gamma's ring-and-band
+summation is checked against the plain per-node kernel loop, and its angular
+template against the closed-form angular mean of the kernel.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from scipy.special import hyp2f1
 from bergman import (
     ConformalPower,
     Polynomial,
+    QuadratureGrid,
     RadialDensityMeasure,
     RadialWeight,
     bergman_norm,
@@ -36,9 +40,59 @@ WEIGHTS = {
 }
 
 
+def seed_layout(grid):
+    """The grid's arrays from the ring-by-ring loop it replaced: per-node
+    nodes, gaps, weights and ring_index, and the three ring arrays."""
+    gl_x = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
+    gl_w = np.array([0.5, 0.5])
+    m = 4  # radial subcells per annulus
+    ring_gaps, masses, bands = [], [], []
+    for k in range(grid.levels + 1):
+        u_hi = 2.0 ** (-k)
+        if k < grid.levels:
+            edges = np.linspace(u_hi / 2.0, u_hi, m + 1)
+            subs = [(edges[i], edges[i + 1]) for i in range(m)]
+        else:
+            cap = [u_hi * 2.0 ** (-i) for i in range(m)] + [0.0]
+            subs = [(cap[i + 1], cap[i]) for i in range(m)][::-1]
+        for lo, hi in subs:
+            width = hi - lo
+            for x, wgl in zip(gl_x, gl_w):
+                u = lo + width * x
+                ring_gaps.append(u)
+                masses.append(wgl * width * (1.0 - u))
+                bands.append(k)
+    nodes, gaps, weights, ring_index, ring_weights, ring_counts = [], [], [], [], [], []
+    for ring, (u, w_rad, band) in enumerate(
+            zip(np.array(ring_gaps), np.array(masses), np.array(bands, dtype=int))):
+        n_theta = grid.angular_base * 2 ** band
+        theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+        gaps.append(np.full(n_theta, u))
+        weights.append(np.full(n_theta, w_rad * (2.0 * math.pi / n_theta) / math.pi))
+        nodes.append((1.0 - u) * np.exp(1j * theta))
+        ring_index.append(np.full(n_theta, ring, dtype=np.int32))
+        ring_weights.append(w_rad * 2.0)
+        ring_counts.append(n_theta)
+    return {
+        "nodes": np.concatenate(nodes),
+        "gaps": np.concatenate(gaps),
+        "weights": np.concatenate(weights),
+        "ring_index": np.concatenate(ring_index),
+        "ring_gaps": np.array(ring_gaps),
+        "ring_weights": np.array(ring_weights),
+        "ring_counts": np.array(ring_counts),
+    }
+
+
 @pytest.fixture(scope="module", params=[6, 9])
 def grid(request):
     return make_grid(request.param)
+
+
+@pytest.fixture(scope="module")
+def gaps(grid):
+    """Per-node gaps of the grid, from the oracle."""
+    return seed_layout(grid)["gaps"]
 
 
 @pytest.fixture(scope="module", params=sorted(WEIGHTS))
@@ -62,42 +116,73 @@ def assert_close(got, want):
     assert abs(got - want) <= RTOL * abs(want), (got, want)
 
 
-def test_ring_arrays_broadcast_to_nodes(grid):
-    assert np.array_equal(grid.ring_gaps[grid.ring_index], grid.gaps)
+GRID_ARRAYS = ("nodes", "weights", "ring_index", "ring_gaps", "ring_weights", "ring_counts")
+
+
+@pytest.mark.parametrize("angular_base", [16, 64])
+@pytest.mark.parametrize("level", range(1, 13))
+def test_grid_matches_seed_layout_bitwise(level, angular_base):
+    grid = QuadratureGrid(level, angular_base)
+    want = seed_layout(grid)
+    for name in GRID_ARRAYS:
+        got = getattr(grid, name)
+        assert got.dtype == want[name].dtype, name
+        assert np.array_equal(got, want[name]), name
+    assert not hasattr(grid, "gaps")
+
+
+def test_grid_build_holds_and_peaks_near_its_arrays():
+    """Building a grid allocates little beyond the arrays it keeps: 16 B of
+    node, 8 B of weight and 4 B of ring index per node, plus the rings."""
+    QuadratureGrid(4)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        grid = QuadratureGrid(11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(grid, name).nbytes for name in GRID_ARRAYS)
+    assert peak <= 1.25 * held, peak / held
+    assert held / grid.node_count < 29.0
+
+
+def test_ring_arrays_broadcast_to_nodes(grid, gaps):
+    assert np.array_equal(grid.ring_gaps[grid.ring_index], gaps)
     assert np.array_equal(np.bincount(grid.ring_index), grid.ring_counts)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
-def test_bergman_norm_matches_node_reference(grid, weight, p):
+def test_bergman_norm_matches_node_reference(grid, gaps, weight, p):
     for w in (weight, weight.tilde_weight()):
-        dens = w.density_at_gap(grid.gaps)
+        dens = w.density_at_gap(gaps)
         for f in functions():
             assert_close(bergman_norm(f, p, w, grid), node_norm(f, p, dens, grid))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_derivative_bound_matches_node_reference(grid, weight, n):
+def test_derivative_bound_matches_node_reference(grid, gaps, weight, n):
     p = 2.0
-    dens = weight.density_at_gap(grid.gaps)
-    ws = weight.carleson_mass_at_gap(grid.gaps) ** (1.0 / p)
+    dens = weight.density_at_gap(gaps)
+    ws = weight.carleson_mass_at_gap(gaps) ** (1.0 / p)
     for f in functions():
         dvals = np.abs(f.eval_deriv(n, grid.nodes))
-        want = float(np.max(dvals * ws * grid.gaps ** n)) / node_norm(f, p, dens, grid)
-        assert_close(derivative_bound_sup(f, n, p, weight, grid), want)
+        want = float(np.max(dvals * ws * gaps ** n)) / node_norm(f, p, dens, grid)
+        norm = bergman_norm(f, p, weight, grid)
+        assert_close(derivative_bound_sup(f, n, p, weight, grid, norm), want)
 
 
-def test_support_nodes_match_node_reference(grid, weight):
+def test_support_nodes_match_node_reference(grid, gaps, weight):
     mu = RadialDensityMeasure.from_weight(weight, grid)
     pts, masses = mu.support_nodes()
-    want = weight.density_at_gap(grid.gaps) * grid.weights
+    want = weight.density_at_gap(gaps) * grid.weights
     assert pts is grid.nodes
     np.testing.assert_allclose(masses, want, rtol=RTOL, atol=0.0)
 
 
-def test_weighted_area_on_grid_matches_node_reference(grid, weight):
+def test_weighted_area_on_grid_matches_node_reference(grid, gaps, weight):
     region = carleson_square(0.8 * np.exp(0.4j))
     inside = region.contains(grid.nodes)
-    want = float(np.sum(weight.density_at_gap(grid.gaps[inside]) * grid.weights[inside]))
+    want = float(np.sum(weight.density_at_gap(gaps[inside]) * grid.weights[inside]))
     assert_close(weighted_area(weight, region, grid=grid), want)
 
 
@@ -113,9 +198,10 @@ def node_verify_gamma(w, p, gamma, basepoints=None, grid=None):
         a_gaps = 1.0 - np.abs(np.asarray(basepoints, dtype=complex))
         a_gaps = a_gaps[a_gaps > 0]
     a_vals = 1.0 - a_gaps
-    pre = w.density_at_gap(grid.gaps) * grid.weights
+    gaps = seed_layout(grid)["gaps"]
+    pre = w.density_at_gap(gaps) * grid.weights
     e = gamma * p
-    shallow_mask = grid.gaps >= 2.0 ** (-grid.levels)
+    shallow_mask = gaps >= 2.0 ** (-grid.levels)
     lhs = np.empty(len(a_vals))
     lhs_shallow = np.empty(len(a_vals))
     for i, a in enumerate(a_vals):

@@ -18,7 +18,6 @@ from bergman import (
     Scale,
     apply_operator,
     bergman_norm,
-    hardy_means,
 )
 from bergman import test_function as probe_function
 
@@ -128,25 +127,6 @@ class TestBergmanNorm:
                      for a in (0.0, 0.5, 0.9, 0.99, 0.999)]
             assert max(norms) / min(norms) < 4.0
             assert norms[-1] == pytest.approx(norms[-2], rel=0.05)
-
-
-class TestHardyMeans:
-    def test_max_modulus_of_identity(self):
-        assert hardy_means(Polynomial([0, 1.0]), math.inf, 0.7) == pytest.approx(0.7)
-
-    def test_constant(self):
-        f = Polynomial([2.0 - 1.0j])
-        for p in (0.5, 2.0, math.inf):
-            assert hardy_means(f, p, 0.3) == pytest.approx(abs(2.0 - 1.0j))
-
-    def test_geometric_kernel_against_parseval(self):
-        # f = 1/(1-0.9 z) has Taylor coefficients 0.9^k, so
-        # M_2(r, f)^2 = 1/(1 - 0.81 r^2)
-        f = ConformalPower(0.9, 1.0, scale=10.0)
-        rs = np.array([0.1, 0.4, 0.7, 0.9])
-        means = np.array([hardy_means(f, 2.0, r) for r in rs])
-        assert np.allclose(means, 1.0 / np.sqrt(1.0 - 0.81 * rs ** 2), rtol=1e-10)
-        assert np.all(np.diff(means) > 0)
 
 
 class TestOperator:

@@ -196,14 +196,6 @@ class TestWeightedArea:
         assert weighted_area(unit_weight, region) == 0.0
         assert weighted_area(unit_weight, region, grid=grid10) == 0.0
 
-    def test_tent_square_comparable(self):
-        # tents and squares carry comparable mass for upper-doubling weights
-        w = power_weight(1.0)
-        rho = 1.0 - 2.0 ** (-np.arange(1, 16))
-        ratios = w.tent_mass_at_gap(1 - rho) / w.carleson_mass_at_gap(1 - rho)
-        assert np.all(ratios > 0.1)
-        assert np.all(ratios < 1.0)
-
 
 class TestGammaExponent:
     def test_unit_weight_p2(self):
