@@ -126,13 +126,12 @@ def cmd_criterion(args):
     if which == "embedding-sup":
         mu = cfg.measure()
         report = criteria.embedding_sup_criterion(
-            cfg.p, cfg.q, cfg.n, w, mu, r=cfg.lattice_r,
-            convention=cfg.convention)
+            cfg.p, cfg.q, cfg.n, w, mu, r=cfg.lattice_r)
     elif which == "embedding-ls":
         mu = cfg.measure()
         report = criteria.embedding_ls_criterion(
             cfg.p, cfg.q, cfg.n, w, mu, r=cfg.lattice_r,
-            level=max(cfg.grid_level, 12), convention=cfg.convention)
+            level=max(cfg.grid_level, 12))
     elif which == "carleson":
         op = cfg.operator()
         # the grid before the measure: on a 300k-atom cloud this order peaks
@@ -140,8 +139,7 @@ def cmd_criterion(args):
         grid = cfg.grid()
         nu = cfg.measure()
         report = criteria.op_pushforward_criterion(
-            op, cfg.p, cfg.q, w, nu, r=cfg.lattice_r, grid=grid,
-            convention=cfg.convention)
+            op, cfg.p, cfg.q, w, nu, r=cfg.lattice_r, grid=grid)
     elif which == "berezin":
         op = cfg.operator()
         nu = cfg.target_weight()
@@ -152,11 +150,11 @@ def cmd_criterion(args):
             gamma, validated = res.gamma, res.verified
         report = criteria.berezin_criterion(
             op, cfg.p, cfg.q, w, nu, gamma, grid=cfg.grid(),
-            gamma_validated=validated, convention=cfg.convention)
+            gamma_validated=validated)
     elif which == "hinf":
         op = cfg.operator()
         report = criteria.hinf_criterion(
-            op, cfg.p, w, grid=cfg.grid(), convention=cfg.convention)
+            op, cfg.p, w, grid=cfg.grid())
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown criterion {which!r}")
     _write_report(args, f"criterion {which}", report.to_json())
@@ -251,8 +249,7 @@ def _verify_lemma21(cfg):
         for lvl in levels:
             grid = cfg.grid(lvl)
             sups[lvl] = max(
-                criteria.derivative_bound_sup(f, n, cfg.p, w, grid, norm,
-                                              convention=cfg.convention)
+                criteria.derivative_bound_sup(f, n, cfg.p, w, grid, norm)
                 for f, norm in zip(family, norms[lvl])
             )
         base, fine = sups[cfg.grid_level], sups[cfg.grid_level + 2]

@@ -183,7 +183,6 @@ class ExperimentConfig:
     grid_level: int = 9
     lattice_r: float = 0.3
     gamma: float | None = None
-    convention: str = "standard"
     _grids: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -207,15 +206,14 @@ class ExperimentConfig:
         cfg.grid_level = _integer(raw.get("grid_level", 9), "grid_level")
         cfg.lattice_r = _number(raw.get("lattice_r", 0.3), "lattice_r")
         cfg.gamma = None if raw.get("gamma") is None else _number(raw["gamma"], "gamma")
-        cfg.convention = raw.get("carleson_convention", "standard")
         if cfg.p <= 0 or cfg.q <= 0:
             raise ConfigError("exponents p, q must be positive", field="p")
         if cfg.seed < 0:
             raise ConfigError("seed must be nonnegative", field="seed")
         if not (0.0 < cfg.lattice_r < 1.0):
             raise ConfigError("lattice_r must lie in (0, 1)", field="lattice_r")
-        if cfg.convention not in ("standard", "literal"):
-            raise ConfigError("carleson_convention must be standard or literal",
+        if raw.get("carleson_convention", "standard") != "standard":
+            raise ConfigError("carleson_convention must be standard",
                               field="carleson_convention")
         if not (1 <= cfg.grid_level <= 24):
             raise ConfigError("grid_level must lie in 1..24", field="grid_level")

@@ -70,7 +70,7 @@ __all__ = [
 
 _MASS_FLOOR = 1e-300
 
-# verdict policy constants (reported, not hidden)
+# verdict policy constants (see the module docstring)
 DIVERGENT_GROWTH = 1.25
 STABLE_GROWTH = 1.10
 TAIL_DECAY = 0.70
@@ -227,8 +227,7 @@ def _as_measure(nu, grid):
 # embedding criteria
 # ---------------------------------------------------------------------------
 
-def embedding_sup_criterion(p, q, n, w, mu, r=0.3, basepoints=None, depth=14,
-                            convention="standard"):
+def embedding_sup_criterion(p, q, n, w, mu, r=0.3, basepoints=None, depth=14):
     """Supremum criterion for p <= q over a boundary-refined basepoint lattice."""
     if not (0 < p <= q):
         raise DomainError("the supremum criterion needs 0 < p <= q")
@@ -240,12 +239,12 @@ def embedding_sup_criterion(p, q, n, w, mu, r=0.3, basepoints=None, depth=14,
         pts = np.asarray(basepoints, dtype=complex)
         gaps = 1.0 - np.abs(pts)
     masses = mu.pseudo_disc_masses(pts, r, gaps)
-    ws = np.atleast_1d(w.carleson_mass_at_gap(gaps, convention)) ** (q / p)
+    ws = w.carleson_mass_at_gap(gaps) ** (q / p)
     keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
     truncated = int(np.sum(~keep))
     vals = masses[keep] / (ws[keep] * gaps[keep] ** (n * q))
     params = {"p": p, "q": q, "n": n, "r": r, "weight": w.name,
-              "measure": getattr(mu, "name", "measure"), "convention": convention}
+              "measure": getattr(mu, "name", "measure"), "convention": "standard"}
     return _sup_report("EMB_SUP", params, pts[keep], gaps[keep], vals,
                        truncated=truncated)
 
@@ -289,8 +288,7 @@ def _ls_assemble(params, centers, gaps, bvals, weights_ls, s, level, truncated,
     )
 
 
-def embedding_ls_criterion(p, q, n, w, mu, r=0.3, grid=None, level=16,
-                           convention="standard"):
+def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
     """L^{p/(p-q)} criterion for q < p against the tail-density weight.
 
     For radial densities the profile is evaluated on the radial rings of the
@@ -303,8 +301,6 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, grid=None, level=16,
     if n < 0:
         raise DomainError("n must be nonnegative")
     s = p / (p - q)
-    if grid is not None:
-        level = grid.levels
     notes = []
     if isinstance(mu, RadialDensityMeasure):
         gaps, ring_w = radial_rings(level)
@@ -325,27 +321,26 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, grid=None, level=16,
         gaps = np.repeat(gaps_r, n_ang)
         cell_w = np.repeat(ring_w / n_ang, n_ang)
         masses = mu.pseudo_disc_masses(centers, r, gaps)
-    ws = np.atleast_1d(w.carleson_mass_at_gap(gaps, convention))
+    ws = w.carleson_mass_at_gap(gaps)
     tilde = np.atleast_1d(w.tail_density_at_gap(gaps))
     keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
     truncated = int(np.sum(~keep))
     bvals = masses[keep] / (ws[keep] * gaps[keep] ** (n * q))
     params = {"p": p, "q": q, "n": n, "r": r, "s": s, "weight": w.name,
               "measure": getattr(mu, "name", "measure"), "level": level,
-              "convention": convention}
+              "convention": "standard"}
     return _ls_assemble(params, np.asarray(centers)[keep], gaps[keep], bvals,
                         (tilde * cell_w)[keep], s, level, truncated, notes)
 
 
-def op_pushforward_criterion(op, p, q, w, nu, r=0.3, grid=None, level=12,
-                             convention="standard"):
+def op_pushforward_criterion(op, p, q, w, nu, r=0.3, grid=None, level=12):
     """Operator criterion for q < p: EMB_LS on the pushforward of |u|^q nu."""
     if not (0 < q < p):
         raise DomainError("the operator pushforward criterion needs 0 < q < p")
     nu = _as_measure(nu, grid if grid is not None else measures.make_grid(min(level, 10)))
     pf = pushforward(op.phi, lambda z: np.abs(op.u(z)) ** q, nu)
-    report = embedding_ls_criterion(p, q, op.n, w, pf, r=r, grid=grid,
-                                    level=level, convention=convention)
+    report = embedding_ls_criterion(p, q, op.n, w, pf, r=r,
+                                    level=grid.levels if grid is not None else level)
     report.criterion_id = "OP_PUSHFORWARD_LS"
     report.params = dict(report.params)
     report.params.update({"phi": repr(op.phi), "u": repr(op.u), "n": op.n,
@@ -403,7 +398,7 @@ def _kernel_sweep(pts, phin, uq, e):
 
 
 def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, grid=None,
-                      gamma_validated=None, convention="standard"):
+                      gamma_validated=None):
     """Kernel-integral criterion for p <= q.
 
     nu may be a RadialWeight (the measure nu dA, discretized on the grid) or
@@ -431,7 +426,7 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, grid=None,
     else:
         pts = np.asarray(basepoints, dtype=complex)
         gaps = 1.0 - np.abs(pts)
-    ws = np.atleast_1d(w.carleson_mass_at_gap(gaps, convention)) ** (q / p)
+    ws = w.carleson_mass_at_gap(gaps) ** (q / p)
     keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
     truncated = int(np.sum(~keep))
     pts, gaps, ws = pts[keep], gaps[keep], ws[keep]
@@ -444,12 +439,12 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, grid=None,
         notes.append("warning: gamma failed the kernel-domination test")
     params = {"p": p, "q": q, "n": op.n, "gamma": gamma, "weight": w.name,
               "measure": getattr(nu, "name", "measure"), "phi": repr(op.phi),
-              "u": repr(op.u), "convention": convention}
+              "u": repr(op.u), "convention": "standard"}
     return _sup_report("BEREZIN_SUP", params, pts, gaps, vals,
                        truncated=truncated, notes=notes)
 
 
-def hinf_criterion(op, p, w, grid=None, level=10, convention="standard"):
+def hinf_criterion(op, p, w, grid=None, level=10):
     """Supremum criterion for a bounded-target operator, with the containment
     branch for compactness."""
     if p <= 0:
@@ -462,7 +457,7 @@ def hinf_criterion(op, p, w, grid=None, level=10, convention="standard"):
         raise SelfMapViolationError("self-map left the open disc on the grid")
     pgaps = 1.0 - pmod
     uvals = np.abs(op.u(grid.nodes))
-    ws = np.atleast_1d(w.carleson_mass_at_gap(pgaps, convention)) ** (1.0 / p)
+    ws = w.carleson_mass_at_gap(pgaps) ** (1.0 / p)
     keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
     truncated = int(np.sum(~keep))
     quantity = uvals[keep] / (ws[keep] * pgaps[keep] ** op.n)
@@ -472,7 +467,7 @@ def hinf_criterion(op, p, w, grid=None, level=10, convention="standard"):
     reps = np.array(list(_band_peaks(zgaps, quantity).values()), dtype=int)
 
     params = {"p": p, "n": op.n, "weight": w.name, "phi": repr(op.phi),
-              "u": repr(op.u), "convention": convention}
+              "u": repr(op.u), "convention": "standard"}
     report = _sup_report("HINF_SUP", params, zs[reps], zgaps[reps], quantity[reps],
                          truncated=truncated)
     sup_phi_structural = op.phi.sup_abs()
@@ -490,7 +485,7 @@ def hinf_criterion(op, p, w, grid=None, level=10, convention="standard"):
 # maximal function, gamma verification, norm probes
 # ---------------------------------------------------------------------------
 
-def maximal_function(mu, w, alpha, z, searchpoints=None, convention="standard"):
+def maximal_function(mu, w, alpha, z, searchpoints=None):
     """max over basepoints a with z in S(a) of mu(S(a)) / wS(a)^alpha.
 
     The basepoint a = 0 (whole disc) is always admissible, so the value is
@@ -510,8 +505,8 @@ def maximal_function(mu, w, alpha, z, searchpoints=None, convention="standard"):
     dphi = np.abs((np.angle(z) - np.angle(pts) + math.pi) % (2.0 * math.pi) - math.pi)
     admissible = (mods == 0.0) | ((abs(z) >= mods) & (dphi < halfwidth))
     pts = pts[admissible]
-    w_masses = np.atleast_1d(w.carleson_mass_at_gap(1.0 - np.abs(pts), convention))
-    mu_masses = mu.carleson_masses(pts, convention=convention)
+    w_masses = w.carleson_mass_at_gap(1.0 - np.abs(pts))
+    mu_masses = mu.carleson_masses(pts)
     ok = w_masses > _MASS_FLOOR
     if not np.any(ok):
         return 0.0
@@ -584,7 +579,7 @@ def verify_gamma(w, p, gamma, basepoints=None, grid=None, level=14):
         means = _ring_kernel_means(a_vals, a_gaps, grid.ring_gaps[rings],
                                    int(n_theta), e)
         contrib[:, rings] = ring_mass[rings] * means
-    shallow_mask = grid.ring_gaps >= 2.0 ** (-grid.levels)
+    shallow_mask = grid.ring_gaps >= 2.0 ** -(grid.levels - 1)
     lhs = np.sum(contrib, axis=1)
     lhs_shallow = np.sum(contrib[:, shallow_mask], axis=1)
     rhs = w.tail_integral_at_gap(a_gaps) / a_gaps ** (e - 1.0)
@@ -643,11 +638,11 @@ def norm_equivalence_ratios(functions, p, w, grid, tilde=None):
     return np.array(ratios)
 
 
-def derivative_bound_sup(f, n, p, w, grid, norm, convention="standard"):
+def derivative_bound_sup(f, n, p, w, grid, norm):
     """Empirical constant in the pointwise derivative bound:
     sup over grid of |f^{(n)}(z)| wS(z)^{1/p} (1-|z|)^n / |f|_{A^p_w},
     where norm is the caller's bergman_norm(f, p, w, grid)."""
     dvals = np.abs(f.eval_deriv(n, grid.nodes))
-    ws = np.atleast_1d(w.carleson_mass_at_gap(grid.ring_gaps, convention)) ** (1.0 / p)
+    ws = w.carleson_mass_at_gap(grid.ring_gaps) ** (1.0 / p)
     ratio = dvals * ws[grid.ring_index] * (grid.ring_gaps ** n)[grid.ring_index]
     return float(np.max(ratio) / norm)

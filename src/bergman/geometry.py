@@ -96,20 +96,15 @@ class WholeDisc:
 class CarlesonSquare:
     """Polar box attached to the boundary at base z.
 
-    The angular halfwidth is (1-|z|)/2 around arg z.  With the standard
-    convention the radial side is [|z|, 1); the "literal" convention uses
-    (1-|z|, 1) instead and is kept only for comparison (it makes the box
-    grow as |z| -> 1).  Base 0 denotes the whole disc.
+    The angular halfwidth is (1-|z|)/2 around arg z and the radial side is
+    [|z|, 1).  Base 0 denotes the whole disc.
     """
 
     base: complex
-    convention: str = "standard"
 
     def __post_init__(self):
         if abs(self.base) >= 1.0:
             raise DomainError("Carleson square base must lie in the disc")
-        if self.convention not in ("standard", "literal"):
-            raise DomainError(f"unknown convention {self.convention!r}")
 
     @property
     def is_whole_disc(self):
@@ -121,9 +116,7 @@ class CarlesonSquare:
 
     @property
     def radial_lower(self):
-        if self.convention == "standard":
-            return abs(self.base)
-        return 1.0 - abs(self.base)
+        return abs(self.base)
 
     def contains(self, pts):
         pts = np.asarray(pts, dtype=complex)
@@ -205,8 +198,8 @@ def pseudo_disc(a, r):
     return PseudoDisc(complex(a), float(r))
 
 
-def carleson_square(z, convention="standard"):
-    return CarlesonSquare(complex(z), convention)
+def carleson_square(z):
+    return CarlesonSquare(complex(z))
 
 
 # ---------------------------------------------------------------------------

@@ -183,14 +183,12 @@ class DiscMeasure:
         """Vectorized mu(Delta(a, r)) over an array of centers."""
         raise NotImplementedError
 
-    def carleson_masses(self, bases, convention="standard"):
+    def carleson_masses(self, bases):
         """mu(S(a)) over an array of basepoints (S(0) is the whole disc)."""
         bases = np.atleast_1d(np.asarray(bases, dtype=complex))
         out = np.empty(len(bases))
         for i, a in enumerate(bases):
-            region = geometry.WholeDisc() if a == 0 else geometry.CarlesonSquare(
-                complex(a), convention)
-            out[i] = self.measure_of(region)
+            out[i] = self.measure_of(geometry.CarlesonSquare(complex(a)))
         return out
 
     def integrate(self, g):
@@ -365,10 +363,9 @@ class RadialDensityMeasure(DiscMeasure):
     def measure_of(self, region):
         return weighted_area(self._weight, region)
 
-    def carleson_masses(self, bases, convention="standard"):
+    def carleson_masses(self, bases):
         bases = np.atleast_1d(np.asarray(bases, dtype=complex))
-        return np.atleast_1d(
-            self._weight.carleson_mass_at_gap(1.0 - np.abs(bases), convention=convention))
+        return self._weight.carleson_mass_at_gap(1.0 - np.abs(bases))
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
         centers = np.atleast_1d(np.asarray(centers, dtype=complex))

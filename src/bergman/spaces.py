@@ -135,12 +135,9 @@ class FunctionSum(AnalyticFunction):
 # ---------------------------------------------------------------------------
 
 class SelfMap:
-    """Analytic self-map of the disc with a first derivative and a sup bound."""
+    """Analytic self-map of the disc with a sup bound."""
 
     def __call__(self, z):
-        raise NotImplementedError
-
-    def deriv(self, z):
         raise NotImplementedError
 
     def image_radius(self, s):
@@ -154,9 +151,6 @@ class SelfMap:
 class Identity(SelfMap):
     def __call__(self, z):
         return np.asarray(z, dtype=complex)
-
-    def deriv(self, z):
-        return np.ones_like(np.asarray(z, dtype=complex))
 
     def image_radius(self, s):
         return s
@@ -174,9 +168,6 @@ class Scale(SelfMap):
     def __call__(self, z):
         return self.ratio * np.asarray(z, dtype=complex)
 
-    def deriv(self, z):
-        return np.full_like(np.asarray(z, dtype=complex), self.ratio)
-
     def image_radius(self, s):
         return self.ratio * s
 
@@ -192,10 +183,6 @@ class PowerMap(SelfMap):
 
     def __call__(self, z):
         return np.asarray(z, dtype=complex) ** self.k
-
-    def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self.k * z ** (self.k - 1)
 
     def image_radius(self, s):
         return s ** self.k
@@ -217,10 +204,6 @@ class Moebius(SelfMap):
         z = np.asarray(z, dtype=complex)
         return (z - self.c) / (1.0 - np.conj(self.c) * z)
 
-    def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (1.0 - abs(self.c) ** 2) / (1.0 - np.conj(self.c) * z) ** 2
-
     def image_radius(self, s):
         return (s + abs(self.c)) / (1.0 + s * abs(self.c))
 
@@ -241,14 +224,6 @@ class MapComposition(SelfMap):
         for m in self.maps:
             out = m(out)
         return out
-
-    def deriv(self, z):
-        out = np.asarray(z, dtype=complex)
-        d = np.ones_like(out)
-        for m in self.maps:
-            d = d * m.deriv(out)
-            out = m(out)
-        return d
 
     def image_radius(self, s):
         for m in self.maps:

@@ -23,7 +23,6 @@ tail (non-integrable weight) is detected from the octave-term ratios.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,25 +280,18 @@ class RadialWeight:
         """Weighted area of the whole disc, area measure normalized by pi."""
         return 2.0 * self._tail_at_gap("rmom", 1.0)
 
-    def carleson_mass_at_gap(self, u, convention="standard"):
+    def carleson_mass_at_gap(self, u):
         """Weighted area of the Carleson square at a basepoint of gap u = 1-|z|.
 
-        The square at z != 0 has angular width u and radial side [|z|, 1)
-        (standard convention) or (u, 1) (the literal variant, kept for
-        comparison).  u == 1 (z = 0) returns the whole-disc mass.
+        The square at z != 0 has angular width u and radial side [|z|, 1).
+        u == 1 (z = 0) returns the whole-disc mass.
         """
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         u = np.atleast_1d(u).astype(float)
         if np.any(u <= 0.0) or np.any(u > 1.0):
             raise DomainError("gap must lie in (0, 1]")
-        if convention == "standard":
-            radial = self._tail_at_gap("rmom", u)
-        elif convention == "literal":
-            radial = self._tail_at_gap("rmom", 1.0 - u)
-        else:
-            raise DomainError(f"unknown Carleson convention {convention!r}")
-        out = u * radial / math.pi
+        out = u * self._tail_at_gap("rmom", u) / math.pi
         out = np.where(u == 1.0, self.disc_mass(), out)
         return float(out[0]) if scalar else out
 
@@ -496,10 +488,7 @@ def weighted_area(w, region, grid=None):
     if isinstance(region, geometry.WholeDisc):
         return w.disc_mass()
     if isinstance(region, geometry.CarlesonSquare):
-        if region.is_whole_disc:
-            return w.disc_mass()
-        return float(w.carleson_mass_at_gap(1.0 - abs(region.base),
-                                            convention=region.convention))
+        return float(w.carleson_mass_at_gap(1.0 - abs(region.base)))
     if isinstance(region, geometry.PseudoDisc):
         gaps, wts = region.polar_sample()
         return float(np.sum(w.density_at_gap(gaps) * wts))
@@ -535,7 +524,7 @@ def gamma_for(w, p, report=None, grid=None):
     """gamma_exponent escalated by 1.5 until the kernel-domination test passes.
 
     Returns a GammaResult; gamma is usable either way, with verified=False
-    and a warning when every retry failed.
+    when every retry failed (the Berezin report then carries a note).
     """
     from . import criteria  # local import: criteria depends on this module
 
@@ -547,8 +536,4 @@ def gamma_for(w, p, report=None, grid=None):
         if passed:
             return result
         gamma *= 1.5
-    warnings.warn(
-        f"gamma_for: no verified exponent after {_GAMMA_RETRIES} escalations "
-        f"(last worst constant {result.worst_constant:.3g})"
-    )
     return result

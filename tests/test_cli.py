@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -108,6 +110,7 @@ class TestInputValidation:
         ("lattice_r", float("nan")), ("gamma", float("nan")), ("gamma", "2"),
         ("seed", "x"), ("seed", 1.5), ("seed", -1), ("grid_level", 7.5),
         ("grid_level", None), ("n", "x"), ("p", 10 ** 400),
+        ("carleson_convention", "literal"),
     ], ids=lambda v: repr(v)[:12])
     def test_bad_scalar(self, tmp_path, capsys, key, value):
         err = self.error_of(tmp_path, capsys, {key: value})
@@ -271,6 +274,28 @@ class TestCommands:
                     "--deterministic"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["result"]["passed"] is True
+
+    def test_unverified_gamma_is_a_note_not_a_warning(self, tmp_path):
+        # at grid 4 gamma_for finds no verified exponent: the report says so
+        # in its notes, and nothing is written to stderr
+        cfg = write_config(tmp_path, {
+            "grid_level": 4, "carleson_convention": "standard",
+            "target_weight": {"kind": "power", "alpha": 1.0},
+            "operator": {"phi": {"kind": "moebius", "c": [0.3, 0.1]},
+                         "u": {"kind": "poly", "coeffs": [[1.0, 0.0], [0.5, 0.0]]},
+                         "n": 0}})
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(criteria.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "bergman", "criterion", "berezin",
+                               "--config", cfg, "--out", str(out), "--deterministic"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        result = json.loads((out / "report.json").read_text())["result"]
+        assert "warning: gamma failed the kernel-domination test" in result["notes"]
+        assert result["params"]["convention"] == "standard"
 
     def test_verify_gamma_failure_exit(self, tmp_path):
         cfg = write_config(tmp_path, {"gamma": 0.5, "grid_level": 11})

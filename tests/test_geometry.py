@@ -104,21 +104,14 @@ class TestCarlesonSquare:
 
     def test_membership_example(self):
         assert carleson_square(0.5).contains(0.75 * np.exp(0.1j))
+        assert carleson_square(0.3).contains(0.5 * np.exp(0.05j))
+        assert not carleson_square(0.72).contains(0.5)  # below the radial side
 
     def test_rotation_covariance(self):
         sq = carleson_square(0.5 * np.exp(1.3j))
         inner = 0.75 * np.exp(1.3j + 0.1j)
         outer = 0.75 * np.exp(1.3j + 0.3j)
         assert sq.contains(inner) and not sq.contains(outer)
-
-    def test_literal_convention_differs(self):
-        # the printed radial bound 1-|z| < |zeta| shrinks the box for
-        # |z| < 1/2 and grows it for |z| > 1/2
-        pt = 0.5 * np.exp(0.05j)
-        assert carleson_square(0.3, "standard").contains(pt)
-        assert not carleson_square(0.3, "literal").contains(pt)
-        assert not carleson_square(0.72, "standard").contains(0.5)
-        assert carleson_square(0.72, "literal").contains(0.5)
 
 
 class TestLattices:
