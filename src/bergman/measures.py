@@ -18,6 +18,7 @@ and an atomic cloud.  ``support_nodes`` exposes the common discrete picture
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 
@@ -78,14 +79,18 @@ class QuadratureGrid:
 
     The grid is a stack of rings.  Ring k sits at the gap ring_gaps[k],
     carries the full-circle mass ring_weights[k], and holds ring_counts[k]
-    equally spaced angular midpoints.  nodes and weights are flat arrays
-    over all nodes, ring after ring, and ring_index maps each node to its
-    ring, so a node's gap is ring_gaps[ring_index[i]].  A quantity that
-    depends on |z| alone is therefore evaluated once per ring and broadcast
-    through ring_index.  The angular counts are constant within a dyadic
-    band, so band-wide angular templates apply to every ring of the band.
-    Weights sum to 1 exactly up to roundoff.  Instances are immutable and
-    shared freely.
+    equally spaced angular midpoints, each with the area weight
+    ring_node_weights[k].  A quantity that depends on |z| alone is evaluated
+    once per ring and repeated ring_counts times.  The angular counts are
+    constant within a dyadic band, so band-wide angular templates apply to
+    every ring of the band.  Weights sum to 1 exactly up to roundoff.
+
+    The constructor keeps only these ring arrays.  The flat per-node arrays
+    nodes, weights and ring_index (a node's gap is
+    ring_gaps[ring_index[i]]) run ring after ring and are built on first
+    read, so work that needs only the rings never allocates them;
+    node_count reads the ring counts.  Instances are immutable and shared
+    freely.
     """
 
     radial_subcells = _RADIAL_SUBCELLS
@@ -107,22 +112,30 @@ class QuadratureGrid:
         self.ring_gaps = gaps
         self.ring_weights = masses * 2.0  # full-circle mass
         self.ring_counts = counts
-        self.ring_index = np.repeat(np.arange(len(gaps), dtype=np.int32), counts)
-        self.weights = (masses * (_TWO_PI / counts) / math.pi)[self.ring_index]
+        self.ring_node_weights = masses * (_TWO_PI / counts) / math.pi
+        self.node_count = int(counts.sum())
+
+    @functools.cached_property
+    def ring_index(self):
+        return np.repeat(np.arange(len(self.ring_gaps), dtype=np.int32), self.ring_counts)
+
+    @functools.cached_property
+    def weights(self):
+        return np.repeat(self.ring_node_weights, self.ring_counts)
+
+    @functools.cached_property
+    def nodes(self):
         # each band is a (rings, n_theta) block of the flat node array
-        self.nodes = np.empty(len(self.ring_index), dtype=complex)
+        nodes = np.empty(self.node_count, dtype=complex)
         start = 0
-        for band, band_gaps in enumerate(gaps.reshape(self.levels + 1, -1)):
+        for band, band_gaps in enumerate(self.ring_gaps.reshape(self.levels + 1, -1)):
             n_theta = self.angular_base * 2 ** band
             theta = (np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)
             stop = start + len(band_gaps) * n_theta
-            block = self.nodes[start:stop].reshape(len(band_gaps), n_theta)
+            block = nodes[start:stop].reshape(len(band_gaps), n_theta)
             np.multiply((1.0 - band_gaps)[:, None], np.exp(1j * theta)[None, :], out=block)
             start = stop
-
-    @property
-    def node_count(self):
-        return len(self.nodes)
+        return nodes
 
     def integrate(self, g):
         """Sum g over nodes against the area weights.
@@ -245,13 +258,19 @@ class _SupportIndex:
     """
 
     def __init__(self, points, masses):
-        bands = _octave(1.0 - np.abs(points))
-        keys = _BAND_STRIDE * bands + np.angle(points)
+        # one key buffer: the gaps, then the band bases, then the keys
+        keys = np.abs(points)
+        np.subtract(1.0, keys, out=keys)
+        bands = _octave(keys)
+        self.band_range = (bands.min(), bands.max()) if len(bands) else None
+        np.multiply(_BAND_STRIDE, bands, out=keys)
+        del bands
+        keys += np.angle(points)
         order = np.argsort(keys)
         self.keys = keys[order]
+        del keys
         self.points = points[order]
         self.masses = masses[order]
-        self.band_range = (bands.min(), bands.max()) if len(bands) else None
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
         """Mass of the points in Delta(a, r) for each centre a."""
@@ -353,8 +372,9 @@ class RadialDensityMeasure(DiscMeasure):
 
     def support_nodes(self):
         if self._node_masses is None:
-            dens = self._weight.density_at_gap(self.grid.ring_gaps)
-            self._node_masses = dens[self.grid.ring_index] * self.grid.weights
+            grid = self.grid
+            dens = self._weight.density_at_gap(grid.ring_gaps)
+            self._node_masses = np.repeat(dens * grid.ring_node_weights, grid.ring_counts)
         return self.grid.nodes, self._node_masses
 
     def total_mass(self):

@@ -71,7 +71,17 @@ class Polynomial(AnalyticFunction):
         if n >= len(self.coeffs):
             return np.zeros_like(z)
         c = self.coeffs if n == 0 else np.polynomial.polynomial.polyder(self.coeffs, n)
-        return np.polynomial.polynomial.polyval(z, c)
+        if z.size == 1:
+            # numpy's in-place complex product on one element (a 0-d input
+            # too) rounds unlike its array loop, and polyval's does not
+            return np.polynomial.polynomial.polyval(z, c)
+        # Horner in one output buffer: the steps of polyval, without a
+        # temporary per coefficient
+        out = np.full(z.shape, c[-1], dtype=complex)
+        for ck in c[-2::-1]:
+            out *= z
+            out += ck
+        return out
 
     def __repr__(self):
         return f"Polynomial(deg={len(self.coeffs) - 1})"
@@ -202,7 +212,12 @@ class Moebius(SelfMap):
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        return (z - self.c) / (1.0 - np.conj(self.c) * z)
+        flat = z.reshape(-1)  # in-place steps need an array, also for 0-d input
+        den = np.conj(self.c) * flat
+        np.subtract(1.0, den, out=den)
+        out = flat - self.c
+        out /= den
+        return out.reshape(z.shape)[()]
 
     def image_radius(self, s):
         return (s + abs(self.c)) / (1.0 + s * abs(self.c))
@@ -270,7 +285,7 @@ def bergman_norm(f, p, w, grid):
     if p <= 0:
         raise DomainError("p must be positive")
     vals = np.abs(f(grid.nodes) if callable(f) or isinstance(f, AnalyticFunction) else f)
-    dens = w.density_at_gap(grid.ring_gaps)[grid.ring_index]
+    dens = np.repeat(w.density_at_gap(grid.ring_gaps), grid.ring_counts)
     return float(np.sum(vals ** p * dens * grid.weights) ** (1.0 / p))
 
 

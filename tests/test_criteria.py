@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bergman import (
     AtomicMeasure,
     DomainError,
     Identity,
+    Moebius,
     OperatorSpec,
     Polynomial,
     RadialDensityMeasure,
@@ -22,6 +24,7 @@ from bergman import (
     embedding_ls_criterion,
     embedding_sup_criterion,
     hinf_criterion,
+    make_grid,
     maximal_function,
     norm_equivalence_ratios,
     op_pushforward_criterion,
@@ -338,6 +341,41 @@ class TestHinf:
         r1 = hinf_criterion(op1, 2.0, unit_weight, grid=grid8)
         r2 = hinf_criterion(op2, 2.0, unit_weight, grid=grid8)
         assert r2.statistic == pytest.approx(2.0 * r1.statistic, rel=1e-12)
+
+
+class TestHinfBlocks:
+    """hinf_criterion sweeps the grid in blocks of _HINF_BLOCK nodes; neither
+    the block size nor the batches of image gaps it hands to the weight's
+    tail may move a bit of the report."""
+
+    U = Polynomial([0.4, -1.1 + 0.3j, 0.7j, 0.25])
+
+    @pytest.mark.parametrize("phi", [Scale(0.63), Moebius(0.3 - 0.2j)])
+    def test_report_independent_of_block_size(self, monkeypatch, phi):
+        grid = make_grid(9)
+        w = RadialWeight.power(1.0)
+        op = OperatorSpec(phi, self.U, 1)
+        blobs = []
+        for block in (1 << 10, criteria._HINF_BLOCK, grid.node_count):
+            monkeypatch.setattr(criteria, "_HINF_BLOCK", block)
+            blobs.append(json.dumps(hinf_criterion(op, 2.0, w, grid=grid).to_json()))
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_temporaries_stay_in_blocks(self):
+        """At grid 11 (524 k nodes) the sweep's per-node temporaries would
+        take about 59 MB; in blocks the call rises under 16 MB above its grid."""
+        w = RadialWeight.power(1.0)
+        op = OperatorSpec(Scale(0.6), self.U, 1)
+        grid = make_grid(11)
+        grid.nodes  # built before tracing: the budget is the sweep's alone
+        hinf_criterion(op, 2.0, w, grid=make_grid(4))  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            hinf_criterion(op, 2.0, w, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
 
 class TestMaximalFunction:

@@ -182,6 +182,25 @@ class TestMeasureOf:
         expect = [masses[rho(c, pts) < 0.5].sum() for c in centers]
         assert got == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    def test_support_index_matches_plain_construction(self, n):
+        """The index builds its sort keys in one buffer; keys, points, masses
+        and band range are those of the plain expression it replaced."""
+        rng = np.random.default_rng(9 + n)
+        pts = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        if n > 1:
+            edges = 1.0 - 2.0 ** -np.arange(1, 13)  # gaps exactly 2^-k, angles 0 and pi
+            pts = np.concatenate([pts, edges + 0j, -edges + 0j, [0j]])
+        masses = rng.uniform(0, 1, len(pts))
+        index = measures._SupportIndex(pts, masses)
+        bands = measures._octave(1.0 - np.abs(pts))
+        keys = measures._BAND_STRIDE * bands + np.angle(pts)
+        order = np.argsort(keys)
+        assert np.array_equal(index.keys, keys[order])
+        assert np.array_equal(index.points.view(float), pts[order].view(float))
+        assert np.array_equal(index.masses, masses[order])
+        assert index.band_range == ((bands.min(), bands.max()) if n else None)
+
     def test_callable_density_disc_masses_vs_bruteforce(self, grid8):
         rng = np.random.default_rng(5)
         mu = CallableDensityMeasure(lambda z: 1.0 + z.real ** 2, grid8)

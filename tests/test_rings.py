@@ -3,7 +3,7 @@
 The grid is built band by band from its ring arrays; seed_layout, the plain
 ring-by-ring construction it replaced, is the oracle its arrays must match
 bit for bit.  Every radial quantity on a QuadratureGrid is evaluated once
-per ring and broadcast through ring_index.  The references here evaluate the
+per ring and repeated over the ring's nodes.  The references here evaluate the
 same quantity on every node, with the per-node gaps of seed_layout, and the
 results must agree to 1e-12 relative.  verify_gamma's ring-and-band
 summation is checked against the plain per-node kernel loop, and its angular
@@ -28,6 +28,7 @@ from bergman import (
     make_grid,
     verify_gamma,
 )
+from bergman import measures
 from bergman.criteria import _ring_kernel_means
 from bergman.geometry import carleson_square
 from bergman.weights import weighted_area
@@ -132,18 +133,61 @@ def test_grid_matches_seed_layout_bitwise(level, angular_base):
 
 
 def test_grid_build_holds_and_peaks_near_its_arrays():
-    """Building a grid allocates little beyond the arrays it keeps: 16 B of
-    node, 8 B of weight and 4 B of ring index per node, plus the rings."""
-    QuadratureGrid(4)  # first-call allocations stay out of the measurement
+    """Building a grid and reading its node arrays allocates little beyond
+    the arrays it keeps: 16 B of node, 8 B of weight and 4 B of ring index
+    per node, plus the rings."""
+    small = QuadratureGrid(4)  # first-call allocations stay out of the measurement
+    for name in GRID_ARRAYS:
+        getattr(small, name)
     tracemalloc.start()
     try:
         grid = QuadratureGrid(11)
+        for name in GRID_ARRAYS:
+            getattr(grid, name)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     held = sum(getattr(grid, name).nbytes for name in GRID_ARRAYS)
     assert peak <= 1.25 * held, peak / held
     assert held / grid.node_count < 29.0
+
+
+def test_node_arrays_are_built_on_first_read():
+    """The constructor keeps only ring arrays; what a caller reads right
+    after it (counts, levels, the angular base) builds no node array."""
+    grid = QuadratureGrid(9)
+    node_arrays = ("nodes", "weights", "ring_index")
+    assert grid.node_count == int(np.sum(grid.ring_counts))
+    assert (grid.levels, grid.angular_base, grid.radial_subcells) == (9, 16, 4)
+    assert "nodes=" in repr(grid)
+    assert not any(name in vars(grid) for name in node_arrays)
+    assert len(grid.nodes) == len(grid.weights) == len(grid.ring_index) == grid.node_count
+    assert all(getattr(grid, name) is getattr(grid, name) for name in node_arrays)
+
+
+def test_verify_gamma_reads_rings_only():
+    """verify_gamma sums ring by ring, so its level-13 grid never builds the
+    2.1 M-node arrays (about 59 MB); the whole call stays under 20 MB."""
+    w = RadialWeight.log_power(1.0, 2.0)
+    verify_gamma(w, 2.0, 3.0, level=4)  # first-call allocations stay out
+    built = []
+
+    def make(levels):
+        built.append(QuadratureGrid(levels))
+        return built[-1]
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "make_grid", make)
+            verify_gamma(w, 2.0, 3.0, level=13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (grid,) = built
+    assert grid.levels == 13
+    assert "nodes" not in vars(grid)
+    assert peak < 20e6, peak
 
 
 def test_ring_arrays_broadcast_to_nodes(grid, gaps):
@@ -161,14 +205,19 @@ def test_bergman_norm_matches_node_reference(grid, gaps, weight, p):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_derivative_bound_matches_node_reference(grid, gaps, weight, n):
+    """Each ring's largest |f^(n)| times the ring's factor is the node-wise
+    maximum bit for bit (the factor is positive and rounding monotone), for
+    a function and for its node values alike."""
     p = 2.0
     dens = weight.density_at_gap(gaps)
     ws = weight.carleson_mass_at_gap(gaps) ** (1.0 / p)
     for f in functions():
         dvals = np.abs(f.eval_deriv(n, grid.nodes))
-        want = float(np.max(dvals * ws * gaps ** n)) / node_norm(f, p, dens, grid)
         norm = bergman_norm(f, p, weight, grid)
-        assert_close(derivative_bound_sup(f, n, p, weight, grid, norm), want)
+        assert_close(norm, node_norm(f, p, dens, grid))
+        want = float(np.max(dvals * ws * gaps ** n)) / norm
+        assert derivative_bound_sup(f, n, p, weight, grid, norm) == want
+        assert derivative_bound_sup(dvals, n, p, weight, grid, norm) == want
 
 
 def test_support_nodes_match_node_reference(grid, gaps, weight):
@@ -176,7 +225,7 @@ def test_support_nodes_match_node_reference(grid, gaps, weight):
     pts, masses = mu.support_nodes()
     want = weight.density_at_gap(gaps) * grid.weights
     assert pts is grid.nodes
-    np.testing.assert_allclose(masses, want, rtol=RTOL, atol=0.0)
+    assert np.array_equal(masses, want)
 
 
 def test_weighted_area_on_grid_matches_node_reference(grid, gaps, weight):

@@ -83,6 +83,58 @@ class TestDerivEval:
                 assert np.max(np.abs(exact - approx) / scale) < 1e-6
 
 
+def _bits(z):
+    """The float pairs of a complex value or array, for bitwise comparison."""
+    return np.atleast_1d(np.asarray(z, dtype=complex)).view(float)
+
+
+def _sample_points(rng, shape):
+    r = 0.999 * np.sqrt(rng.uniform(0, 1, shape))
+    return r * np.exp(2j * np.pi * rng.uniform(0, 1, shape))
+
+
+class TestInPlaceKernels:
+    """The in-place Horner and Moebius kernels give the bits of the plain
+    numpy expressions they replaced."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_horner_matches_polyval(self, n):
+        rng = np.random.default_rng(101 + n)
+        P = np.polynomial.polynomial
+        inputs = [_sample_points(rng, shape) for shape in ((), (1,), (37,), (5, 9))]
+        for degree in range(21):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            f = Polynomial(coeffs)
+            c = coeffs if n == 0 else P.polyder(coeffs, n)
+            for z in inputs:
+                got = f.eval_deriv(n, z)
+                assert np.shape(got) == np.shape(z)
+                if n >= len(coeffs):
+                    assert not np.any(got)
+                    continue
+                want = P.polyval(np.asarray(z, dtype=complex), c)
+                assert type(got) is type(want)
+                assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("c", [0.35 * np.exp(2.1j), 0.6j, -0.2, 0.0])
+    def test_moebius_matches_plain_formula(self, c):
+        rng = np.random.default_rng(202)
+        phi = Moebius(c)
+        for z in (_sample_points(rng, ()), _sample_points(rng, (1,)),
+                  _sample_points(rng, (41,)), _sample_points(rng, (3, 7)), 0.5 - 0.25j):
+            za = np.asarray(z, dtype=complex)
+            want = (za - phi.c) / (1.0 - np.conj(phi.c) * za)
+            got = phi(z)
+            assert type(got) is type(want) and np.shape(got) == np.shape(za)
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_moebius_leaves_its_input_alone(self):
+        z = _sample_points(np.random.default_rng(203), (64,))
+        before = z.copy()
+        Moebius(0.3 + 0.1j)(z)
+        assert np.array_equal(z, before)
+
+
 class TestSelfMaps:
     @pytest.mark.parametrize("phi,expected", [
         (Identity(), 1.0),
