@@ -17,11 +17,7 @@ from .errors import (
     UnboundedNormError,
 )
 from .geometry import (
-    Annulus,
-    CarlesonSquare,
     PseudoDisc,
-    WholeDisc,
-    carleson_square,
     probe_lattice,
     pseudo_disc,
     r_lattice,
@@ -34,11 +30,9 @@ from .weights import (
     classify,
     gamma_exponent,
     gamma_for,
-    weighted_area,
 )
 from .measures import (
     AtomicMeasure,
-    CallableDensityMeasure,
     DiscMeasure,
     QuadratureGrid,
     RadialDensityMeasure,

@@ -1,9 +1,8 @@
-"""Geometry of the unit disc: pseudohyperbolic metric, regions, lattices.
+"""Geometry of the unit disc: pseudohyperbolic metric and discs, lattices.
 
-Points are plain complex numbers (vectorized as complex ndarrays).  Regions
-expose a vectorized ``contains`` predicate; the pseudohyperbolic disc also
-knows its exact Euclidean parameters and can produce quadrature nodes for
-integrals of radial densities over itself.
+Points are plain complex numbers (vectorized as complex ndarrays).  A
+pseudohyperbolic disc knows its exact Euclidean parameters, and _polar_rule
+gives quadrature nodes for integrals of radial densities over such discs.
 """
 
 from __future__ import annotations
@@ -18,13 +17,9 @@ from .errors import DomainError, ResourceLimitError
 __all__ = [
     "rho",
     "pseudo_disc",
-    "carleson_square",
     "r_lattice",
     "probe_lattice",
     "PseudoDisc",
-    "CarlesonSquare",
-    "Annulus",
-    "WholeDisc",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -68,12 +63,6 @@ def _polar_rule(c, R, gap_outer):
     return gaps, weights
 
 
-def _wrapped_angle_gap(z, w):
-    """|arg z - arg w| wrapped into [0, pi]."""
-    d = np.angle(np.asarray(z)) - np.angle(np.asarray(w))
-    return np.abs((d + math.pi) % _TWO_PI - math.pi)
-
-
 def rho(a, b):
     """Pseudohyperbolic distance |a-b| / |1 - conj(a) b|; vectorized."""
     a = np.asarray(a, dtype=complex)
@@ -82,51 +71,8 @@ def rho(a, b):
 
 
 # ---------------------------------------------------------------------------
-# regions
+# pseudohyperbolic discs
 # ---------------------------------------------------------------------------
-
-class WholeDisc:
-    """The open unit disc as a region."""
-
-    def contains(self, pts):
-        return np.abs(np.asarray(pts, dtype=complex)) < 1.0
-
-
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """Polar box attached to the boundary at base z.
-
-    The angular halfwidth is (1-|z|)/2 around arg z and the radial side is
-    [|z|, 1).  Base 0 denotes the whole disc.
-    """
-
-    base: complex
-
-    def __post_init__(self):
-        if abs(self.base) >= 1.0:
-            raise DomainError("Carleson square base must lie in the disc")
-
-    @property
-    def is_whole_disc(self):
-        return self.base == 0
-
-    @property
-    def angular_halfwidth(self):
-        return (1.0 - abs(self.base)) / 2.0
-
-    @property
-    def radial_lower(self):
-        return abs(self.base)
-
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        inside = np.abs(pts) < 1.0
-        if self.is_whole_disc:
-            return inside
-        radial = np.abs(pts) >= self.radial_lower
-        angular = _wrapped_angle_gap(pts, self.base) < self.angular_halfwidth
-        return inside & radial & angular
-
 
 @dataclass(frozen=True)
 class PseudoDisc:
@@ -159,47 +105,9 @@ class PseudoDisc:
         object.__setattr__(self, "gap_outer", ua * (1.0 - r) / (1.0 + r * m))
         object.__setattr__(self, "gap_inner", ua * (1.0 + r) / (1.0 - r * m))
 
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        return np.abs(pts - self.euclid_center) < self.euclid_radius
-
-    def polar_sample(self):
-        """Quadrature nodes for (1/pi) * integral over the disc of a radial density.
-
-        Returns (gaps, weights): gaps are 1-|node| (stable near the
-        boundary), weights sum to euclid_radius^2 (the normalized area).
-        """
-        gaps, weights = _polar_rule(np.array([abs(self.euclid_center)]),
-                                    np.array([self.euclid_radius]),
-                                    np.array([self.gap_outer]))
-        return gaps.ravel(), np.broadcast_to(weights, gaps.shape).ravel()
-
-
-@dataclass(frozen=True)
-class Annulus:
-    """Polar box r_inner <= |z| < r_outer, arg in [theta0, theta0 + width)."""
-
-    r_inner: float
-    r_outer: float
-    theta0: float = 0.0
-    angular_width: float = _TWO_PI
-
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        m = np.abs(pts)
-        ok = (m >= self.r_inner) & (m < min(self.r_outer, 1.0)) & (m < 1.0)
-        if self.angular_width >= _TWO_PI:
-            return ok
-        d = (np.angle(pts) - self.theta0) % _TWO_PI
-        return ok & (d < self.angular_width)
-
 
 def pseudo_disc(a, r):
     return PseudoDisc(complex(a), float(r))
-
-
-def carleson_square(z):
-    return CarlesonSquare(complex(z))
 
 
 # ---------------------------------------------------------------------------

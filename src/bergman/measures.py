@@ -8,11 +8,12 @@ for cubic radial integrands) and an angular midpoint count proportional to
 happens once per ring through its boundary gap u = 1-|z|: the grid stores
 ring gaps and masses, and maps each node to its ring.
 
-Measures come in three representations: a radial density (backed by the
-same tail-integral machinery as radial weights, so region masses reduce to
-1-d quadrature), a general pointwise density sampled lazily at grid nodes,
-and an atomic cloud.  ``support_nodes`` exposes the common discrete picture
-(points, masses) that the pushforward and criterion integrals consume.
+Measures come in two representations: a radial density (backed by the
+same tail-integral machinery as radial weights, so its Carleson-square masses
+have a closed form and its pseudo-disc masses a disc-centred polar rule) and
+an atomic cloud, whose masses are sums over a sorted index of its atoms.
+``support_nodes`` exposes the common discrete picture (points, masses) that
+the pushforward and criterion integrals consume.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, ResourceLimitError, SelfMapViolationError
-from .weights import RadialWeight, weighted_area
+from .weights import RadialWeight
 
 __all__ = [
     "QuadratureGrid",
@@ -34,7 +35,6 @@ __all__ = [
     "radial_rings",
     "DiscMeasure",
     "RadialDensityMeasure",
-    "CallableDensityMeasure",
     "AtomicMeasure",
     "pushforward",
 ]
@@ -137,24 +137,6 @@ class QuadratureGrid:
             start = stop
         return nodes
 
-    def integrate(self, g):
-        """Sum g over nodes against the area weights.
-
-        g may be a callable on complex points or an array of node values.
-        Non-finite values are reported with the offending node.
-        """
-        vals = np.asarray(g(self.nodes) if callable(g) else g)
-        if vals.shape != self.nodes.shape:
-            vals = np.broadcast_to(vals, self.nodes.shape)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            gap = self.ring_gaps[self.ring_index[i]]
-            raise DomainError(
-                f"integrand is not finite at node {self.nodes[i]} (gap {gap:g})"
-            )
-        return float(np.sum(vals * self.weights))
-
     def __repr__(self):
         return (
             f"QuadratureGrid(levels={self.levels}, nodes={self.node_count})"
@@ -179,43 +161,26 @@ def radial_rings(levels):
 class DiscMeasure:
     """A finite positive Borel measure on the disc (discretized)."""
 
-    def total_mass(self):
-        _, masses = self.support_nodes()
-        return float(np.sum(masses))
-
     def support_nodes(self):
         """The discrete picture (points, masses) of the measure."""
         raise NotImplementedError
-
-    def measure_of(self, region):
-        pts, masses = self.support_nodes()
-        inside = region.contains(pts)
-        return float(np.sum(masses[inside]))
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
         """Vectorized mu(Delta(a, r)) over an array of centers."""
         raise NotImplementedError
 
     def carleson_masses(self, bases):
-        """mu(S(a)) over an array of basepoints (S(0) is the whole disc)."""
-        bases = np.atleast_1d(np.asarray(bases, dtype=complex))
-        out = np.empty(len(bases))
-        for i, a in enumerate(bases):
-            out[i] = self.measure_of(geometry.CarlesonSquare(complex(a)))
-        return out
+        """mu(S(a)) over an array of basepoints (S(0) is the whole disc).
+
+        S(a) for a != 0 holds the points p with |p| >= |a| whose angle lies
+        within (1-|a|)/2 of arg a.
+        """
+        raise NotImplementedError
 
     def integrate(self, g):
         """int g d(mu) over the discrete representation (g may be complex)."""
         pts, masses = self.support_nodes()
         return np.sum(np.asarray(g(pts)) * masses).item()
-
-    _index = None
-
-    def _support_index(self):
-        """The _SupportIndex of support_nodes(), built on first use."""
-        if self._index is None:
-            self._index = _SupportIndex(*self.support_nodes())
-        return self._index
 
 
 def _disc_params(center_abs, gaps, r):
@@ -246,15 +211,20 @@ _CANDIDATE_CHUNK = 1 << 16  # candidate points tested per step
 
 class _SupportIndex:
     """Points with masses, sorted by (octave band of the gap, angle), for
-    pseudo-disc sums that visit only the points that can lie in each disc.
+    region sums that visit only the points that can lie in each region.
 
-    Delta(a, r) is the Euclidean disc D(ce, R).  Its points have gaps between
-    the disc's outer and inner gaps, so they lie in a few octave bands; when
-    R < |ce| they also lie within asin(R/|ce|) of arg(ce) (otherwise the disc
-    holds the origin and every angle).  Each (centre, band) pair thus reads
-    one or two contiguous runs of the sorted keys (two where the angle window
-    wraps at +-pi), found with searchsorted.  Every point of those windows
-    takes the exact |p - ce| < R test, so a generous window changes nothing.
+    Both regions the criteria need are windows in this order: a few octave
+    bands of gaps times an arc of angles.
+    - Delta(a, r) is the Euclidean disc D(ce, R).  Its points have gaps
+      between the disc's outer and inner gaps; when R < |ce| they also lie
+      within asin(R/|ce|) of arg(ce) (otherwise the disc holds the origin and
+      every angle).
+    - S(a) holds the bands from octave(1-|a|) to the deepest one and the
+      angles within (1-|a|)/2 of arg a; S(0) is the whole disc.
+    Each (region, band) pair thus reads one or two contiguous runs of the
+    sorted keys (two where the angle window wraps at +-pi), found with
+    searchsorted.  Every point of those windows takes the region's exact
+    membership test, so a generous window changes nothing.
     """
 
     def __init__(self, points, masses):
@@ -277,20 +247,59 @@ class _SupportIndex:
         centers = np.atleast_1d(np.asarray(centers, dtype=complex))
         if center_gaps is None:
             center_gaps = 1.0 - np.abs(centers)
-        out = np.zeros(len(centers))
+        return self._per_block(len(centers),
+                               lambda b: self._disc_windows(centers[b], center_gaps[b], r))
+
+    def carleson_masses(self, bases):
+        """Mass of the points in S(a) for each basepoint a."""
+        bases = np.atleast_1d(np.asarray(bases, dtype=complex))
+        return self._per_block(len(bases), lambda b: self._square_windows(bases[b]))
+
+    def _per_block(self, n, block):
+        """Masses of n regions, _CENTER_BLOCK at a time; block(b) gives the
+        windows and the exact membership test of the regions in slice b."""
+        out = np.zeros(n)
         if self.band_range is not None:
-            for s in range(0, len(centers), _CENTER_BLOCK):
+            for s in range(0, n, _CENTER_BLOCK):
                 b = slice(s, s + _CENTER_BLOCK)
-                out[b] = self._block_masses(centers[b], center_gaps[b], r)
+                self._sum_windows(out[b], *block(b))
         return out
 
-    @staticmethod
-    def _angle_windows(theta, c, R):
-        """Per centre, two angle intervals (lo1, hi1, lo2, hi2) relative to a
-        band's key base; an empty one has lo > hi."""
+    def _disc_windows(self, centers, center_gaps, r):
+        """Windows and exact test of Delta(a, r) for a block of centres."""
+        mods = np.abs(centers)
+        c, R, g_out, g_in = _disc_params(mods, center_gaps, r)
+        ce = np.where(mods > 0, centers / np.maximum(mods, 1e-300), 1.0) * c
         half = np.arcsin(np.minimum(R / np.maximum(c, 1e-300) * (1.0 + _WINDOW_PAD), 1.0))
         half += _WINDOW_PAD  # <= pi/2 + pad, so at most one end wraps
-        whole = R >= c
+        arcs = self._angle_windows(np.angle(ce), half, R >= c)
+        windows = self._windows(_octave(g_in * (1.0 + _WINDOW_PAD)),
+                                _octave(g_out * (1.0 - _WINDOW_PAD)), arcs)
+        return windows, lambda idx, k: np.abs(self.points[idx] - ce[k]) < R[k]
+
+    def _square_windows(self, bases):
+        """Windows and exact test of S(a) for a block of basepoints."""
+        # |a| as Python's abs takes it (np.abs of a complex array can differ
+        # by an ulp); a point's |p| >= |a| then implies its gap <= 1 - |a|
+        mods = np.hypot(bases.real, bases.imag)
+        gaps = 1.0 - mods
+        theta, half = np.angle(bases), gaps / 2.0
+        whole = mods == 0.0
+        arcs = self._angle_windows(theta, half * (1.0 + _WINDOW_PAD) + _WINDOW_PAD, whole)
+        windows = self._windows(_octave(gaps * (1.0 + _WINDOW_PAD)), self.band_range[1], arcs)
+
+        def inside(idx, k):
+            pts = self.points[idx]
+            d = np.abs((np.angle(pts) - theta[k] + math.pi) % _TWO_PI - math.pi)
+            return whole[k] | ((np.abs(pts) >= mods[k]) & (d < half[k]))
+
+        return windows, inside
+
+    @staticmethod
+    def _angle_windows(theta, half, whole):
+        """Per region, two angle intervals (lo1, hi1, lo2, hi2) relative to a
+        band's key base; an empty one has lo > hi.  The arc is theta +- half
+        (half < pi), or every angle where whole."""
         lo, hi = theta - half, theta + half
         wrap_lo, wrap_hi = lo < -math.pi, hi > math.pi
         edge = _BAND_STRIDE / 2.0
@@ -302,17 +311,15 @@ class _SupportIndex:
         arcs[whole] = (-edge, edge, 1.0, -1.0)
         return arcs
 
-    def _block_masses(self, centers, center_gaps, r):
-        """pseudo_disc_masses of one block of centres."""
-        mods = np.abs(centers)
-        c, R, g_out, g_in = _disc_params(mods, center_gaps, r)
-        ce = np.where(mods > 0, centers / np.maximum(mods, 1e-300), 1.0) * c
-        owner, start, length = self._windows(ce, c, R, g_out, g_in)
+    def _sum_windows(self, out, windows, inside):
+        """Add to out[k] the mass of the points of region k's windows that
+        pass the exact test inside(idx, k), idx their positions in the
+        sorted points and k their regions."""
+        owner, start, length = windows
         end = np.cumsum(length)
         begin = end - length
         shift = start - begin  # candidate t of window w is point t + shift[w]
         total = int(end[-1]) if len(end) else 0
-        out = np.zeros(len(ce))
         for t0 in range(0, total, _CANDIDATE_CHUNK):
             t1 = min(t0 + _CANDIDATE_CHUNK, total)
             w0, w1 = np.searchsorted(end, [t0, t1 - 1], "right")
@@ -320,24 +327,23 @@ class _SupportIndex:
             counts = np.minimum(end[ws], t1) - np.maximum(begin[ws], t0)
             w = np.repeat(np.arange(w0, w1 + 1), counts)
             idx = np.arange(t0, t1) + shift[w]
-            k = owner[w]  # nondecreasing: windows are ordered by centre
-            inside = np.abs(self.points[idx] - ce[k]) < R[k]
-            out[k[0]:k[-1] + 1] += np.bincount(k[inside] - k[0],
-                                               weights=self.masses[idx[inside]],
+            k = owner[w]  # nondecreasing: windows are ordered by region
+            hit = inside(idx, k)
+            out[k[0]:k[-1] + 1] += np.bincount(k[hit] - k[0],
+                                               weights=self.masses[idx[hit]],
                                                minlength=k[-1] - k[0] + 1)
-        return out
 
-    def _windows(self, ce, c, R, g_out, g_in):
-        """(owner centre, start, length) of the nonempty runs of sorted points
-        that can lie in D(ce, R), ordered by owner."""
+    def _windows(self, band_lo, band_hi, arcs):
+        """(owner region, start, length) of the nonempty runs of sorted points
+        in the regions' windows (bands band_lo to band_hi, the angle
+        intervals arcs), ordered by owner."""
         lo, hi = self.band_range
-        band_lo = np.maximum(_octave(g_in * (1.0 + _WINDOW_PAD)), lo)
-        band_hi = np.minimum(_octave(g_out * (1.0 - _WINDOW_PAD)), hi)
+        band_lo = np.maximum(band_lo, lo)
+        band_hi = np.minimum(band_hi, hi)
         n_bands = np.maximum(band_hi - band_lo + 1, 0)
-        owner = np.repeat(np.arange(len(ce)), n_bands)  # one entry per (centre, band)
+        owner = np.repeat(np.arange(len(arcs)), n_bands)  # one entry per (region, band)
         first = np.cumsum(n_bands) - n_bands
         base = _BAND_STRIDE * (band_lo[owner] + np.arange(len(owner)) - first[owner])
-        arcs = self._angle_windows(np.angle(ce), c, R)
         bounds = base[:, None] + arcs[owner]  # lo1 hi1 lo2 hi2 in key units
         start = np.searchsorted(self.keys, bounds[:, 0::2].ravel(), "left")
         length = np.searchsorted(self.keys, bounds[:, 1::2].ravel(), "right") - start
@@ -348,10 +354,10 @@ class _SupportIndex:
 class RadialDensityMeasure(DiscMeasure):
     """d(mu) = f(|z|) dA for a radial density f, given through the gap u=1-|z|.
 
-    Region masses reduce to 1-d tail integrals (squares, annuli, the whole
-    disc) or to a disc-centered polar rule (pseudohyperbolic discs),
-    so they are accurate independently of any grid.  The grid is still
-    carried: it defines the discrete support for pushforwards.
+    Carleson-square masses reduce to 1-d tail integrals and pseudo-disc
+    masses to a disc-centred polar rule, so they are accurate independently
+    of any grid.  The grid is still carried: it defines the discrete support
+    for pushforwards.
     """
 
     def __init__(self, gap_density, grid, name="radial_density"):
@@ -377,12 +383,6 @@ class RadialDensityMeasure(DiscMeasure):
             self._node_masses = np.repeat(dens * grid.ring_node_weights, grid.ring_counts)
         return self.grid.nodes, self._node_masses
 
-    def total_mass(self):
-        return self._weight.disc_mass()
-
-    def measure_of(self, region):
-        return weighted_area(self._weight, region)
-
     def carleson_masses(self, bases):
         bases = np.atleast_1d(np.asarray(bases, dtype=complex))
         return self._weight.carleson_mass_at_gap(1.0 - np.abs(bases))
@@ -395,27 +395,6 @@ class RadialDensityMeasure(DiscMeasure):
         gaps, w = geometry._polar_rule(c, R, g_out)
         vals = self._weight.density_at_gap(gaps.ravel()).reshape(gaps.shape)
         return np.einsum("bij,bij->b", vals, np.broadcast_to(w, gaps.shape))
-
-
-class CallableDensityMeasure(DiscMeasure):
-    """d(mu) = f(z) dA for a general pointwise density, sampled on the grid."""
-
-    def __init__(self, fn, grid, name="density"):
-        self._fn = fn
-        self.grid = grid
-        self.name = name
-        self._node_masses = None
-
-    def support_nodes(self):
-        if self._node_masses is None:
-            dens = np.asarray(self._fn(self.grid.nodes), dtype=float)
-            if np.any(dens < 0.0) or np.any(~np.isfinite(dens)):
-                raise DomainError("measure density must be finite and nonnegative")
-            self._node_masses = dens * self.grid.weights
-        return self.grid.nodes, self._node_masses
-
-    def pseudo_disc_masses(self, centers, r, center_gaps=None):
-        return self._support_index().pseudo_disc_masses(centers, r, center_gaps)
 
 
 _ATOM_COLUMNS = ("re", "im", "mass")
@@ -497,8 +476,16 @@ class AtomicMeasure(DiscMeasure):
     def support_nodes(self):
         return self.points, self.masses
 
+    @functools.cached_property
+    def _index(self):
+        """The _SupportIndex of the atoms, built on first use."""
+        return _SupportIndex(self.points, self.masses)
+
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
-        return self._support_index().pseudo_disc_masses(centers, r, center_gaps)
+        return self._index.pseudo_disc_masses(centers, r, center_gaps)
+
+    def carleson_masses(self, bases):
+        return self._index.carleson_masses(bases)
 
 
 def pushforward(phi, h, mu):

@@ -8,11 +8,11 @@ objects of interest are built from its tail integrals
     tail_density_at_gap(u)   =  tail_integral_at_gap(u) / u
     moment(x)                =  int_0^1 r^x w(r) dr
 
-and from masses of boundary regions (Carleson squares, pseudohyperbolic
-discs, annuli).  Everything is computed and taken in "gap space"
-u = 1 - r: the standard weights (1-r)^a and their ilk are exact functions of
-u, so working in u avoids catastrophic cancellation arbitrarily close to the
-boundary.  Callers holding a radius pass 1 - r.
+and from the masses of Carleson squares and of the whole disc.  Everything
+is computed and taken in "gap space" u = 1 - r: the standard weights
+(1-r)^a and their ilk are exact functions of u, so working in u avoids
+catastrophic cancellation arbitrarily close to the boundary.  Callers
+holding a radius pass 1 - r.
 
 Quadrature strategy: integrals from the boundary inward are summed over
 dyadic octaves of u with a fixed Gauss-Legendre rule per octave.  Power-like
@@ -28,13 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrabilityError
-from . import geometry
 
 __all__ = [
     "RadialWeight",
     "WeightClassReport",
     "classify",
-    "weighted_area",
     "gamma_exponent",
     "gamma_for",
     "GammaResult",
@@ -468,36 +466,8 @@ def classify(w, mesh=256):
 
 
 # ---------------------------------------------------------------------------
-# region masses and the Berezin exponent
+# the Berezin exponent
 # ---------------------------------------------------------------------------
-
-def weighted_area(w, region, grid=None):
-    """Weighted area int_E w dA of a region, dA normalized by pi.
-
-    Without a grid the value comes from the exact radial reduction of the
-    region (1-d quadrature); with a grid the region indicator is summed over
-    the grid nodes, which is the refinement-diagnostic route.
-    """
-    if grid is not None:
-        inside = region.contains(grid.nodes)
-        if not np.any(inside):
-            return 0.0
-        dens = w.density_at_gap(grid.ring_gaps)[grid.ring_index[inside]]
-        return float(np.sum(dens * grid.weights[inside]))
-
-    if isinstance(region, geometry.WholeDisc):
-        return w.disc_mass()
-    if isinstance(region, geometry.CarlesonSquare):
-        return float(w.carleson_mass_at_gap(1.0 - abs(region.base)))
-    if isinstance(region, geometry.PseudoDisc):
-        gaps, wts = region.polar_sample()
-        return float(np.sum(w.density_at_gap(gaps) * wts))
-    if isinstance(region, geometry.Annulus):
-        lo = w._tail_at_gap("rmom", 1.0 - region.r_inner)
-        hi = w._tail_at_gap("rmom", 1.0 - region.r_outer)
-        return float((lo - hi) * region.angular_width / math.pi)
-    raise DomainError(f"unsupported region type {type(region).__name__}")
-
 
 @dataclass
 class GammaResult:

@@ -112,32 +112,37 @@ def test_03_norm_equivalence():
         deg = int(rng.integers(1, 21))
         polys.append(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
     grids = {lvl: make_grid(lvl) for lvl in (8, 10)}
-    worst_change = 0.0
+    cases = [(alpha, p) for alpha in (0.0, 1.0) for p in (0.5, 1.0, 2.0, 4.0)]
+    weights = {}
     for alpha in (0.0, 1.0):
         w = RadialWeight.power(alpha)
-        tilde = w.tilde_weight()
-        dens = {lvl: (w.density_at_gap(g.ring_gaps[g.ring_index]) * g.weights,
-                      tilde.density_at_gap(g.ring_gaps[g.ring_index]) * g.weights)
-                for lvl, g in grids.items()}
-        mods = {lvl: None for lvl in grids}
-        for p in (0.5, 1.0, 2.0, 4.0):
-            bracket = 5.0
-            ratios = {}
-            for lvl, g in grids.items():
-                vals = []
-                for coeffs in polys:
-                    fv = np.abs(np.polynomial.polynomial.polyval(g.nodes, coeffs)) ** p
-                    num = np.sum(fv * dens[lvl][1]) ** (1.0 / p)
-                    den = np.sum(fv * dens[lvl][0]) ** (1.0 / p)
-                    vals.append(num / den)
-                ratios[lvl] = np.array(vals)
-            fine = ratios[10]
-            assert np.all(fine < bracket) and np.all(fine > 1.0 / bracket)
-            # a single constant per (weight, p): the spread across functions
-            assert np.max(fine) / np.min(fine) < 1.05
-            change = np.max(np.abs(ratios[8] - fine) / fine)
-            worst_change = max(worst_change, change)
-            assert change < 0.01
+        weights[alpha] = (w, w.tilde_weight())
+    ratios = {case: {} for case in cases}
+    for lvl, g in grids.items():
+        gaps = g.ring_gaps[g.ring_index]
+        dens = {alpha: (w.density_at_gap(gaps) * g.weights,
+                        tilde.density_at_gap(gaps) * g.weights)
+                for alpha, (w, tilde) in weights.items()}
+        vals = {case: [] for case in cases}
+        for coeffs in polys:  # |f| once per (polynomial, grid), for every (alpha, p)
+            mod = np.abs(np.polynomial.polynomial.polyval(g.nodes, coeffs))
+            for alpha, p in cases:
+                fv = mod ** p
+                num = np.sum(fv * dens[alpha][1]) ** (1.0 / p)
+                den = np.sum(fv * dens[alpha][0]) ** (1.0 / p)
+                vals[alpha, p].append(num / den)
+        for case in cases:
+            ratios[case][lvl] = np.array(vals[case])
+    worst_change = 0.0
+    for case in cases:
+        bracket = 5.0
+        fine = ratios[case][10]
+        assert np.all(fine < bracket) and np.all(fine > 1.0 / bracket)
+        # a single constant per (weight, p): the spread across functions
+        assert np.max(fine) / np.min(fine) < 1.05
+        change = np.max(np.abs(ratios[case][8] - fine) / fine)
+        worst_change = max(worst_change, change)
+        assert change < 0.01
     announce(3, "norm equivalence against the tail-density weight",
              f"worst refinement change {worst_change:.2e}")
 

@@ -1,14 +1,16 @@
-"""Pseudohyperbolic geometry, regions, and lattices."""
+"""Pseudohyperbolic geometry, Carleson squares, and lattices."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergman.geometry import _polar_rule
+
 from bergman import (
+    AtomicMeasure,
     DomainError,
     ResourceLimitError,
-    carleson_square,
     probe_lattice,
     pseudo_disc,
     r_lattice,
@@ -72,7 +74,8 @@ class TestPseudoDisc:
         d = pseudo_disc(a, r)
         pts = (rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500))
         pts = pts[np.abs(pts) < 1.0]
-        assert np.array_equal(d.contains(pts), rho(a, pts) < r)
+        inside = np.abs(pts - d.euclid_center) < d.euclid_radius
+        assert np.array_equal(inside, rho(a, pts) < r)
 
     def test_stays_inside_disc(self):
         d = pseudo_disc(0.99, 0.9)
@@ -85,33 +88,44 @@ class TestPseudoDisc:
 
     def test_polar_sample_mass(self):
         d = pseudo_disc(0.6 + 0.1j, 0.35)
-        gaps, weights = d.polar_sample()
+        gaps, weights = _polar_rule(np.array([abs(d.euclid_center)]),
+                                    np.array([d.euclid_radius]), np.array([d.gap_outer]))
+        weights = np.broadcast_to(weights, gaps.shape)
         assert weights.sum() == pytest.approx(d.euclid_radius ** 2, rel=1e-12)
         assert np.all(gaps > 0.0)
 
 
+def held_by_square(base, *pts):
+    """Which unit atoms the Carleson square S(base) holds, read off the
+    atoms' square masses one atom at a time."""
+    return [AtomicMeasure(np.array([p], dtype=complex), np.ones(1)).carleson_masses(base)[0] == 1
+            for p in pts]
+
+
 class TestCarlesonSquare:
     def test_zero_is_whole_disc(self):
-        sq = carleson_square(0.0)
-        assert sq.is_whole_disc
-        pts = np.array([0.0, 0.5j, -0.99])
-        assert np.all(sq.contains(pts))
+        assert all(held_by_square(0.0, 0.0, 0.5j, -0.99))
 
     def test_halfwidth(self):
-        sq = carleson_square(0.5)
-        assert sq.angular_halfwidth == pytest.approx(0.25)
-        assert sq.radial_lower == pytest.approx(0.5)
+        # S(0.5): angles within 0.25 of 0 and radii from 0.5
+        eps = 1e-9
+        inside = [0.75 * np.exp(1j * (0.25 - eps)), 0.75 * np.exp(-1j * (0.25 - eps)),
+                  0.5, 0.5 + eps]
+        outside = [0.75 * np.exp(1j * (0.25 + eps)), 0.75 * np.exp(-1j * (0.25 + eps)),
+                   0.5 - eps]
+        assert all(held_by_square(0.5, *inside))
+        assert not any(held_by_square(0.5, *outside))
 
     def test_membership_example(self):
-        assert carleson_square(0.5).contains(0.75 * np.exp(0.1j))
-        assert carleson_square(0.3).contains(0.5 * np.exp(0.05j))
-        assert not carleson_square(0.72).contains(0.5)  # below the radial side
+        assert held_by_square(0.5, 0.75 * np.exp(0.1j)) == [True]
+        assert held_by_square(0.3, 0.5 * np.exp(0.05j)) == [True]
+        assert held_by_square(0.72, 0.5) == [False]  # below the radial side
 
     def test_rotation_covariance(self):
-        sq = carleson_square(0.5 * np.exp(1.3j))
+        base = 0.5 * np.exp(1.3j)
         inner = 0.75 * np.exp(1.3j + 0.1j)
         outer = 0.75 * np.exp(1.3j + 0.3j)
-        assert sq.contains(inner) and not sq.contains(outer)
+        assert held_by_square(base, inner, outer) == [True, False]
 
 
 class TestLattices:

@@ -12,25 +12,41 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bergman import (
-    Annulus,
     AtomicMeasure,
-    CallableDensityMeasure,
     DomainError,
     Moebius,
     PowerMap,
     RadialDensityMeasure,
+    RadialWeight,
     ResourceLimitError,
     Identity,
-    WholeDisc,
-    carleson_square,
     make_grid,
+    maximal_function,
     pseudo_disc,
     pushforward,
+    r_lattice,
     radial_rings,
     rho,
 )
 from bergman import measures
+from bergman.criteria import _MASS_FLOOR
 from bergman.errors import SelfMapViolationError
+
+
+def grid_sum(grid, f):
+    """The grid's quadrature of f: node values against the area weights."""
+    return float(np.sum(f(grid.nodes) * grid.weights))
+
+
+def in_square(a, pts):
+    """Brute-force membership of pts in the Carleson square S(a): the whole
+    disc for a = 0, otherwise |p| >= |a| and a wrapped angle gap below
+    (1-|a|)/2."""
+    pts = np.asarray(pts, dtype=complex)
+    if a == 0:
+        return np.abs(pts) < 1.0
+    gap = np.abs((np.angle(pts) - np.angle(a) + math.pi) % (2.0 * math.pi) - math.pi)
+    return (np.abs(pts) >= abs(a)) & (gap < (1.0 - abs(a)) / 2.0)
 
 
 class TestGrid:
@@ -44,36 +60,26 @@ class TestGrid:
         assert np.all(grid8.ring_gaps[grid8.ring_index] > 0.0)
 
     def test_constant_integral(self, grid8):
-        assert grid8.integrate(lambda z: np.full(z.shape, 2.5)) == pytest.approx(2.5)
+        assert grid_sum(grid8, lambda z: np.full(z.shape, 2.5)) == pytest.approx(2.5)
 
     def test_second_moment(self):
         grid = make_grid(10)
-        got = grid.integrate(lambda z: np.abs(z) ** 2)
+        got = grid_sum(grid, lambda z: np.abs(z) ** 2)
         assert abs(got - 0.5) < 1e-6
 
     def test_smooth_refinement_stability(self):
         vals = {}
         for lvl in (8, 10):
             g = make_grid(lvl)
-            vals[lvl] = g.integrate(lambda z: np.exp(z.real) * np.cos(z.imag))
+            vals[lvl] = grid_sum(g, lambda z: np.exp(z.real) * np.cos(z.imag))
         assert abs(vals[8] - vals[10]) / abs(vals[10]) < 5e-3
 
     def test_indicator_of_square(self):
         # indicator sums are limited by the angular cell size at the box edge
         target = 3.0 / (16.0 * math.pi)
-        sq = carleson_square(0.5)
         grid = make_grid(9, angular_base=64)
-        got = grid.integrate(lambda z: sq.contains(z).astype(float))
+        got = grid_sum(grid, lambda z: in_square(0.5, z).astype(float))
         assert got == pytest.approx(target, rel=0.02)
-
-    def test_nonfinite_integrand_reports_node(self, grid8):
-        def bad(z):
-            out = np.ones(z.shape)
-            out[7] = np.inf
-            return out
-
-        with pytest.raises(DomainError, match="not finite at node"):
-            grid8.integrate(bad)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -92,12 +98,13 @@ class TestGrid:
 class TestMeasureOf:
     def test_atom_in_disc(self):
         mu = AtomicMeasure(np.array([0.0 + 0.0j]), np.array([1.0]))
-        assert mu.measure_of(pseudo_disc(0.0, 0.5)) == 1.0
+        assert mu.pseudo_disc_masses(np.array([0j]), 0.5)[0] == 1.0
 
     def test_area_of_pseudo_disc_at_origin(self, grid8):
         mu = RadialDensityMeasure.from_power(0.0, grid8)
         for r in (0.2, 0.5, 0.8):
-            assert mu.measure_of(pseudo_disc(0.0, r)) == pytest.approx(r * r, rel=1e-10)
+            got = mu.pseudo_disc_masses(np.array([0j]), r)[0]
+            assert got == pytest.approx(r * r, rel=1e-10)
 
     def test_power_density_scaling(self, grid8):
         # mu(Delta(z, r)) comparable to (1-|z|)^(beta+2) toward the boundary
@@ -122,17 +129,8 @@ class TestMeasureOf:
 
         oracle, _ = quad(lambda t: (1 - t) ** beta * t * arc(t) / np.pi,
                          c - R, c + R, limit=400)
-        assert mu.measure_of(d) == pytest.approx(oracle, rel=1e-8)
-
-    def test_additive_over_partition(self, grid8):
-        mu = RadialDensityMeasure.from_power(1.0, grid8)
-        parts = [Annulus(0.0, 0.3), Annulus(0.3, 0.8), Annulus(0.8, 1.0)]
-        total = sum(mu.measure_of(p) for p in parts)
-        assert total == pytest.approx(mu.measure_of(WholeDisc()), rel=1e-10)
-        sectors = [Annulus(0.2, 0.9, theta0, math.pi / 2) for theta0 in
-                   (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
-        total = sum(mu.measure_of(s) for s in sectors)
-        assert total == pytest.approx(mu.measure_of(Annulus(0.2, 0.9)), rel=1e-10)
+        got = mu.pseudo_disc_masses(np.array([a + 0j]), r)[0]
+        assert got == pytest.approx(oracle, rel=1e-8)
 
     def test_atomic_disc_masses_vs_bruteforce(self, rng):
         pts = np.sqrt(rng.uniform(0, 1, 3000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 3000))
@@ -201,9 +199,10 @@ class TestMeasureOf:
         assert np.array_equal(index.masses, masses[order])
         assert index.band_range == ((bands.min(), bands.max()) if n else None)
 
-    def test_callable_density_disc_masses_vs_bruteforce(self, grid8):
+    def test_grid_support_disc_masses_vs_bruteforce(self, grid8):
+        # grid-shaped support: evenly spaced rings, many tied keys
         rng = np.random.default_rng(5)
-        mu = CallableDensityMeasure(lambda z: 1.0 + z.real ** 2, grid8)
+        mu = AtomicMeasure(*RadialDensityMeasure(lambda u: 1.0 + u * u, grid8).support_nodes())
         pts, masses = mu.support_nodes()
         centers = np.concatenate([
             [0.0, -0.6 + 1e-9j, 0.2j, 0.97],
@@ -222,19 +221,77 @@ class TestMeasureOf:
         assert mu.min_gap == 1.0 - abs(pts[17])
         assert AtomicMeasure(np.array([], dtype=complex), np.array([])).min_gap == math.inf
 
-    def test_callable_density_matches_radial(self, grid10):
-        beta = 1.0
-        radial = RadialDensityMeasure.from_power(beta, grid10)
-        general = CallableDensityMeasure(lambda z: (1.0 - np.abs(z)) ** beta, grid10)
-        region = pseudo_disc(0.5, 0.4)
-        assert general.measure_of(region) == pytest.approx(
-            radial.measure_of(region), rel=0.03)
-        assert general.total_mass() == pytest.approx(radial.total_mass(), rel=1e-6)
-
     def test_zero_density_measure(self, grid8):
         mu = RadialDensityMeasure(lambda u: np.zeros_like(u), grid8, name="zero")
-        assert mu.measure_of(WholeDisc()) == 0.0
+        assert mu.carleson_masses(0.0)[0] == 0.0
         assert mu.pseudo_disc_masses(np.array([0.5 + 0j]), 0.3)[0] == 0.0
+
+
+class TestCarlesonMasses:
+    EDGES = 1.0 - 2.0 ** -np.arange(1, 13)  # gaps exactly 2^-k
+
+    def bases(self, rng):
+        theta = 2 * np.pi * rng.uniform(0, 1, 6)
+        return np.concatenate([
+            [0.0, 0.5, 0.3, 0.72, 0.5 * np.exp(1.3j)],  # the membership examples
+            [-0.6 + 1e-9j, -0.6 - 1e-9j, -0.9, np.conj(-0.9 + 0j), -(1 - 2.0 ** -6),
+             0.9 * np.exp(3.0j), 0.9 * np.exp(-3.0j)],  # windows that wrap at +-pi
+            self.EDGES, self.EDGES * np.exp(0.3j),
+            (1.0 - 10.0 ** rng.uniform(-5, 0, 6)) * np.exp(1j * theta),
+        ])
+
+    def cloud(self, rng, n, bases):
+        """n random atoms graded toward the boundary, plus the edge cases."""
+        pts = (1.0 - 10.0 ** rng.uniform(-6, 0, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        examples = [0.75 * np.exp(0.1j), 0.5 * np.exp(0.05j), 0.5,  # membership
+                    0.75 * np.exp(1.4j), 0.75 * np.exp(1.6j),  # rotation
+                    0.0, 0.5j, -0.99]
+        return np.concatenate([
+            pts, examples, self.EDGES + 0j, -self.EDGES + 0j,  # angle +pi
+            np.conj(-self.EDGES + 0j),  # angle -pi
+            bases, np.conj(bases),  # atoms exactly on a square's radial edge
+        ])
+
+    @pytest.mark.parametrize("chunk, block", [(None, None), (7, 3)])
+    def test_atomic_vs_bruteforce(self, monkeypatch, chunk, block):
+        if chunk:  # windows split across candidate chunks and bases across blocks
+            monkeypatch.setattr(measures, "_CANDIDATE_CHUNK", chunk)
+            monkeypatch.setattr(measures, "_CENTER_BLOCK", block)
+        rng = np.random.default_rng(11)
+        bases = self.bases(rng)
+        pts = self.cloud(rng, 2000, bases)
+        masses = rng.uniform(0, 1, len(pts))
+        got = AtomicMeasure(pts, masses).carleson_masses(bases)
+        expect = [masses[in_square(a, pts)].sum() for a in bases]
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
+        counts = AtomicMeasure(pts, np.ones(len(pts))).carleson_masses(bases)
+        assert np.array_equal(counts, [np.count_nonzero(in_square(a, pts)) for a in bases])
+
+    def test_empty_cloud(self):
+        mu = AtomicMeasure(np.array([], dtype=complex), np.array([]))
+        assert np.array_equal(mu.carleson_masses([0.0, 0.5, -0.9j]), np.zeros(3))
+
+    def test_maximal_function_matches_square_loop(self):
+        """maximal_function against the per-square loop it replaced."""
+        rng = np.random.default_rng(12)
+        n = 3000
+        pts = np.sqrt(rng.uniform(0, 0.999, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        mu = AtomicMeasure(pts, rng.uniform(0, 1, n))
+        w = RadialWeight.power(1.0)
+        lattice = r_lattice(0.5, depth=12)
+
+        def loop(z):
+            cands = np.concatenate([[0j], lattice])
+            mods = np.abs(cands)
+            dphi = np.abs((np.angle(z) - np.angle(cands) + math.pi) % (2 * math.pi) - math.pi)
+            adm = cands[(mods == 0.0) | ((abs(z) >= mods) & (dphi < (1.0 - mods) / 2.0))]
+            w_masses = w.carleson_mass_at_gap(1.0 - np.abs(adm))
+            mu_masses = np.array([mu.masses[in_square(a, mu.points)].sum() for a in adm])
+            ok = w_masses > _MASS_FLOOR
+            return float(np.max(mu_masses[ok] / w_masses[ok]))
+
+        for z in (0.0, 0.5, 0.3 - 0.8j, 0.99 * np.exp(2.0j), -0.999):
+            assert maximal_function(mu, w, 1.0, z) == pytest.approx(loop(z), rel=1e-12)
 
 
 class TestPushforward:
@@ -255,8 +312,10 @@ class TestPushforward:
     def test_identity_preserves_region_measures(self, rng):
         mu = self._atoms(rng)
         pf = pushforward(Identity(), None, mu)
-        for region in (pseudo_disc(0.4, 0.3), carleson_square(0.6)):
-            assert pf.measure_of(region) == mu.measure_of(region)
+        centers = np.array([0.4, 0.6, -0.3j, 0.0])
+        assert np.array_equal(pf.pseudo_disc_masses(centers, 0.3),
+                              mu.pseudo_disc_masses(centers, 0.3))
+        assert np.array_equal(pf.carleson_masses(centers), mu.carleson_masses(centers))
 
     def test_density_support_atomization(self, grid8):
         # the operator case: h = |u|^q against a density weight gives atoms
@@ -273,7 +332,7 @@ class TestPushforward:
         pf = pushforward(PowerMap(2), None, nu)
         g = lambda z: (1.0 + z).real
         lhs = pf.integrate(g)
-        rhs = grid8.integrate(lambda z: g(z ** 2))
+        rhs = grid_sum(grid8, lambda z: g(z ** 2))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_self_map_violation(self, rng):

@@ -18,6 +18,7 @@ import pytest
 from scipy.special import hyp2f1
 
 from bergman import (
+    AtomicMeasure,
     ConformalPower,
     Polynomial,
     QuadratureGrid,
@@ -30,8 +31,6 @@ from bergman import (
 )
 from bergman import measures
 from bergman.criteria import _ring_kernel_means
-from bergman.geometry import carleson_square
-from bergman.weights import weighted_area
 
 RTOL = 1e-12
 
@@ -229,10 +228,14 @@ def test_support_nodes_match_node_reference(grid, gaps, weight):
 
 
 def test_weighted_area_on_grid_matches_node_reference(grid, gaps, weight):
-    region = carleson_square(0.8 * np.exp(0.4j))
-    inside = region.contains(grid.nodes)
+    # the Carleson-square mass of the grid's atoms: ring masses, sorted index
+    a = 0.8 * np.exp(0.4j)
+    z = grid.nodes
+    angle_gap = np.abs((np.angle(z) - np.angle(a) + math.pi) % (2.0 * math.pi) - math.pi)
+    inside = (np.abs(z) >= abs(a)) & (angle_gap < (1.0 - abs(a)) / 2.0)
     want = float(np.sum(weight.density_at_gap(gaps[inside]) * grid.weights[inside]))
-    assert_close(weighted_area(weight, region, grid=grid), want)
+    atoms = AtomicMeasure(*RadialDensityMeasure.from_weight(weight, grid).support_nodes())
+    assert_close(atoms.carleson_masses(a)[0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bergman import (
-    Annulus,
     DomainError,
     IntegrabilityError,
-    PseudoDisc,
+    RadialDensityMeasure,
     RadialWeight,
-    WholeDisc,
-    carleson_square,
     classify,
     gamma_exponent,
-    weighted_area,
+    make_grid,
+    pseudo_disc,
 )
 
 
@@ -150,15 +148,15 @@ class TestClassify:
 
 class TestWeightedArea:
     def test_whole_disc_unit(self, unit_weight):
-        assert weighted_area(unit_weight, WholeDisc()) == pytest.approx(1.0)
+        assert unit_weight.disc_mass() == pytest.approx(1.0)
 
     def test_carleson_square_half(self, unit_weight):
         # (1/pi) * (1-|z|) * int_{1/2}^1 r dr = 3/(16 pi)
-        got = weighted_area(unit_weight, carleson_square(0.5))
+        got = unit_weight.carleson_mass_at_gap(0.5)
         assert got == pytest.approx(3.0 / (16.0 * math.pi), rel=1e-10)
 
     def test_square_at_zero_is_disc(self, unit_weight):
-        assert weighted_area(unit_weight, carleson_square(0.0)) == pytest.approx(1.0)
+        assert unit_weight.carleson_mass_at_gap(1.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0])
     def test_square_mass_power_scaling(self, alpha):
@@ -180,21 +178,17 @@ class TestWeightedArea:
     def test_grid_route_matches_radial_route(self):
         # the indicator sum is angular-resolution limited, so compare on a
         # grid with a fine angular base
-        from bergman import make_grid
-
         w = RadialWeight.power(1.0)
         grid = make_grid(9, angular_base=64)
-        for region, tol in ((carleson_square(0.5), 0.03),
-                            (PseudoDisc(0.4 + 0.2j, 0.4), 0.03),
-                            (Annulus(0.25, 0.75), 1e-10)):
-            exact = weighted_area(w, region)
-            on_grid = weighted_area(w, region, grid=grid)
-            assert on_grid == pytest.approx(exact, rel=tol)
-
-    def test_degenerate_region_is_zero(self, unit_weight, grid10):
-        region = Annulus(0.7, 0.7)
-        assert weighted_area(unit_weight, region) == 0.0
-        assert weighted_area(unit_weight, region, grid=grid10) == 0.0
+        dens = w.density_at_gap(grid.ring_gaps)[grid.ring_index] * grid.weights
+        z = grid.nodes
+        square = (np.abs(z) >= 0.5) & (np.abs(np.angle(z)) < 0.25)
+        assert np.sum(dens[square]) == pytest.approx(w.carleson_mass_at_gap(0.5), rel=0.03)
+        d = pseudo_disc(0.4 + 0.2j, 0.4)
+        disc = np.abs(z - d.euclid_center) < d.euclid_radius
+        exact = RadialDensityMeasure.from_weight(w, grid).pseudo_disc_masses(
+            np.array([d.center]), d.radius)[0]
+        assert np.sum(dens[disc]) == pytest.approx(exact, rel=0.03)
 
 
 class TestGammaExponent:
