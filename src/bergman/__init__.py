@@ -36,14 +36,12 @@ from .measures import (
     DiscMeasure,
     QuadratureGrid,
     RadialDensityMeasure,
-    make_grid,
     pushforward,
     radial_rings,
 )
 from .spaces import (
     AnalyticFunction,
     ConformalPower,
-    FunctionSum,
     Identity,
     MapComposition,
     Moebius,

@@ -69,8 +69,6 @@ def _write_samples(args, rows):
 
 def _load(args):
     cfg = ExperimentConfig.load(args.config)
-    if args.grid_level is not None:
-        cfg.grid_level = args.grid_level
     args._config_raw = cfg.raw
     return cfg
 
@@ -134,23 +132,20 @@ def cmd_criterion(args):
             level=max(cfg.grid_level, 12))
     elif which == "carleson":
         op = cfg.operator()
-        # the grid before the measure: on a 300k-atom cloud this order peaks
-        # 0.8 MB lower than loading the atoms first
-        grid = cfg.grid()
         nu = cfg.measure()
         report = criteria.op_pushforward_criterion(
-            op, cfg.p, cfg.q, w, nu, r=cfg.lattice_r, grid=grid)
+            op, cfg.p, cfg.q, w, nu, r=cfg.lattice_r, level=cfg.grid_level)
     elif which == "berezin":
         op = cfg.operator()
-        nu = cfg.target_weight()
+        grid = cfg.grid()
+        nu = measures.RadialDensityMeasure.from_weight(cfg.target_weight(), grid)
         if cfg.gamma is not None:
             gamma, validated = cfg.gamma, None
         else:
-            res = weights.gamma_for(w, cfg.p, grid=cfg.grid())
+            res = weights.gamma_for(w, cfg.p, grid)
             gamma, validated = res.gamma, res.verified
         report = criteria.berezin_criterion(
-            op, cfg.p, cfg.q, w, nu, gamma, grid=cfg.grid(),
-            gamma_validated=validated)
+            op, cfg.p, cfg.q, w, nu, gamma, grid=grid, gamma_validated=validated)
     elif which == "hinf":
         op = cfg.operator()
         report = criteria.hinf_criterion(
@@ -266,7 +261,7 @@ def _verify_gamma(cfg):
     w = cfg.weight()
     gamma = cfg.gamma if cfg.gamma is not None else weights.gamma_exponent(w, cfg.p)
     passed, worst = criteria.verify_gamma(w, cfg.p, gamma,
-                                          level=max(cfg.grid_level, 13))
+                                          grid=cfg.grid(max(cfg.grid_level, 13)))
     return {"gamma": gamma, "worst_constant": worst, "passed": passed}, passed
 
 
@@ -295,8 +290,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON config")
     common.add_argument("--out", default="out", help="directory for report files")
-    common.add_argument("--grid-level", type=int, default=None,
-                        help="override the config grid level")
     common.add_argument("--deterministic", action="store_true",
                         help="omit timestamps so reports are byte-stable")
 

@@ -42,17 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, measures
+from . import geometry
 from .errors import DomainError, SelfMapViolationError
-from .measures import (
-    AtomicMeasure,
-    DiscMeasure,
-    RadialDensityMeasure,
-    pushforward,
-    radial_rings,
-)
+from .measures import AtomicMeasure, RadialDensityMeasure, pushforward, radial_rings
 from .spaces import AnalyticFunction, apply_operator, bergman_norm, norm_against_measure
-from .weights import RadialWeight
 
 __all__ = [
     "CriterionReport",
@@ -213,16 +206,6 @@ def _sup_report(criterion_id, params, pts, gaps, vals, truncated=0, notes=None):
     )
 
 
-def _as_measure(nu, grid):
-    if isinstance(nu, DiscMeasure):
-        return nu
-    if isinstance(nu, RadialWeight):
-        if grid is None:
-            raise DomainError("a weight-backed measure needs a grid for its support")
-        return RadialDensityMeasure.from_weight(nu, grid)
-    raise DomainError(f"cannot interpret {type(nu).__name__} as a disc measure")
-
-
 # ---------------------------------------------------------------------------
 # embedding criteria
 # ---------------------------------------------------------------------------
@@ -333,14 +316,13 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
                         (tilde * cell_w)[keep], s, level, truncated, notes)
 
 
-def op_pushforward_criterion(op, p, q, w, nu, r=0.3, grid=None, level=12):
-    """Operator criterion for q < p: EMB_LS on the pushforward of |u|^q nu."""
+def op_pushforward_criterion(op, p, q, w, nu, r=0.3, level=12):
+    """Operator criterion for q < p: EMB_LS, evaluated to the given level, on
+    the pushforward of |u|^q nu."""
     if not (0 < q < p):
         raise DomainError("the operator pushforward criterion needs 0 < q < p")
-    nu = _as_measure(nu, grid if grid is not None else measures.make_grid(min(level, 10)))
     pf = pushforward(op.phi, lambda z: np.abs(op.u(z)) ** q, nu)
-    report = embedding_ls_criterion(p, q, op.n, w, pf, r=r,
-                                    level=grid.levels if grid is not None else level)
+    report = embedding_ls_criterion(p, q, op.n, w, pf, r=r, level=level)
     report.criterion_id = "OP_PUSHFORWARD_LS"
     report.params = dict(report.params)
     report.params.update({"phi": repr(op.phi), "u": repr(op.u), "n": op.n,
@@ -397,25 +379,23 @@ def _kernel_sweep(pts, phin, uq, e):
     return np.concatenate(integrals) if integrals else np.zeros(0)
 
 
-def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, grid=None,
+def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
                       gamma_validated=None):
     """Kernel-integral criterion for p <= q.
 
-    nu may be a RadialWeight (the measure nu dA, discretized on the grid) or
-    any DiscMeasure.  gamma should come from gamma_for/verify_gamma; passing
-    an unvalidated gamma only adds a warning note, the sweep still runs.
+    The kernel integral runs over the discrete support of the measure nu.
+    gamma should come from gamma_for/verify_gamma; passing an unvalidated
+    gamma only adds a warning note, the sweep still runs.
 
-    The default basepoint lattice stops two dyadic levels above the grid:
-    deeper basepoints put the kernel peak beyond the grid's resolution and
-    saturate the sweep instead of probing it.
+    The default basepoint lattice stops two dyadic levels above the grid
+    that nu's support lives on: deeper basepoints put the kernel peak
+    beyond the grid's resolution and saturate the sweep instead of probing
+    it.
     """
     if not (0 < p <= q):
         raise DomainError("the Berezin criterion needs 0 < p <= q")
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    if grid is None:
-        grid = measures.make_grid(9)
-    nu = _as_measure(nu, grid)
     pts_nu, masses_nu = nu.support_nodes()
     uq = np.abs(op.u(pts_nu)) ** q * masses_nu
     phin = np.asarray(op.phi(pts_nu), dtype=complex)
@@ -449,7 +429,7 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, grid=None,
 _HINF_BLOCK = 1 << 16
 
 
-def hinf_criterion(op, p, w, grid=None, level=10):
+def hinf_criterion(op, p, w, grid):
     """Supremum criterion for a bounded-target operator, with the containment
     branch for compactness.
 
@@ -460,8 +440,6 @@ def hinf_criterion(op, p, w, grid=None, level=10):
     """
     if p <= 0:
         raise DomainError("p must be positive")
-    if grid is None:
-        grid = measures.make_grid(level)
     nodes = grid.nodes
     peaks = {}  # band -> (value, node, gap of its image)
     truncated, sup_phi_grid = 0, 0.0
@@ -504,21 +482,19 @@ def hinf_criterion(op, p, w, grid=None, level=10):
 # maximal function, gamma verification, norm probes
 # ---------------------------------------------------------------------------
 
-def maximal_function(mu, w, alpha, z, searchpoints=None):
+def maximal_function(mu, w, alpha, z):
     """max over basepoints a with z in S(a) of mu(S(a)) / wS(a)^alpha.
 
     The basepoint a = 0 (whole disc) is always admissible, so the value is
-    well defined for every z.  The default search lattice is the covering
-    lattice (its angular counts refine toward the boundary; the square of a
-    deep basepoint has a tiny angular window, so fixed-angle probe rings
-    would never contain a deep z).
+    well defined for every z.  The other basepoints are the covering lattice
+    r_lattice(0.5, depth=12) (its angular counts refine toward the boundary;
+    the square of a deep basepoint has a tiny angular window, so fixed-angle
+    probe rings would never contain a deep z).
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     z = complex(z)
-    if searchpoints is None:
-        searchpoints = geometry.r_lattice(0.5, depth=12)
-    pts = np.concatenate([[0.0 + 0.0j], np.asarray(searchpoints, dtype=complex)])
+    pts = np.concatenate([[0.0 + 0.0j], geometry.r_lattice(0.5, depth=12)])
     mods = np.abs(pts)
     halfwidth = (1.0 - mods) / 2.0
     dphi = np.abs((np.angle(z) - np.angle(pts) + math.pi) % (2.0 * math.pi) - math.pi)
@@ -564,7 +540,7 @@ def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
     return out
 
 
-def verify_gamma(w, p, gamma, basepoints=None, grid=None, level=14):
+def verify_gamma(w, p, gamma, basepoints=None, *, grid):
     """Check the kernel-domination inequality behind the Berezin criterion.
 
     Evaluates the ratio of int w(z) |1-conj(a) z|^{-gamma p} dA(z) to
@@ -582,8 +558,6 @@ def verify_gamma(w, p, gamma, basepoints=None, grid=None, level=14):
     """
     if gamma <= 0 or p <= 0:
         raise DomainError("gamma and p must be positive")
-    if grid is None:
-        grid = measures.make_grid(level)
     if basepoints is None:
         a_gaps = 2.0 ** (-np.arange(21) / 2.0)  # |a| from 0 up to ~0.999
     else:
@@ -620,14 +594,12 @@ def operator_norm_lower_bound(op, p, q, w, nu, family, grid, target="lq"):
     """Empirical operator-norm lower bound from a probe family.
 
     max over the family of |u * f^{(n)} o phi|_target / |f| in the source
-    space; target "lq" uses the measure nu, "hinf" the grid supremum.
+    space, the source norm taken on the grid; target "lq" is the L^q norm
+    over the measure nu's support, "hinf" the grid supremum (nu unused).
     Zero-norm family members are skipped with a warning.
     """
     if not family:
         raise DomainError("probe family must be nonempty")
-    nu_measure = None
-    if target == "lq":
-        nu_measure = _as_measure(nu, grid)
     best = 0.0
     for f in family:
         den = bergman_norm(f, p, w, grid)
@@ -636,7 +608,7 @@ def operator_norm_lower_bound(op, p, q, w, nu, family, grid, target="lq"):
             continue
         g = apply_operator(op, f)
         if target == "lq":
-            num = norm_against_measure(g, q, nu_measure)
+            num = norm_against_measure(g, q, nu)
         elif target == "hinf":
             num = float(np.max(np.abs(g(grid.nodes))))
         else:

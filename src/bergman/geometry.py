@@ -79,17 +79,13 @@ class PseudoDisc:
     """Pseudohyperbolic ball of center a and radius r in (0, 1).
 
     It is a Euclidean disc with center (1-r^2)a / (1-r^2|a|^2) and radius
-    (1-|a|^2)r / (1-r^2|a|^2).  gap_outer/gap_inner are 1 minus the outer
-    and inner edge radii, computed in cancellation-free form so the disc
-    stays usable arbitrarily close to the boundary.
+    (1-|a|^2)r / (1-r^2|a|^2).
     """
 
     center: complex
     radius: float
     euclid_center: complex = field(init=False)
     euclid_radius: float = field(init=False)
-    gap_outer: float = field(init=False)
-    gap_inner: float = field(init=False)
 
     def __post_init__(self):
         a, r = self.center, self.radius
@@ -101,9 +97,6 @@ class PseudoDisc:
         denom = 1.0 - r * r * m * m
         object.__setattr__(self, "euclid_center", (1.0 - r * r) * a / denom)
         object.__setattr__(self, "euclid_radius", (1.0 - m * m) * r / denom)
-        ua = 1.0 - m
-        object.__setattr__(self, "gap_outer", ua * (1.0 - r) / (1.0 + r * m))
-        object.__setattr__(self, "gap_inner", ua * (1.0 + r) / (1.0 - r * m))
 
 
 def pseudo_disc(a, r):
@@ -146,16 +139,16 @@ def r_lattice(r, depth=16):
     return np.concatenate(pieces)
 
 
-def probe_lattice(depth=14, rings_per_octave=2, angles_per_ring=8):
+def probe_lattice(depth=14, angles_per_ring=8):
     """Thin basepoint lattice for supremum sweeps.
 
     Returns (points, gaps) with gaps = 1-|point| exact by construction.
-    Radial placement is geometric (rings_per_octave rings per dyadic level);
-    the angular count is fixed, which is enough for radially symmetric data
-    and keeps criterion sweeps cheap.  Use r_lattice for a true covering.
+    Radial placement is geometric (two rings per dyadic level); the angular
+    count is fixed, which is enough for radially symmetric data and keeps
+    criterion sweeps cheap.  Use r_lattice for a true covering.
     """
-    m = np.arange(rings_per_octave * depth)
-    gaps = 2.0 ** (-(m + 0.5) / rings_per_octave)
+    m = np.arange(2 * depth)
+    gaps = 2.0 ** (-(m + 0.5) / 2)
     theta = (np.arange(angles_per_ring) + 0.5) * (_TWO_PI / angles_per_ring)
     pts = ((1.0 - gaps)[:, None] * np.exp(1j * theta)[None, :]).ravel()
     return pts, np.repeat(gaps, angles_per_ring)

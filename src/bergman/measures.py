@@ -6,7 +6,8 @@ _RADIAL_SUBCELLS radial subcells (two Gauss-Legendre nodes per subcell, exact
 for cubic radial integrands) and an angular midpoint count proportional to
 2^k.  The nodes come in rings of constant |z|, and all radial bookkeeping
 happens once per ring through its boundary gap u = 1-|z|: the grid stores
-ring gaps and masses, and maps each node to its ring.
+ring gaps, masses and node counts, and its flat node arrays run ring after
+ring.
 
 Measures come in two representations: a radial density (backed by the
 same tail-integral machinery as radial weights, so its Carleson-square masses
@@ -31,7 +32,6 @@ from .weights import RadialWeight
 
 __all__ = [
     "QuadratureGrid",
-    "make_grid",
     "radial_rings",
     "DiscMeasure",
     "RadialDensityMeasure",
@@ -86,11 +86,10 @@ class QuadratureGrid:
     every ring of the band.  Weights sum to 1 exactly up to roundoff.
 
     The constructor keeps only these ring arrays.  The flat per-node arrays
-    nodes, weights and ring_index (a node's gap is
-    ring_gaps[ring_index[i]]) run ring after ring and are built on first
-    read, so work that needs only the rings never allocates them;
-    node_count reads the ring counts.  Instances are immutable and shared
-    freely.
+    nodes and weights run ring after ring (so np.repeat(ring_gaps,
+    ring_counts) are the nodes' gaps) and are built on first read, so work
+    that needs only the rings never allocates them; node_count reads the
+    ring counts.  Instances are immutable and shared freely.
     """
 
     radial_subcells = _RADIAL_SUBCELLS
@@ -116,10 +115,6 @@ class QuadratureGrid:
         self.node_count = int(counts.sum())
 
     @functools.cached_property
-    def ring_index(self):
-        return np.repeat(np.arange(len(self.ring_gaps), dtype=np.int32), self.ring_counts)
-
-    @functools.cached_property
     def weights(self):
         return np.repeat(self.ring_node_weights, self.ring_counts)
 
@@ -141,10 +136,6 @@ class QuadratureGrid:
         return (
             f"QuadratureGrid(levels={self.levels}, nodes={self.node_count})"
         )
-
-
-def make_grid(levels, angular_base=16):
-    return QuadratureGrid(levels, angular_base)
 
 
 def radial_rings(levels):
@@ -364,7 +355,6 @@ class RadialDensityMeasure(DiscMeasure):
         self._weight = RadialWeight(gap_density, name=name, allow_zero=True)
         self.grid = grid
         self.name = name
-        self._node_masses = None
 
     @classmethod
     def from_power(cls, beta, grid):
@@ -377,11 +367,11 @@ class RadialDensityMeasure(DiscMeasure):
         return cls(w.density_at_gap, grid, name=f"density({w.name})")
 
     def support_nodes(self):
-        if self._node_masses is None:
-            grid = self.grid
-            dens = self._weight.density_at_gap(grid.ring_gaps)
-            self._node_masses = np.repeat(dens * grid.ring_node_weights, grid.ring_counts)
-        return self.grid.nodes, self._node_masses
+        """The grid's nodes and their masses, computed once per ring on each
+        call and not kept."""
+        grid = self.grid
+        dens = self._weight.density_at_gap(grid.ring_gaps)
+        return grid.nodes, np.repeat(dens * grid.ring_node_weights, grid.ring_counts)
 
     def carleson_masses(self, bases):
         bases = np.atleast_1d(np.asarray(bases, dtype=complex))
@@ -450,7 +440,7 @@ class AtomicMeasure(DiscMeasure):
         return float(np.min(1.0 - np.abs(self.points), initial=np.inf))
 
     @classmethod
-    def from_csv(cls, path, name=None):
+    def from_csv(cls, path):
         """Read atoms from a CSV with a header naming re, im and mass columns.
 
         The columns may come in any order, other columns are ignored, cells
@@ -471,7 +461,7 @@ class AtomicMeasure(DiscMeasure):
                 raise
             except ValueError as exc:
                 raise _atoms_csv_error(path, cols, exc) from None
-        return cls(arr[:, 0] + 1j * arr[:, 1], arr[:, 2], name=name or str(path))
+        return cls(arr[:, 0] + 1j * arr[:, 1], arr[:, 2], name=str(path))
 
     def support_nodes(self):
         return self.points, self.masses

@@ -1,8 +1,8 @@
 """Analytic functions, self-maps of the disc, and norm computations.
 
-The function algebra is deliberately small - polynomials, conformal powers
-scale * ((1-|a|)/(1 - conj(a) z))^gamma, sums and scalar multiples - so that
-n-th derivatives are available in closed form.  Derivative accuracy drives
+The function algebra is deliberately small - polynomials and conformal
+powers scale * ((1-|a|)/(1 - conj(a) z))^gamma - so that n-th derivatives
+are available in closed form.  Derivative accuracy drives
 every criterion downstream, which is why arbitrary closures are not
 accepted.  The principal branch of the complex power is unambiguous here:
 1 - conj(a) z has positive real part whenever a and z lie in the disc.
@@ -20,7 +20,6 @@ __all__ = [
     "AnalyticFunction",
     "Polynomial",
     "ConformalPower",
-    "FunctionSum",
     "SelfMap",
     "Identity",
     "Scale",
@@ -43,16 +42,6 @@ class AnalyticFunction:
 
     def eval_deriv(self, n, z):
         raise NotImplementedError
-
-    def __add__(self, other):
-        if not isinstance(other, AnalyticFunction):
-            return NotImplemented
-        return FunctionSum([self, other], [1.0, 1.0])
-
-    def __mul__(self, factor):
-        return FunctionSum([self], [complex(factor)])
-
-    __rmul__ = __mul__
 
 
 class Polynomial(AnalyticFunction):
@@ -121,23 +110,6 @@ class ConformalPower(AnalyticFunction):
 
     def __repr__(self):
         return f"ConformalPower(a={self.base}, gamma={self.gamma}, scale={self.scale})"
-
-
-class FunctionSum(AnalyticFunction):
-    """Linear combination of analytic functions."""
-
-    def __init__(self, parts, factors=None):
-        self.parts = list(parts)
-        self.factors = [complex(f) for f in (factors or [1.0] * len(self.parts))]
-        if len(self.parts) != len(self.factors):
-            raise DomainError("parts and factors must match")
-
-    def eval_deriv(self, n, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for c, f in zip(self.factors, self.parts):
-            out = out + c * f.eval_deriv(n, z)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -293,11 +293,11 @@ class RadialWeight:
         out = np.where(u == 1.0, self.disc_mass(), out)
         return float(out[0]) if scalar else out
 
-    def tilde_weight(self, name=None):
+    def tilde_weight(self):
         """The derived weight u -> tail_density_at_gap(u) as a RadialWeight."""
         return RadialWeight(
             lambda u: self.tail_integral_at_gap(u) / u,
-            name=name or f"tilde({self.name})",
+            name=f"tilde({self.name})",
         )
 
     def __repr__(self):
@@ -477,28 +477,27 @@ class GammaResult:
     attempts: int
 
 
-def gamma_exponent(w, p, report=None, mesh=128):
+def gamma_exponent(w, p):
     """Berezin kernel exponent 2*(beta+2)/p from the fitted upper decay rate."""
     if p <= 0:
         raise DomainError("p must be positive")
-    if report is None:
-        report = classify(w, mesh=mesh)
-    return 2.0 * (report.exponents[1] + 2.0) / p
+    return 2.0 * (classify(w, mesh=128).exponents[1] + 2.0) / p
 
 
 # gamma_for escalates gamma by 1.5 at most this many times.
 _GAMMA_RETRIES = 3
 
 
-def gamma_for(w, p, report=None, grid=None):
-    """gamma_exponent escalated by 1.5 until the kernel-domination test passes.
+def gamma_for(w, p, grid):
+    """gamma_exponent escalated by 1.5 until the kernel-domination test on
+    the grid passes.
 
     Returns a GammaResult; gamma is usable either way, with verified=False
     when every retry failed (the Berezin report then carries a note).
     """
     from . import criteria  # local import: criteria depends on this module
 
-    gamma = gamma_exponent(w, p, report=report)
+    gamma = gamma_exponent(w, p)
     result = None
     for attempt in range(_GAMMA_RETRIES + 1):
         passed, worst = criteria.verify_gamma(w, p, gamma, grid=grid)

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-from bergman import RadialWeight, make_grid
+from bergman import QuadratureGrid, RadialWeight
 
 
 @pytest.fixture(scope="session")
 def grid8():
-    return make_grid(8)
+    return QuadratureGrid(8)
 
 
 @pytest.fixture(scope="session")
 def grid10():
-    return make_grid(10)
+    return QuadratureGrid(10)
 
 
 @pytest.fixture(scope="session")
 def grid12():
-    return make_grid(12)
+    return QuadratureGrid(12)
 
 
 @pytest.fixture(scope="session")

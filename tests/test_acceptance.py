@@ -24,6 +24,7 @@ from bergman import (
     OperatorSpec,
     Polynomial,
     PowerMap,
+    QuadratureGrid,
     RadialDensityMeasure,
     RadialWeight,
     Scale,
@@ -34,7 +35,6 @@ from bergman import (
     embedding_ls_criterion,
     embedding_sup_criterion,
     hinf_criterion,
-    make_grid,
     operator_norm_lower_bound,
     probe_lattice,
     pushforward,
@@ -111,7 +111,7 @@ def test_03_norm_equivalence():
     for _ in range(50):
         deg = int(rng.integers(1, 21))
         polys.append(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
-    grids = {lvl: make_grid(lvl) for lvl in (8, 10)}
+    grids = {lvl: QuadratureGrid(lvl) for lvl in (8, 10)}
     cases = [(alpha, p) for alpha in (0.0, 1.0) for p in (0.5, 1.0, 2.0, 4.0)]
     weights = {}
     for alpha in (0.0, 1.0):
@@ -119,7 +119,7 @@ def test_03_norm_equivalence():
         weights[alpha] = (w, w.tilde_weight())
     ratios = {case: {} for case in cases}
     for lvl, g in grids.items():
-        gaps = g.ring_gaps[g.ring_index]
+        gaps = np.repeat(g.ring_gaps, g.ring_counts)
         dens = {alpha: (w.density_at_gap(gaps) * g.weights,
                         tilde.density_at_gap(gaps) * g.weights)
                 for alpha, (w, tilde) in weights.items()}
@@ -155,7 +155,7 @@ def test_04_derivative_bound():
     for _ in range(20):
         deg = int(rng.integers(1, 21))
         family.append(Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)))
-    grids = {lvl: make_grid(lvl) for lvl in (8, 10)}
+    grids = {lvl: QuadratureGrid(lvl) for lvl in (8, 10)}
     worst = {}
     for n in (0, 1, 2):
         sups = {lvl: max(derivative_bound_sup(f, n, p, w, g, bergman_norm(f, p, w, g))
@@ -268,7 +268,7 @@ def test_07_pushforward_identity():
 
 def test_08_berezin_crosscheck(grid10):
     t0 = time.monotonic()
-    basepoints, _ = probe_lattice(depth=8, rings_per_octave=2, angles_per_ring=2)
+    basepoints, _ = probe_lattice(depth=8, angles_per_ring=2)
     cells = [(alpha, p, q, n)
              for alpha in (0.0, 1.0)
              for (p, q) in ((2.0, 2.0), (1.0, 2.0), (2.0, 4.0))
@@ -281,13 +281,13 @@ def test_08_berezin_crosscheck(grid10):
         for gamma in (gamma0, 1.5 * gamma0):
             key = (alpha, p, round(gamma, 9))
             if key not in validated:
-                ok, _ = verify_gamma(w, p, gamma, level=12)
+                ok, _ = verify_gamma(w, p, gamma, grid=QuadratureGrid(12))
                 validated[key] = ok
             assert validated[key]
         op = OperatorSpec(Identity(), ONE, n)
         for margin in (0.3, -0.3):
             beta = (alpha + 2.0) * q / p + n * q - 2.0 + margin
-            nu = RadialWeight.power(beta)
+            nu = RadialDensityMeasure.from_weight(RadialWeight.power(beta), grid10)
             expected = "bounded-consistent" if margin > 0 else "divergent"
             verdicts = []
             for gamma in (gamma0, 1.5 * gamma0):
@@ -342,13 +342,13 @@ def test_10_gamma_verification():
         w = RadialWeight.power(alpha)
         for p in (1.0, 2.0):
             gamma = 2.0 * (alpha + 2.0) / p
-            ok13, c13 = verify_gamma(w, p, gamma, level=13)
-            ok15, c15 = verify_gamma(w, p, gamma, level=15)
+            ok13, c13 = verify_gamma(w, p, gamma, grid=QuadratureGrid(13))
+            ok15, c15 = verify_gamma(w, p, gamma, grid=QuadratureGrid(15))
             assert ok13 and ok15
             drift = abs(c15 - c13) / c15
             worst_drift = max(worst_drift, drift)
             assert drift < 0.10
-    ok, _ = verify_gamma(RadialWeight.power(0.0), 2.0, 0.5, level=13)
+    ok, _ = verify_gamma(RadialWeight.power(0.0), 2.0, 0.5, grid=QuadratureGrid(13))
     assert not ok
     elapsed = time.monotonic() - t0
     announce(10, "kernel-domination exponent verification",

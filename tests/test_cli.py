@@ -81,6 +81,14 @@ class TestErrors:
             run([])
         assert exc.value.code != 0
 
+    def test_grid_level_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the grid level comes from the config's grid_level alone
+        cfg = write_config(tmp_path, {"function": {"kind": "poly", "coeffs": [[1, 0]]}})
+        with pytest.raises(SystemExit) as exc:
+            run(["norm", "--config", cfg, "--out", tmp_path / "o", "--grid-level", 7])
+        assert exc.value.code == 2
+        assert "--grid-level" in capsys.readouterr().err
+
 
 class TestInputValidation:
     """Malformed values end in exit 2 with a JSON error, never a traceback."""

@@ -17,6 +17,7 @@ from bergman import (
     Moebius,
     OperatorSpec,
     Polynomial,
+    QuadratureGrid,
     RadialDensityMeasure,
     RadialWeight,
     Scale,
@@ -24,7 +25,6 @@ from bergman import (
     embedding_ls_criterion,
     embedding_sup_criterion,
     hinf_criterion,
-    make_grid,
     maximal_function,
     norm_equivalence_ratios,
     op_pushforward_criterion,
@@ -172,7 +172,8 @@ class TestOpPushforward:
     def test_contractive_image_always_finite(self, grid8, unit_weight):
         op = OperatorSpec(Scale(0.5), ONE, 1)
         nu = RadialDensityMeasure.from_power(0.0, grid8)
-        report = op_pushforward_criterion(op, 2.0, 1.0, unit_weight, nu, grid=grid8)
+        report = op_pushforward_criterion(op, 2.0, 1.0, unit_weight, nu,
+                                          level=grid8.levels)
         assert report.verdict == "bounded-consistent"
         assert np.isfinite(report.statistic)
 
@@ -182,16 +183,18 @@ class TestOpPushforward:
         # |u| <= 1 with a flat dead zone
         u_small = Polynomial([0.5, 0.0, 0.25])
         op_small = OperatorSpec(Identity(), u_small, 0)
-        full = op_pushforward_criterion(op_full, 2.0, 1.0, unit_weight, nu, grid=grid8)
-        small = op_pushforward_criterion(op_small, 2.0, 1.0, unit_weight, nu, grid=grid8)
+        full = op_pushforward_criterion(op_full, 2.0, 1.0, unit_weight, nu,
+                                        level=grid8.levels)
+        small = op_pushforward_criterion(op_small, 2.0, 1.0, unit_weight, nu,
+                                         level=grid8.levels)
         assert small.statistic <= full.statistic
 
 
 class TestBerezin:
     def test_zero_symbol(self, unit_weight, grid8):
         op = OperatorSpec(Identity(), Polynomial([0.0]), 0)
-        report = berezin_criterion(op, 2.0, 2.0, unit_weight, unit_weight,
-                                   3.0, grid=grid8)
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
+        report = berezin_criterion(op, 2.0, 2.0, unit_weight, nu, 3.0, grid=grid8)
         assert report.statistic == 0.0
         assert report.verdict == "bounded-consistent"
 
@@ -203,7 +206,7 @@ class TestBerezin:
         alpha = 0.0
         w = RadialWeight.power(alpha)
         beta = beta_for_sup_margin(alpha, p, q, n, margin)
-        nu = RadialWeight.power(beta)
+        nu = RadialDensityMeasure.from_weight(RadialWeight.power(beta), grid10)
         gamma = 2.0 * (alpha + 3.0) / p
         op = OperatorSpec(Identity(), ONE, n)
         report = berezin_criterion(op, p, q, w, nu, gamma, grid=grid10,
@@ -213,8 +216,9 @@ class TestBerezin:
 
     def test_contractive_image_compact(self, unit_weight, grid8):
         op = OperatorSpec(Scale(0.5), ONE, 0)
-        report = berezin_criterion(op, 2.0, 2.0, unit_weight, unit_weight,
-                                   3.0, grid=grid8, gamma_validated=True)
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
+        report = berezin_criterion(op, 2.0, 2.0, unit_weight, nu, 3.0, grid=grid8,
+                                   gamma_validated=True)
         assert report.verdict == "bounded-consistent"
         assert report.compact_verdict == "vanishing-tail"
 
@@ -222,16 +226,17 @@ class TestBerezin:
         q = 2.0
         base = OperatorSpec(Identity(), ONE, 0)
         scaled = OperatorSpec(Identity(), Polynomial([3.0]), 0)
-        r1 = berezin_criterion(base, 2.0, q, unit_weight, unit_weight, 3.0,
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
+        r1 = berezin_criterion(base, 2.0, q, unit_weight, nu, 3.0,
                                grid=grid8, gamma_validated=True)
-        r2 = berezin_criterion(scaled, 2.0, q, unit_weight, unit_weight, 3.0,
+        r2 = berezin_criterion(scaled, 2.0, q, unit_weight, nu, 3.0,
                                grid=grid8, gamma_validated=True)
         assert r2.statistic == pytest.approx(3.0 ** q * r1.statistic, rel=1e-12)
 
     def test_unvalidated_gamma_noted(self, unit_weight, grid8):
         op = OperatorSpec(Identity(), ONE, 0)
-        report = berezin_criterion(op, 2.0, 2.0, unit_weight, unit_weight,
-                                   3.0, grid=grid8)
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
+        report = berezin_criterion(op, 2.0, 2.0, unit_weight, nu, 3.0, grid=grid8)
         assert any("gamma" in note for note in report.notes)
 
 
@@ -278,7 +283,8 @@ class TestKernelSweep:
     def test_every_basepoint_truncated(self, unit_weight, grid8):
         # wS(a)^(q/p) underflows below the mass floor at both basepoints
         op = OperatorSpec(Identity(), ONE, 0)
-        report = berezin_criterion(op, 1.0, 100.0, unit_weight, unit_weight, 3.0,
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
+        report = berezin_criterion(op, 1.0, 100.0, unit_weight, nu, 3.0,
                                    basepoints=[0.999, 0.999j], grid=grid8)
         assert report.truncated == 2
         assert report.samples == [] and report.statistic == 0.0
@@ -352,7 +358,7 @@ class TestHinfBlocks:
 
     @pytest.mark.parametrize("phi", [Scale(0.63), Moebius(0.3 - 0.2j)])
     def test_report_independent_of_block_size(self, monkeypatch, phi):
-        grid = make_grid(9)
+        grid = QuadratureGrid(9)
         w = RadialWeight.power(1.0)
         op = OperatorSpec(phi, self.U, 1)
         blobs = []
@@ -366,9 +372,9 @@ class TestHinfBlocks:
         take about 59 MB; in blocks the call rises under 16 MB above its grid."""
         w = RadialWeight.power(1.0)
         op = OperatorSpec(Scale(0.6), self.U, 1)
-        grid = make_grid(11)
+        grid = QuadratureGrid(11)
         grid.nodes  # built before tracing: the budget is the sweep's alone
-        hinf_criterion(op, 2.0, w, grid=make_grid(4))  # first-call allocations stay out
+        hinf_criterion(op, 2.0, w, grid=QuadratureGrid(4))  # first-call allocations stay out
         tracemalloc.start()
         try:
             hinf_criterion(op, 2.0, w, grid=grid)
@@ -408,16 +414,18 @@ class TestMaximalFunction:
 class TestVerifyGamma:
     def test_paper_choice_passes(self):
         w = RadialWeight.power(1.0)
-        passed, worst = verify_gamma(w, 2.0, 2.0 * (1.0 + 2.0) / 2.0, level=12)
+        passed, worst = verify_gamma(w, 2.0, 2.0 * (1.0 + 2.0) / 2.0,
+                                     grid=QuadratureGrid(12))
         assert passed and np.isfinite(worst)
 
     def test_below_threshold_fails(self, unit_weight):
-        passed, worst = verify_gamma(unit_weight, 2.0, 0.5, level=12)
+        passed, worst = verify_gamma(unit_weight, 2.0, 0.5, grid=QuadratureGrid(12))
         assert not passed
 
     def test_oversized_gamma_passes(self, unit_weight):
-        passed_ref, worst_ref = verify_gamma(unit_weight, 2.0, 2.0, level=12)
-        passed_big, worst_big = verify_gamma(unit_weight, 2.0, 25.0, level=12)
+        grid = QuadratureGrid(12)
+        passed_ref, worst_ref = verify_gamma(unit_weight, 2.0, 2.0, grid=grid)
+        passed_big, worst_big = verify_gamma(unit_weight, 2.0, 25.0, grid=grid)
         assert passed_big
         assert worst_big >= 0.5 * worst_ref
 
@@ -426,14 +434,14 @@ class TestOperatorNormLowerBound:
     def test_identity_operator(self, unit_weight, grid8):
         op = OperatorSpec(Identity(), ONE, 0)
         family = [ONE, Polynomial([0, 1.0])]
-        got = operator_norm_lower_bound(op, 2.0, 2.0, unit_weight, unit_weight,
-                                        family, grid8)
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
+        got = operator_norm_lower_bound(op, 2.0, 2.0, unit_weight, nu, family, grid8)
         assert got >= 1.0 - 1e-3
 
     def test_zero_symbol(self, unit_weight, grid8):
         op = OperatorSpec(Identity(), Polynomial([0.0]), 0)
-        got = operator_norm_lower_bound(op, 2.0, 2.0, unit_weight, unit_weight,
-                                        [ONE], grid8)
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
+        got = operator_norm_lower_bound(op, 2.0, 2.0, unit_weight, nu, [ONE], grid8)
         assert got == 0.0
 
     def test_divergent_case_exceeds_caps(self, unit_weight, grid8):

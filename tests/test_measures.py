@@ -16,11 +16,11 @@ from bergman import (
     DomainError,
     Moebius,
     PowerMap,
+    QuadratureGrid,
     RadialDensityMeasure,
     RadialWeight,
     ResourceLimitError,
     Identity,
-    make_grid,
     maximal_function,
     pseudo_disc,
     pushforward,
@@ -52,42 +52,42 @@ def in_square(a, pts):
 class TestGrid:
     @pytest.mark.parametrize("level", [1, 6, 10])
     def test_weights_sum_to_one(self, level):
-        grid = make_grid(level)
+        grid = QuadratureGrid(level)
         assert abs(grid.weights.sum() - 1.0) < 1e-10
 
     def test_nodes_inside_disc(self, grid8):
         assert np.all(np.abs(grid8.nodes) < 1.0)
-        assert np.all(grid8.ring_gaps[grid8.ring_index] > 0.0)
+        assert np.all(np.repeat(grid8.ring_gaps, grid8.ring_counts) > 0.0)
 
     def test_constant_integral(self, grid8):
         assert grid_sum(grid8, lambda z: np.full(z.shape, 2.5)) == pytest.approx(2.5)
 
     def test_second_moment(self):
-        grid = make_grid(10)
+        grid = QuadratureGrid(10)
         got = grid_sum(grid, lambda z: np.abs(z) ** 2)
         assert abs(got - 0.5) < 1e-6
 
     def test_smooth_refinement_stability(self):
         vals = {}
         for lvl in (8, 10):
-            g = make_grid(lvl)
+            g = QuadratureGrid(lvl)
             vals[lvl] = grid_sum(g, lambda z: np.exp(z.real) * np.cos(z.imag))
         assert abs(vals[8] - vals[10]) / abs(vals[10]) < 5e-3
 
     def test_indicator_of_square(self):
         # indicator sums are limited by the angular cell size at the box edge
         target = 3.0 / (16.0 * math.pi)
-        grid = make_grid(9, angular_base=64)
+        grid = QuadratureGrid(9, angular_base=64)
         got = grid_sum(grid, lambda z: in_square(0.5, z).astype(float))
         assert got == pytest.approx(target, rel=0.02)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
-            make_grid(24)
+            QuadratureGrid(24)
 
     def test_level_bounds(self):
         with pytest.raises(DomainError):
-            make_grid(0)
+            QuadratureGrid(0)
 
     def test_ring_arrays_match_standalone(self, grid8):
         gaps, weights = radial_rings(8)
@@ -225,6 +225,16 @@ class TestMeasureOf:
         mu = RadialDensityMeasure(lambda u: np.zeros_like(u), grid8, name="zero")
         assert mu.carleson_masses(0.0)[0] == 0.0
         assert mu.pseudo_disc_masses(np.array([0.5 + 0j]), 0.3)[0] == 0.0
+
+    def test_density_support_keeps_no_node_masses(self, grid8):
+        # support_nodes computes the masses on each call; the measure holds
+        # no node-sized array between calls
+        mu = RadialDensityMeasure.from_power(1.0, grid8)
+        pts, first = mu.support_nodes()
+        assert not any(np.size(v) >= grid8.node_count for v in vars(mu).values())
+        _, second = mu.support_nodes()
+        assert len(first) == len(pts) == grid8.node_count
+        assert np.array_equal(first, second)
 
 
 class TestCarlesonMasses:

@@ -26,10 +26,8 @@ from bergman import (
     RadialWeight,
     bergman_norm,
     derivative_bound_sup,
-    make_grid,
     verify_gamma,
 )
-from bergman import measures
 from bergman.criteria import _ring_kernel_means
 
 RTOL = 1e-12
@@ -42,7 +40,7 @@ WEIGHTS = {
 
 def seed_layout(grid):
     """The grid's arrays from the ring-by-ring loop it replaced: per-node
-    nodes, gaps, weights and ring_index, and the three ring arrays."""
+    nodes, gaps and weights, and the three ring arrays."""
     gl_x = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
     gl_w = np.array([0.5, 0.5])
     m = 4  # radial subcells per annulus
@@ -62,22 +60,20 @@ def seed_layout(grid):
                 ring_gaps.append(u)
                 masses.append(wgl * width * (1.0 - u))
                 bands.append(k)
-    nodes, gaps, weights, ring_index, ring_weights, ring_counts = [], [], [], [], [], []
-    for ring, (u, w_rad, band) in enumerate(
-            zip(np.array(ring_gaps), np.array(masses), np.array(bands, dtype=int))):
+    nodes, gaps, weights, ring_weights, ring_counts = [], [], [], [], []
+    for u, w_rad, band in zip(np.array(ring_gaps), np.array(masses),
+                              np.array(bands, dtype=int)):
         n_theta = grid.angular_base * 2 ** band
         theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
         gaps.append(np.full(n_theta, u))
         weights.append(np.full(n_theta, w_rad * (2.0 * math.pi / n_theta) / math.pi))
         nodes.append((1.0 - u) * np.exp(1j * theta))
-        ring_index.append(np.full(n_theta, ring, dtype=np.int32))
         ring_weights.append(w_rad * 2.0)
         ring_counts.append(n_theta)
     return {
         "nodes": np.concatenate(nodes),
         "gaps": np.concatenate(gaps),
         "weights": np.concatenate(weights),
-        "ring_index": np.concatenate(ring_index),
         "ring_gaps": np.array(ring_gaps),
         "ring_weights": np.array(ring_weights),
         "ring_counts": np.array(ring_counts),
@@ -86,7 +82,7 @@ def seed_layout(grid):
 
 @pytest.fixture(scope="module", params=[6, 9])
 def grid(request):
-    return make_grid(request.param)
+    return QuadratureGrid(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +112,7 @@ def assert_close(got, want):
     assert abs(got - want) <= RTOL * abs(want), (got, want)
 
 
-GRID_ARRAYS = ("nodes", "weights", "ring_index", "ring_gaps", "ring_weights", "ring_counts")
+GRID_ARRAYS = ("nodes", "weights", "ring_gaps", "ring_weights", "ring_counts")
 
 
 @pytest.mark.parametrize("angular_base", [16, 64])
@@ -133,8 +129,8 @@ def test_grid_matches_seed_layout_bitwise(level, angular_base):
 
 def test_grid_build_holds_and_peaks_near_its_arrays():
     """Building a grid and reading its node arrays allocates little beyond
-    the arrays it keeps: 16 B of node, 8 B of weight and 4 B of ring index
-    per node, plus the rings."""
+    the arrays it keeps: 16 B of node and 8 B of weight per node, plus the
+    rings."""
     small = QuadratureGrid(4)  # first-call allocations stay out of the measurement
     for name in GRID_ARRAYS:
         getattr(small, name)
@@ -148,19 +144,19 @@ def test_grid_build_holds_and_peaks_near_its_arrays():
         tracemalloc.stop()
     held = sum(getattr(grid, name).nbytes for name in GRID_ARRAYS)
     assert peak <= 1.25 * held, peak / held
-    assert held / grid.node_count < 29.0
+    assert held / grid.node_count < 25.0
 
 
 def test_node_arrays_are_built_on_first_read():
     """The constructor keeps only ring arrays; what a caller reads right
     after it (counts, levels, the angular base) builds no node array."""
     grid = QuadratureGrid(9)
-    node_arrays = ("nodes", "weights", "ring_index")
+    node_arrays = ("nodes", "weights")
     assert grid.node_count == int(np.sum(grid.ring_counts))
     assert (grid.levels, grid.angular_base, grid.radial_subcells) == (9, 16, 4)
     assert "nodes=" in repr(grid)
     assert not any(name in vars(grid) for name in node_arrays)
-    assert len(grid.nodes) == len(grid.weights) == len(grid.ring_index) == grid.node_count
+    assert len(grid.nodes) == len(grid.weights) == grid.node_count
     assert all(getattr(grid, name) is getattr(grid, name) for name in node_arrays)
 
 
@@ -168,30 +164,20 @@ def test_verify_gamma_reads_rings_only():
     """verify_gamma sums ring by ring, so its level-13 grid never builds the
     2.1 M-node arrays (about 59 MB); the whole call stays under 20 MB."""
     w = RadialWeight.log_power(1.0, 2.0)
-    verify_gamma(w, 2.0, 3.0, level=4)  # first-call allocations stay out
-    built = []
-
-    def make(levels):
-        built.append(QuadratureGrid(levels))
-        return built[-1]
-
+    verify_gamma(w, 2.0, 3.0, grid=QuadratureGrid(4))  # first-call allocations stay out
     tracemalloc.start()
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measures, "make_grid", make)
-            verify_gamma(w, 2.0, 3.0, level=13)
+        grid = QuadratureGrid(13)
+        verify_gamma(w, 2.0, 3.0, grid=grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    (grid,) = built
-    assert grid.levels == 13
     assert "nodes" not in vars(grid)
     assert peak < 20e6, peak
 
 
 def test_ring_arrays_broadcast_to_nodes(grid, gaps):
-    assert np.array_equal(grid.ring_gaps[grid.ring_index], gaps)
-    assert np.array_equal(np.bincount(grid.ring_index), grid.ring_counts)
+    assert np.array_equal(np.repeat(grid.ring_gaps, grid.ring_counts), gaps)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -280,7 +266,7 @@ GAMMA_CASES = [(2.0, 3.0), (1.0, 6.0), (2.0, 0.5)]  # (p, gamma); the last fails
 
 @pytest.mark.parametrize("p, gamma", GAMMA_CASES)
 def test_verify_gamma_matches_node_oracle(weight, p, gamma):
-    grid = make_grid(10)
+    grid = QuadratureGrid(10)
     passed, worst = verify_gamma(weight, p, gamma, grid=grid)
     want_passed, want_worst = node_verify_gamma(weight, p, gamma, grid=grid)
     assert passed == want_passed
@@ -288,7 +274,7 @@ def test_verify_gamma_matches_node_oracle(weight, p, gamma):
 
 
 def test_verify_gamma_matches_node_oracle_with_basepoints(weight):
-    grid = make_grid(10)
+    grid = QuadratureGrid(10)
     radii = 1.0 - 2.0 ** (-np.arange(0, 20, 1.5))
     basepoints = np.concatenate([radii * np.exp(1j * np.arange(len(radii))), [1.0, 1j]])
     for p, gamma in GAMMA_CASES:
@@ -304,7 +290,7 @@ def test_verify_gamma_shallow_statistic_drops_two_levels(level, passes):
     is about the area of the two deepest levels (band L-1 and the closing
     cap), 1 - (1 - 2^-(L-1))^2: 12% at L = 5, 6% at L = 6, either side of
     the 10% bound."""
-    grid = make_grid(level)
+    grid = QuadratureGrid(level)
     w = RadialWeight.power(0.0)
     basepoints = np.array([0.0, 0.1, 0.2, 0.3])
     got = verify_gamma(w, 2.0, 2.0, basepoints=basepoints, grid=grid)
@@ -320,7 +306,7 @@ def test_band_template_matches_hypergeometric_mean(c):
     The midpoint rule on n angles is exact up to aliasing terms of order
     x^n, so the template must reproduce the closed form wherever x^n is
     negligible."""
-    grid = make_grid(9)
+    grid = QuadratureGrid(9)
     a_gaps = 2.0 ** (-np.arange(21) / 2.0)
     a_vals = 1.0 - a_gaps
     checked = 0
