@@ -211,11 +211,9 @@ def _verify_norm_equiv(cfg):
     w = cfg.weight()
     rng = cfg.rng()
     polys = _random_polynomials(rng, 50)
-    tilde = w.tilde_weight()
     ratios = {}
     for lvl in (cfg.grid_level, cfg.grid_level + 2):
-        ratios[lvl] = criteria.norm_equivalence_ratios(
-            polys, cfg.p, w, cfg.grid(lvl), tilde=tilde)
+        ratios[lvl] = criteria.norm_equivalence_ratios(polys, cfg.p, w, cfg.grid(lvl))
     base, fine = ratios[cfg.grid_level], ratios[cfg.grid_level + 2]
     change = float(np.max(np.abs(fine - base) / fine))
     spread = float(np.max(fine) / np.min(fine))

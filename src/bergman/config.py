@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,7 +183,6 @@ class ExperimentConfig:
     grid_level: int = 9
     lattice_r: float = 0.3
     gamma: float | None = None
-    _grids: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_dict(cls, raw):
@@ -231,11 +230,8 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def grid(self, level=None):
-        """The quadrature grid of a level (default grid_level), built once."""
-        level = self.grid_level if level is None else level
-        if level not in self._grids:
-            self._grids[level] = QuadratureGrid(level)
-        return self._grids[level]
+        """A new quadrature grid of a level (default grid_level)."""
+        return QuadratureGrid(self.grid_level if level is None else level)
 
     def require(self, key):
         if key not in self.raw:

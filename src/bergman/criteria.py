@@ -45,7 +45,8 @@ import numpy as np
 from . import geometry
 from .errors import DomainError, SelfMapViolationError
 from .measures import AtomicMeasure, RadialDensityMeasure, pushforward, radial_rings
-from .spaces import AnalyticFunction, apply_operator, bergman_norm, norm_against_measure
+from .spaces import (AnalyticFunction, _norm_on_rings, apply_operator, bergman_norm,
+                     norm_against_measure)
 
 __all__ = [
     "CriterionReport",
@@ -289,7 +290,6 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
         gaps, ring_w = radial_rings(level)
         centers = (1.0 - gaps).astype(complex)
         masses = mu.pseudo_disc_masses(centers, r, gaps)
-        angular_w = np.ones_like(gaps)
         cell_w = ring_w
     else:
         # polar evaluation mesh, capped at the atomic resolution
@@ -324,7 +324,6 @@ def op_pushforward_criterion(op, p, q, w, nu, r=0.3, level=12):
     pf = pushforward(op.phi, lambda z: np.abs(op.u(z)) ** q, nu)
     report = embedding_ls_criterion(p, q, op.n, w, pf, r=r, level=level)
     report.criterion_id = "OP_PUSHFORWARD_LS"
-    report.params = dict(report.params)
     report.params.update({"phi": repr(op.phi), "u": repr(op.u), "n": op.n,
                           "pushforward_atoms": len(pf.points)})
     return report
@@ -617,15 +616,16 @@ def operator_norm_lower_bound(op, p, q, w, nu, family, grid, target="lq"):
     return best
 
 
-def norm_equivalence_ratios(functions, p, w, grid, tilde=None):
-    """|f| against the tail-density weight over |f| against w, per function.
-
-    Each function is evaluated on the grid once, for both norms."""
-    wt = tilde if tilde is not None else w.tilde_weight()
+def norm_equivalence_ratios(functions, p, w, grid):
+    """|f| against w's tail density over |f| against w, per function: each
+    density is read once per ring, each function evaluated once on the grid."""
+    tail_dens = w.tail_density_at_gap(grid.ring_gaps)
+    dens = w.density_at_gap(grid.ring_gaps)
     ratios = []
     for f in functions:
         vals = np.abs(f(grid.nodes))
-        ratios.append(bergman_norm(vals, p, wt, grid) / bergman_norm(vals, p, w, grid))
+        ratios.append(_norm_on_rings(vals, p, tail_dens, grid)
+                      / _norm_on_rings(vals, p, dens, grid))
     return np.array(ratios)
 
 

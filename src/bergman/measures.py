@@ -343,16 +343,16 @@ class _SupportIndex:
 
 
 class RadialDensityMeasure(DiscMeasure):
-    """d(mu) = f(|z|) dA for a radial density f, given through the gap u=1-|z|.
+    """d(mu) = w(|z|) dA for a RadialWeight w, on a grid.
 
-    Carleson-square masses reduce to 1-d tail integrals and pseudo-disc
-    masses to a disc-centred polar rule, so they are accurate independently
-    of any grid.  The grid is still carried: it defines the discrete support
-    for pushforwards.
+    Carleson-square masses are the weight's tail integrals and pseudo-disc
+    masses come from a disc-centred polar rule, so they are accurate
+    independently of any grid.  The grid defines the discrete support for
+    pushforwards.
     """
 
-    def __init__(self, gap_density, grid, name="radial_density"):
-        self._weight = RadialWeight(gap_density, name=name, allow_zero=True)
+    def __init__(self, weight, grid, name="radial_density"):
+        self._weight = weight
         self.grid = grid
         self.name = name
 
@@ -360,11 +360,13 @@ class RadialDensityMeasure(DiscMeasure):
     def from_power(cls, beta, grid):
         if beta <= -1.0:
             raise DomainError("power density needs beta > -1")
-        return cls(lambda u: u ** beta, grid, name=f"power_density({beta:g})")
+        name = f"power_density({beta:g})"
+        return cls(RadialWeight(lambda u: u ** beta, name=name, allow_zero=True), grid, name)
 
     @classmethod
     def from_weight(cls, w, grid):
-        return cls(w.density_at_gap, grid, name=f"density({w.name})")
+        """The measure w dA; it shares w and its tail caches."""
+        return cls(w, grid, name=f"density({w.name})")
 
     def support_nodes(self):
         """The grid's nodes and their masses, computed once per ring on each

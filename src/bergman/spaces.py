@@ -254,10 +254,15 @@ def apply_operator(op, f):
 
 def bergman_norm(f, p, w, grid):
     """(int |f|^p w dA)^(1/p) on the grid; f a function or node-value array."""
+    vals = np.abs(f(grid.nodes) if callable(f) else f)
+    return _norm_on_rings(vals, p, w.density_at_gap(grid.ring_gaps), grid)
+
+
+def _norm_on_rings(vals, p, ring_dens, grid):
+    """bergman_norm from |f| at the grid's nodes and the density on its rings."""
     if p <= 0:
         raise DomainError("p must be positive")
-    vals = np.abs(f(grid.nodes) if callable(f) or isinstance(f, AnalyticFunction) else f)
-    dens = np.repeat(w.density_at_gap(grid.ring_gaps), grid.ring_counts)
+    dens = np.repeat(ring_dens, grid.ring_counts)
     return float(np.sum(vals ** p * dens * grid.weights) ** (1.0 / p))
 
 

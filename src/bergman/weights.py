@@ -293,13 +293,6 @@ class RadialWeight:
         out = np.where(u == 1.0, self.disc_mass(), out)
         return float(out[0]) if scalar else out
 
-    def tilde_weight(self):
-        """The derived weight u -> tail_density_at_gap(u) as a RadialWeight."""
-        return RadialWeight(
-            lambda u: self.tail_integral_at_gap(u) / u,
-            name=f"tilde({self.name})",
-        )
-
     def __repr__(self):
         return f"RadialWeight({self.name})"
 

@@ -113,16 +113,13 @@ def test_03_norm_equivalence():
         polys.append(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
     grids = {lvl: QuadratureGrid(lvl) for lvl in (8, 10)}
     cases = [(alpha, p) for alpha in (0.0, 1.0) for p in (0.5, 1.0, 2.0, 4.0)]
-    weights = {}
-    for alpha in (0.0, 1.0):
-        w = RadialWeight.power(alpha)
-        weights[alpha] = (w, w.tilde_weight())
+    weights = {alpha: RadialWeight.power(alpha) for alpha in (0.0, 1.0)}
     ratios = {case: {} for case in cases}
     for lvl, g in grids.items():
         gaps = np.repeat(g.ring_gaps, g.ring_counts)
         dens = {alpha: (w.density_at_gap(gaps) * g.weights,
-                        tilde.density_at_gap(gaps) * g.weights)
-                for alpha, (w, tilde) in weights.items()}
+                        w.tail_density_at_gap(gaps) * g.weights)
+                for alpha, w in weights.items()}
         vals = {case: [] for case in cases}
         for coeffs in polys:  # |f| once per (polynomial, grid), for every (alpha, p)
             mod = np.abs(np.polynomial.polynomial.polyval(g.nodes, coeffs))

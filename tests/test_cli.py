@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bergman import criteria
+from bergman import RadialWeight, config, criteria
 from bergman.cli import main
 from bergman.config import ExperimentConfig
 from bergman.errors import ConfigError
@@ -283,6 +283,18 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["result"]["passed"] is True
 
+    def test_norm_equiv_builds_one_weight(self, tmp_path, monkeypatch):
+        # the tail density is read from the config's weight, not built into
+        # a second RadialWeight
+        built = []
+        init = RadialWeight.__init__
+        monkeypatch.setattr(RadialWeight, "__init__",
+                            lambda self, *a, **kw: built.append(init(self, *a, **kw)))
+        cfg = write_config(tmp_path)
+        assert run(["verify", "norm-equiv", "--config", cfg, "--out", tmp_path / "o",
+                    "--deterministic"]) == 0
+        assert len(built) == 1
+
     def test_unverified_gamma_is_a_note_not_a_warning(self, tmp_path):
         # at grid 4 gamma_for finds no verified exponent: the report says so
         # in its notes, and nothing is written to stderr
@@ -342,13 +354,15 @@ class TestCommands:
         assert run(["criterion", "embedding-ls", "--config", cfg, "--out", out,
                     "--deterministic"]) == 0
 
-    def test_atoms_csv_measure_builds_no_grid(self, tmp_path):
+    def test_atoms_csv_measure_builds_no_grid(self, tmp_path, monkeypatch):
         atoms = tmp_path / "atoms.csv"
         atoms.write_text("re,im,mass\n0.1,0.2,1.0\n-0.4,0.0,0.5\n")
         cfg = ExperimentConfig.load(write_config(tmp_path, {
             "measure": {"kind": "atoms_csv", "path": str(atoms)}}))
+        built = []
+        monkeypatch.setattr(config, "QuadratureGrid", lambda *args: built.append(args))
         assert len(cfg.measure().points) == 2
-        assert cfg._grids == {}
+        assert built == []
 
 
 class TestNonFiniteReports:

@@ -86,8 +86,8 @@ class TestEmbeddingSup:
 
     def test_monotone_in_measure(self, grid8, unit_weight):
         mu_small = RadialDensityMeasure.from_power(2.0, grid8)
-        mu_big = RadialDensityMeasure(
-            lambda u: u ** 2.0 + 0.5 * u ** 2.5, grid8, name="bigger")
+        bigger = RadialWeight(lambda u: u ** 2.0 + 0.5 * u ** 2.5, allow_zero=True)
+        mu_big = RadialDensityMeasure(bigger, grid8, name="bigger")
         small = embedding_sup_criterion(1.0, 1.0, 0, unit_weight, mu_small)
         big = embedding_sup_criterion(1.0, 1.0, 0, unit_weight, mu_big)
         for (_, v1), (_, v2) in zip(small.samples, big.samples):
@@ -391,7 +391,8 @@ class TestMaximalFunction:
             assert maximal_function(mu, unit_weight, 1.0, z) >= 1.0 - 1e-12
 
     def test_zero_measure(self, unit_weight, grid8):
-        mu = RadialDensityMeasure(lambda u: np.zeros_like(u), grid8, name="zero")
+        zero = RadialWeight(lambda u: np.zeros_like(u), allow_zero=True)
+        mu = RadialDensityMeasure(zero, grid8, name="zero")
         assert maximal_function(mu, unit_weight, 1.0, 0.2) == 0.0
 
     def test_embedding_crosscheck(self, grid8, unit_weight):

@@ -202,7 +202,8 @@ class TestMeasureOf:
     def test_grid_support_disc_masses_vs_bruteforce(self, grid8):
         # grid-shaped support: evenly spaced rings, many tied keys
         rng = np.random.default_rng(5)
-        mu = AtomicMeasure(*RadialDensityMeasure(lambda u: 1.0 + u * u, grid8).support_nodes())
+        density = RadialWeight(lambda u: 1.0 + u * u, allow_zero=True)
+        mu = AtomicMeasure(*RadialDensityMeasure(density, grid8).support_nodes())
         pts, masses = mu.support_nodes()
         centers = np.concatenate([
             [0.0, -0.6 + 1e-9j, 0.2j, 0.97],
@@ -222,9 +223,30 @@ class TestMeasureOf:
         assert AtomicMeasure(np.array([], dtype=complex), np.array([])).min_gap == math.inf
 
     def test_zero_density_measure(self, grid8):
-        mu = RadialDensityMeasure(lambda u: np.zeros_like(u), grid8, name="zero")
+        zero = RadialWeight(lambda u: np.zeros_like(u), allow_zero=True)
+        mu = RadialDensityMeasure(zero, grid8, name="zero")
         assert mu.carleson_masses(0.0)[0] == 0.0
         assert mu.pseudo_disc_masses(np.array([0.5 + 0j]), 0.3)[0] == 0.0
+
+    def test_weight_measure_shares_its_weight(self, grid8, monkeypatch):
+        # from_weight builds no RadialWeight of its own; its masses equal, bit
+        # for bit, those of a measure on a second weight built from w's density
+        w = RadialWeight.log_power(1.0, 2.0)
+        rebuilt = RadialDensityMeasure(RadialWeight(w.density_at_gap, allow_zero=True), grid8)
+        built = []
+        init = RadialWeight.__init__
+        with monkeypatch.context() as m:
+            m.setattr(RadialWeight, "__init__",
+                      lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
+            mu = RadialDensityMeasure.from_weight(w, grid8)
+        assert built == []
+        for got, want in zip(mu.support_nodes(), rebuilt.support_nodes()):
+            assert np.array_equal(got, want)
+        centers = np.array([0.0, 0.3 - 0.2j, -0.9j, 0.999, 1 - 2.0 ** -20])
+        for r in (0.1, 0.3, 0.9):
+            assert np.array_equal(mu.pseudo_disc_masses(centers, r),
+                                  rebuilt.pseudo_disc_masses(centers, r))
+        assert np.array_equal(mu.carleson_masses(centers), rebuilt.carleson_masses(centers))
 
     def test_density_support_keeps_no_node_masses(self, grid8):
         # support_nodes computes the masses on each call; the measure holds

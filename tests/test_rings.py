@@ -26,6 +26,7 @@ from bergman import (
     RadialWeight,
     bergman_norm,
     derivative_bound_sup,
+    norm_equivalence_ratios,
     verify_gamma,
 )
 from bergman.criteria import _ring_kernel_means
@@ -182,10 +183,15 @@ def test_ring_arrays_broadcast_to_nodes(grid, gaps):
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_bergman_norm_matches_node_reference(grid, gaps, weight, p):
-    for w in (weight, weight.tilde_weight()):
-        dens = w.density_at_gap(gaps)
-        for f in functions():
-            assert_close(bergman_norm(f, p, w, grid), node_norm(f, p, dens, grid))
+    """bergman_norm, and norm_equivalence_ratios' tail-density norm over it,
+    against the norms from the densities on every node."""
+    dens = weight.density_at_gap(gaps)
+    tail_dens = weight.tail_integral_at_gap(gaps) / gaps
+    fs = functions()
+    for f, ratio in zip(fs, norm_equivalence_ratios(fs, p, weight, grid)):
+        want = node_norm(f, p, dens, grid)
+        assert_close(bergman_norm(f, p, weight, grid), want)
+        assert_close(ratio, node_norm(f, p, tail_dens, grid) / want)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
