@@ -44,7 +44,8 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, SelfMapViolationError
-from .measures import AtomicMeasure, RadialDensityMeasure, pushforward, radial_rings
+from .measures import (AtomicMeasure, RadialDensityMeasure, _node_blocks, pushforward,
+                       radial_rings)
 from .spaces import (AnalyticFunction, _norm_on_rings, apply_operator, bergman_norm,
                      norm_against_measure)
 
@@ -340,20 +341,24 @@ _SWEEP_ROWS = 16
 _SWEEP_SLICE = 1024
 
 
-def _kernel_sweep(pts, phin, uq, e):
-    """sum_j |1 - conj(a) phin_j|^(-e) uq_j for every basepoint a in pts.
+def _kernel_sweep(pts, phin, uq, e, out=None):
+    """Add sum_j |1 - conj(a) phin_j|^(-e) uq_j to out (default zeros) for
+    every basepoint a in pts, and return out.
 
     Each chunk of _SWEEP_ROWS basepoints accumulates its sums over support
     slices of _SWEEP_SLICE nodes in a fixed order, inside one thread, so the
-    result does not depend on how many workers share the chunks.  The chunks
-    are spread over the CPUs this process may run on.
+    result does not depend on how many workers share the chunks.  A support
+    swept in several calls, in blocks that are multiples of _SWEEP_SLICE,
+    adds the same slices in the same order as one call over all of it.  The
+    chunks are spread over the CPUs this process may run on.
     """
+    out = np.zeros(len(pts)) if out is None else out
 
     def sweep(start):
         ca = np.conj(pts[start:start + _SWEEP_ROWS])[:, None]
         cbuf = np.empty((len(ca), _SWEEP_SLICE), dtype=complex)
         kbuf = np.empty((len(ca), _SWEEP_SLICE))
-        acc = np.zeros(len(ca))
+        acc = out[start:start + _SWEEP_ROWS]
         for lo in range(0, len(phin), _SWEEP_SLICE):
             hi = min(lo + _SWEEP_SLICE, len(phin))
             c, k = cbuf[:, :hi - lo], kbuf[:, :hi - lo]
@@ -362,7 +367,6 @@ def _kernel_sweep(pts, phin, uq, e):
             np.abs(c, out=k)
             np.power(k, -e, out=k)
             acc += k @ uq[lo:hi]
-        return acc
 
     starts = range(0, len(pts), _SWEEP_ROWS)
     # the affinity mask (taskset, cgroup cpusets) where the OS reports one
@@ -374,17 +378,20 @@ def _kernel_sweep(pts, phin, uq, e):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        integrals = list(pool.map(sweep, starts))
-    return np.concatenate(integrals) if integrals else np.zeros(0)
+        list(pool.map(sweep, starts))
+    return out
 
 
 def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
                       gamma_validated=None):
     """Kernel-integral criterion for p <= q.
 
-    The kernel integral runs over the discrete support of the measure nu.
-    gamma should come from gamma_for/verify_gamma; passing an unvalidated
-    gamma only adds a warning note, the sweep still runs.
+    The kernel integral runs over the discrete support of the measure nu,
+    read in blocks of support nodes; each block is swept into per-basepoint
+    sums that persist across blocks, in the order one sweep over the whole
+    support would add them.  gamma should come from gamma_for/verify_gamma;
+    passing an unvalidated gamma only adds a warning note, the sweep still
+    runs.
 
     The default basepoint lattice stops two dyadic levels above the grid
     that nu's support lives on: deeper basepoints put the kernel peak
@@ -395,11 +402,6 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
         raise DomainError("the Berezin criterion needs 0 < p <= q")
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    pts_nu, masses_nu = nu.support_nodes()
-    uq = np.abs(op.u(pts_nu)) ** q * masses_nu
-    phin = np.asarray(op.phi(pts_nu), dtype=complex)
-    if np.any(np.abs(phin) >= 1.0):
-        raise SelfMapViolationError("self-map left the open disc on the support")
     if basepoints is None:
         pts, gaps = geometry.probe_lattice(depth=max(4, grid.levels - 2))
     else:
@@ -409,7 +411,14 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
     keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
     truncated = int(np.sum(~keep))
     pts, gaps, ws = pts[keep], gaps[keep], ws[keep]
-    integral = _kernel_sweep(pts, phin, uq, (gamma + op.n) * q)
+    integral = np.zeros(len(pts))
+    for lo, hi in _node_blocks(nu.support_size):
+        pts_nu, masses_nu = nu.support_nodes(lo, hi)
+        uq = np.abs(op.u(pts_nu)) ** q * masses_nu
+        phin = np.asarray(op.phi(pts_nu), dtype=complex)
+        if np.any(np.abs(phin) >= 1.0):
+            raise SelfMapViolationError("self-map left the open disc on the support")
+        _kernel_sweep(pts, phin, uq, (gamma + op.n) * q, out=integral)
     vals = gaps ** (gamma * q) * integral / ws
     notes = []
     if gamma_validated is None:
@@ -423,27 +432,22 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
                        truncated=truncated, notes=notes)
 
 
-# Grid nodes per block of hinf_criterion: its per-node temporaries stay a few
-# MB however fine the grid.
-_HINF_BLOCK = 1 << 16
-
-
 def hinf_criterion(op, p, w, grid):
     """Supremum criterion for a bounded-target operator, with the containment
     branch for compactness.
 
     The report keeps one representative per dyadic band of |phi|, the band's
-    first largest value.  The grid is swept in blocks of _HINF_BLOCK nodes;
-    a block's band peak replaces the kept one only when strictly larger, so
-    the choice is the same as over the whole grid at once.
+    first largest value.  The grid's nodes are built and swept a block at a
+    time (grid.node_range), so no whole-grid array is made; a block's band
+    peak replaces the kept one only when strictly larger, so the choice is
+    the same as over the whole grid at once.
     """
     if p <= 0:
         raise DomainError("p must be positive")
-    nodes = grid.nodes
     peaks = {}  # band -> (value, node, gap of its image)
     truncated, sup_phi_grid = 0, 0.0
-    for lo in range(0, len(nodes), _HINF_BLOCK):
-        z = nodes[lo:lo + _HINF_BLOCK]
+    for lo, hi in _node_blocks(grid.node_count):
+        z = grid.node_range(lo, hi)
         pgaps = np.abs(np.asarray(op.phi(z), dtype=complex))
         if np.any(pgaps >= 1.0):
             raise SelfMapViolationError("self-map left the open disc on the grid")

@@ -6,15 +6,17 @@ _RADIAL_SUBCELLS radial subcells (two Gauss-Legendre nodes per subcell, exact
 for cubic radial integrands) and an angular midpoint count proportional to
 2^k.  The nodes come in rings of constant |z|, and all radial bookkeeping
 happens once per ring through its boundary gap u = 1-|z|: the grid stores
-ring gaps, masses and node counts, and its flat node arrays run ring after
-ring.
+ring gaps, masses and node counts, and its flat node order runs ring after
+ring.  Any range of that order is built from the rings alone
+(node_range), so a caller that streams the grid never holds all of it.
 
 Measures come in two representations: a radial density (backed by the
 same tail-integral machinery as radial weights, so its Carleson-square masses
 have a closed form and its pseudo-disc masses a disc-centred polar rule) and
 an atomic cloud, whose masses are sums over a sorted index of its atoms.
-``support_nodes`` exposes the common discrete picture (points, masses) that
-the pushforward and criterion integrals consume.
+``support_nodes(lo, hi)`` exposes a range of the common discrete picture
+(points, masses) that the pushforward and criterion integrals consume; the
+streaming callers read it in blocks of _NODE_BLOCK nodes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _MAX_GRID_NODES = 100_000_000
 _RADIAL_SUBCELLS = 4
+# Support nodes per block where the support is streamed (pushforward, the
+# Berezin and H-infinity criteria): per-node temporaries stay a few MB however
+# fine the grid.  A multiple of the Berezin sweep's slice, so streaming keeps
+# the sweep's summation order.
+_NODE_BLOCK = 1 << 16
 
 # 2-point Gauss-Legendre on [0, 1]
 _GL2_X = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
@@ -85,11 +92,13 @@ class QuadratureGrid:
     constant within a dyadic band, so band-wide angular templates apply to
     every ring of the band.  Weights sum to 1 exactly up to roundoff.
 
-    The constructor keeps only these ring arrays.  The flat per-node arrays
-    nodes and weights run ring after ring (so np.repeat(ring_gaps,
-    ring_counts) are the nodes' gaps) and are built on first read, so work
-    that needs only the rings never allocates them; node_count reads the
-    ring counts.  Instances are immutable and shared freely.
+    The constructor keeps only these ring arrays.  The flat per-node order
+    runs ring after ring (so np.repeat(ring_gaps, ring_counts) are the
+    nodes' gaps); node_range(lo, hi) builds any range of it, and the cached
+    nodes and weights arrays, built on first read, are its whole-grid form,
+    so work that needs only the rings or streams ranges never allocates
+    them; node_count reads the ring counts.  Instances are immutable and
+    shared freely.
     """
 
     radial_subcells = _RADIAL_SUBCELLS
@@ -120,17 +129,31 @@ class QuadratureGrid:
 
     @functools.cached_property
     def nodes(self):
-        # each band is a (rings, n_theta) block of the flat node array
-        nodes = np.empty(self.node_count, dtype=complex)
-        start = 0
-        for band, band_gaps in enumerate(self.ring_gaps.reshape(self.levels + 1, -1)):
-            n_theta = self.angular_base * 2 ** band
-            theta = (np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)
-            stop = start + len(band_gaps) * n_theta
-            block = nodes[start:stop].reshape(len(band_gaps), n_theta)
-            np.multiply((1.0 - band_gaps)[:, None], np.exp(1j * theta)[None, :], out=block)
-            start = stop
-        return nodes
+        return self.node_range(0, self.node_count)
+
+    def node_range(self, lo, hi):
+        """nodes[lo:hi] (clipped to the grid), built from the rings: each
+        ring's share of the range is its radius times a slice of its band's
+        angle template exp(i theta), theta = (j + 1/2) 2 pi / n_theta."""
+        rings, first, counts = self._ring_spans(lo, hi)
+        out = np.empty(int(counts.sum()), dtype=complex)
+        pos, n_theta, template = 0, None, None
+        for ring, j, n in zip(rings, first, counts):
+            if self.ring_counts[ring] != n_theta:  # one template per band
+                n_theta = self.ring_counts[ring]
+                template = np.exp(1j * ((np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)))
+            np.multiply(1.0 - self.ring_gaps[ring], template[j:j + n], out=out[pos:pos + n])
+            pos += n
+        return out
+
+    def _ring_spans(self, lo, hi):
+        """(ring, first angle index, node count) of each ring with nodes in
+        the flat range [lo, hi), in ring order."""
+        ends = np.cumsum(self.ring_counts)
+        starts = ends - self.ring_counts
+        counts = np.minimum(ends, hi) - np.maximum(starts, lo)
+        rings = np.nonzero(counts > 0)[0]
+        return rings, np.maximum(lo - starts[rings], 0), counts[rings]
 
     def __repr__(self):
         return (
@@ -152,8 +175,14 @@ def radial_rings(levels):
 class DiscMeasure:
     """A finite positive Borel measure on the disc (discretized)."""
 
-    def support_nodes(self):
-        """The discrete picture (points, masses) of the measure."""
+    @property
+    def support_size(self):
+        """The number of points in the discrete picture."""
+        raise NotImplementedError
+
+    def support_nodes(self, lo=0, hi=None):
+        """Points lo to hi (default: to the end) of the measure's discrete
+        picture and their masses, as two arrays."""
         raise NotImplementedError
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
@@ -368,12 +397,22 @@ class RadialDensityMeasure(DiscMeasure):
         """The measure w dA; it shares w and its tail caches."""
         return cls(w, grid, name=f"density({w.name})")
 
-    def support_nodes(self):
-        """The grid's nodes and their masses, computed once per ring on each
-        call and not kept."""
+    @property
+    def support_size(self):
+        return self.grid.node_count
+
+    @functools.cached_property
+    def _ring_masses(self):
+        """Mass of one node of each grid ring: the density read once per ring."""
+        return self._weight.density_at_gap(self.grid.ring_gaps) * self.grid.ring_node_weights
+
+    def support_nodes(self, lo=0, hi=None):
+        """Grid nodes lo to hi and their masses, built from the rings for
+        that range alone; no node-sized array is kept."""
         grid = self.grid
-        dens = self._weight.density_at_gap(grid.ring_gaps)
-        return grid.nodes, np.repeat(dens * grid.ring_node_weights, grid.ring_counts)
+        hi = grid.node_count if hi is None else hi
+        rings, _, counts = grid._ring_spans(lo, hi)
+        return grid.node_range(lo, hi), np.repeat(self._ring_masses[rings], counts)
 
     def carleson_masses(self, bases):
         bases = np.atleast_1d(np.asarray(bases, dtype=complex))
@@ -465,8 +504,13 @@ class AtomicMeasure(DiscMeasure):
                 raise _atoms_csv_error(path, cols, exc) from None
         return cls(arr[:, 0] + 1j * arr[:, 1], arr[:, 2], name=str(path))
 
-    def support_nodes(self):
-        return self.points, self.masses
+    @property
+    def support_size(self):
+        return len(self.points)
+
+    def support_nodes(self, lo=0, hi=None):
+        """Views of the atoms lo to hi and their masses."""
+        return self.points[lo:hi], self.masses[lo:hi]
 
     @functools.cached_property
     def _index(self):
@@ -480,20 +524,40 @@ class AtomicMeasure(DiscMeasure):
         return self._index.carleson_masses(bases)
 
 
+def _node_blocks(count):
+    """(lo, hi) of the blocks of _NODE_BLOCK support nodes that cover count."""
+    return [(lo, min(lo + _NODE_BLOCK, count)) for lo in range(0, count, _NODE_BLOCK)]
+
+
 def pushforward(phi, h, mu):
     """Weighted pushforward: atoms (phi(x), h(x) * mass(x)) over mu's support.
 
     The discrete change of variable int g d(pushforward) = int (g o phi) h
-    d(mu) then holds exactly, term by term.  h = None means h == 1.
+    d(mu) then holds exactly, term by term.  h = None means h == 1.  The
+    support is read in blocks of _NODE_BLOCK nodes, so the only support-sized
+    arrays are the two the result keeps.  A map that leaves the disc raises
+    SelfMapViolationError naming the first point of largest image modulus.
     """
-    pts, masses = mu.support_nodes()
-    images = np.asarray(phi(pts), dtype=complex)
-    if np.any(np.abs(images) >= 1.0):
-        worst = int(np.argmax(np.abs(images)))
-        raise SelfMapViolationError(
-            f"map sent {pts[worst]} to {images[worst]} (|.| = {abs(images[worst]):.6f})"
-        )
-    new_masses = masses if h is None else np.asarray(h(pts), dtype=float) * masses
+    images = np.empty(mu.support_size, dtype=complex)
+    new_masses = np.empty(mu.support_size)
+    worst = None  # (|image|, point, image) of the first largest image off the disc
+    for lo, hi in _node_blocks(mu.support_size):
+        pts, masses = mu.support_nodes(lo, hi)
+        img = images[lo:hi]
+        img[:] = phi(pts)
+        mods = np.abs(img)
+        off = mods >= 1.0
+        if np.any(off):
+            i = int(np.argmax(np.where(off, mods, 0.0)))
+            if worst is None or mods[i] > worst[0]:
+                worst = (mods[i], pts[i], img[i])
+        if h is None:
+            new_masses[lo:hi] = masses
+        else:
+            np.multiply(np.asarray(h(pts), dtype=float), masses, out=new_masses[lo:hi])
+    if worst is not None:
+        _, pt, image = worst
+        raise SelfMapViolationError(f"map sent {pt} to {image} (|.| = {abs(image):.6f})")
     if np.any(new_masses < 0.0):
         raise DomainError("pushforward density h must be nonnegative")
     return AtomicMeasure(images, new_masses, name=f"pushforward({mu.name})")

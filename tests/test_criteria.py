@@ -32,7 +32,7 @@ from bergman import (
     probe_lattice,
     verify_gamma,
 )
-from bergman import criteria
+from bergman import criteria, measures
 from bergman.criteria import _band_peaks
 
 ONE = Polynomial([1.0])
@@ -350,7 +350,7 @@ class TestHinf:
 
 
 class TestHinfBlocks:
-    """hinf_criterion sweeps the grid in blocks of _HINF_BLOCK nodes; neither
+    """hinf_criterion sweeps the grid in blocks of _NODE_BLOCK nodes; neither
     the block size nor the batches of image gaps it hands to the weight's
     tail may move a bit of the report."""
 
@@ -362,18 +362,18 @@ class TestHinfBlocks:
         w = RadialWeight.power(1.0)
         op = OperatorSpec(phi, self.U, 1)
         blobs = []
-        for block in (1 << 10, criteria._HINF_BLOCK, grid.node_count):
-            monkeypatch.setattr(criteria, "_HINF_BLOCK", block)
+        for block in (1 << 10, measures._NODE_BLOCK, grid.node_count):
+            monkeypatch.setattr(measures, "_NODE_BLOCK", block)
             blobs.append(json.dumps(hinf_criterion(op, 2.0, w, grid=grid).to_json()))
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_temporaries_stay_in_blocks(self):
         """At grid 11 (524 k nodes) the sweep's per-node temporaries would
-        take about 59 MB; in blocks the call rises under 16 MB above its grid."""
+        take about 59 MB; in blocks the call stays under 16 MB and builds no
+        whole-grid node array."""
         w = RadialWeight.power(1.0)
         op = OperatorSpec(Scale(0.6), self.U, 1)
         grid = QuadratureGrid(11)
-        grid.nodes  # built before tracing: the budget is the sweep's alone
         hinf_criterion(op, 2.0, w, grid=QuadratureGrid(4))  # first-call allocations stay out
         tracemalloc.start()
         try:
@@ -381,7 +381,65 @@ class TestHinfBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert "nodes" not in vars(grid)
         assert peak < 16e6, peak
+
+
+class TestSupportBlocks:
+    """berezin_criterion and op_pushforward_criterion read a density
+    measure's support a block of _NODE_BLOCK nodes at a time: the block size
+    moves no bit of a report, and no whole-grid array is built."""
+
+    U = Polynomial([0.4, -1.1 + 0.3j, 0.7j, 0.25])
+    OP = OperatorSpec(Moebius(0.3 - 0.2j), U, 1)
+
+    def test_berezin_report_independent_of_block_size(self, monkeypatch):
+        grid = QuadratureGrid(9)
+        w = RadialWeight.power(1.0)
+        nu = RadialDensityMeasure.from_weight(RadialWeight.power(4.5), grid)
+        blobs = []
+        for block in (1 << 10, measures._NODE_BLOCK, grid.node_count):
+            monkeypatch.setattr(measures, "_NODE_BLOCK", block)
+            report = berezin_criterion(self.OP, 2.0, 2.0, w, nu, 3.0, grid=grid)
+            blobs.append(json.dumps(report.to_json()))
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    @staticmethod
+    def traced_peak(call, grid):
+        """Peak traced allocation of call(grid) at grid 11, after the same
+        call on a small grid keeps first-call allocations out."""
+        call(QuadratureGrid(4))
+        tracemalloc.start()
+        try:
+            call(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_berezin_builds_no_whole_support(self):
+        """At grid 11 the whole support (nodes, masses, images, |u|^q masses)
+        would take about 34 MB; in blocks the call stays under 10 MB."""
+        w = RadialWeight.power(1.0)
+        target = RadialWeight.power(4.5)
+        grid = QuadratureGrid(11)
+        peak = self.traced_peak(lambda g: berezin_criterion(
+            self.OP, 2.0, 2.0, w, RadialDensityMeasure.from_weight(target, g), 3.0,
+            grid=g), grid)
+        assert "nodes" not in vars(grid)
+        assert peak < 10e6, peak
+
+    def test_pushforward_criterion_builds_no_grid_nodes(self):
+        """The grid-11 pushforward keeps its images and masses (12.6 MB) and
+        the embedding sweep sorts them; the grid's 8.4 MB of nodes and the
+        whole-support temporaries stay out, so the call stays under 37 MB."""
+        w = RadialWeight.power(1.0)
+        op = OperatorSpec(Moebius(0.3 - 0.2j), self.U, 0)
+        grid = QuadratureGrid(11)
+        peak = self.traced_peak(lambda g: op_pushforward_criterion(
+            op, 2.0, 1.0, w, RadialDensityMeasure.from_power(3.0, g), level=11), grid)
+        assert "nodes" not in vars(grid)
+        assert peak < 37e6, peak
 
 
 class TestMaximalFunction:

@@ -367,6 +367,38 @@ class TestPushforward:
         rhs = grid_sum(grid8, lambda z: g(z ** 2))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @staticmethod
+    def whole_support(phi, h, nu):
+        """The pushforward's arrays and self-map message from the whole
+        support at once, the way it was computed before blocks."""
+        pts, masses = nu.support_nodes()
+        images = np.asarray(phi(pts), dtype=complex)
+        worst = int(np.argmax(np.abs(images)))
+        message = (f"map sent {pts[worst]} to {images[worst]} "
+                   f"(|.| = {abs(images[worst]):.6f})")
+        return images, np.asarray(h(pts), dtype=float) * masses, message
+
+    @pytest.mark.parametrize("kind", ["density", "atoms"])
+    def test_independent_of_block_size(self, monkeypatch, grid8, kind):
+        if kind == "density":
+            nu = RadialDensityMeasure.from_power(1.0, grid8)
+        else:
+            gen = np.random.default_rng(11)
+            pts = 0.99 * np.sqrt(gen.uniform(0, 1, 5000)) * np.exp(2j * np.pi * gen.uniform(0, 1, 5000))
+            nu = AtomicMeasure(pts, gen.uniform(0, 1, 5000))
+        h = lambda z: np.abs(1.0 + 0.5 * z) ** 1.5
+        moebius, outward = Moebius(0.3 - 0.2j), lambda z: 1.5 * z
+        images, masses, _ = self.whole_support(moebius, h, nu)
+        _, _, message = self.whole_support(outward, h, nu)
+        for block in (1 << 10, measures._NODE_BLOCK, nu.support_size):
+            monkeypatch.setattr(measures, "_NODE_BLOCK", block)
+            pf = pushforward(moebius, h, nu)
+            assert np.array_equal(pf.points, images)
+            assert np.array_equal(pf.masses, masses)
+            with pytest.raises(SelfMapViolationError) as exc:
+                pushforward(outward, h, nu)
+            assert str(exc.value) == message
+
     def test_self_map_violation(self, rng):
         # the atom at 0.99 leaves the disc under z -> 1.02 z whatever the draws
         drawn = self._atoms(rng, n=100)

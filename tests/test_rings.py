@@ -128,6 +128,42 @@ def test_grid_matches_seed_layout_bitwise(level, angular_base):
     assert not hasattr(grid, "gaps")
 
 
+def node_ranges(grid):
+    """(lo, hi) ranges of every kind: inside one ring, across rings, across
+    a band boundary and several bands, the whole grid, past its end, empty."""
+    ends = np.cumsum(grid.ring_counts)
+    starts = ends - grid.ring_counts
+    per_band = 2 * grid.radial_subcells
+    last = len(starts) - 1
+    count = int(ends[-1])
+    mid = lambda ring: int(starts[ring] + grid.ring_counts[ring] // 2)
+    return [
+        (int(starts[last]) + int(grid.ring_counts[last]) // 3,
+         int(starts[last]) + 2 * int(grid.ring_counts[last]) // 3),
+        (int(starts[3]), int(ends[3])),
+        (mid(1), mid(3)),
+        (int(starts[per_band]) - 1, int(starts[per_band]) + 1),
+        (mid(per_band - 2), mid(last - 1)),
+        (0, count),
+        (count - 3, count + 100),
+        (7, 7),
+        (count, count + 10),
+    ]
+
+
+@pytest.mark.parametrize("angular_base", [1, 3, 16])
+@pytest.mark.parametrize("level", range(1, 13))
+def test_node_range_matches_nodes_bitwise(level, angular_base):
+    grid = QuadratureGrid(level, angular_base)
+    nodes = seed_layout(grid)["nodes"]
+    for lo, hi in node_ranges(grid):
+        got = grid.node_range(lo, hi)
+        assert got.dtype == nodes.dtype
+        assert np.array_equal(got, nodes[lo:hi]), (lo, hi)
+    assert "nodes" not in vars(grid)
+    assert np.array_equal(grid.nodes, nodes)
+
+
 def test_grid_build_holds_and_peaks_near_its_arrays():
     """Building a grid and reading its node arrays allocates little beyond
     the arrays it keeps: 16 B of node and 8 B of weight per node, plus the
@@ -215,8 +251,18 @@ def test_support_nodes_match_node_reference(grid, gaps, weight):
     mu = RadialDensityMeasure.from_weight(weight, grid)
     pts, masses = mu.support_nodes()
     want = weight.density_at_gap(gaps) * grid.weights
-    assert pts is grid.nodes
+    assert np.array_equal(pts, seed_layout(grid)["nodes"])
     assert np.array_equal(masses, want)
+
+
+def test_ranged_support_matches_whole_support(grid, weight):
+    mu = RadialDensityMeasure.from_weight(weight, grid)
+    pts, masses = mu.support_nodes()
+    assert mu.support_size == grid.node_count == len(pts)
+    for lo, hi in node_ranges(grid):
+        got_pts, got_masses = mu.support_nodes(lo, hi)
+        assert np.array_equal(got_pts, pts[lo:hi]), (lo, hi)
+        assert np.array_equal(got_masses, masses[lo:hi]), (lo, hi)
 
 
 def test_weighted_area_on_grid_matches_node_reference(grid, gaps, weight):
