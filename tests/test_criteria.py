@@ -403,6 +403,16 @@ class TestSupportBlocks:
             report = berezin_criterion(self.OP, 2.0, 2.0, w, nu, 3.0, grid=grid)
             blobs.append(json.dumps(report.to_json()))
         assert blobs[0] == blobs[1] == blobs[2]
+        # and the values are the kernel sums over the whole support:
+        # gap^(gamma q) int |u|^q |1 - conj(a) phi|^(-(gamma + n) q) d(nu) / wS(a)
+        pts_nu, masses = nu.support_nodes()
+        uq = np.abs(self.U(pts_nu)) ** 2 * masses
+        phin = self.OP.phi(pts_nu)
+        for re, im, value in report.to_json()["samples"]:
+            a = complex(re, im)
+            want = (np.abs(1.0 - a.conjugate() * phin) ** -8.0 @ uq
+                    * (1.0 - abs(a)) ** 6.0 / w.carleson_mass_at_gap(1.0 - abs(a)))
+            assert value == pytest.approx(want, rel=1e-10)
 
     @staticmethod
     def traced_peak(call, grid):

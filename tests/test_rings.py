@@ -1,11 +1,12 @@
 """Per-ring evaluation of radial quantities against per-node references.
 
-The grid is built band by band from its ring arrays; seed_layout, the plain
-ring-by-ring construction it replaced, is the oracle its arrays must match
-bit for bit.  Every radial quantity on a QuadratureGrid is evaluated once
-per ring and repeated over the ring's nodes.  The references here evaluate the
-same quantity on every node, with the per-node gaps of seed_layout, and the
-results must agree to 1e-12 relative.  verify_gamma's ring-and-band
+The grid builds any range of its nodes from its ring arrays (node_range);
+seed_layout, the plain ring-by-ring construction it replaced, is the oracle
+its arrays and every range of its nodes must match bit for bit.  Every
+radial quantity on a QuadratureGrid is evaluated once per ring and repeated
+over the ring's nodes.  The references here evaluate the same quantity on
+every node, with the per-node gaps of seed_layout, and the results must
+agree to 1e-12 relative.  verify_gamma's ring-and-band
 summation is checked against the plain per-node kernel loop, and its angular
 template against the closed-form angular mean of the kernel.
 """
