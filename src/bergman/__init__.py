@@ -37,7 +37,6 @@ from .measures import (
     QuadratureGrid,
     RadialDensityMeasure,
     pushforward,
-    radial_rings,
 )
 from .spaces import (
     AnalyticFunction,

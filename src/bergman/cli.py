@@ -152,8 +152,9 @@ def cmd_criterion(args):
             op, cfg.p, w, grid=cfg.grid())
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown criterion {which!r}")
-    _write_report(args, f"criterion {which}", report.to_json())
-    _write_samples(args, report.sample_rows())
+    result = report.to_json()
+    _write_report(args, f"criterion {which}", result)
+    _write_samples(args, result["samples"])
     print(
         f"{report.criterion_id}: statistic={report.statistic:.6g} "
         f"verdict={report.verdict} compact={report.compact_verdict}"

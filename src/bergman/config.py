@@ -176,13 +176,13 @@ class ExperimentConfig:
     """Validated configuration with raw specs kept for the report echo."""
 
     raw: dict
-    seed: int = 0
-    p: float = 2.0
-    q: float = 2.0
-    n: int = 0
-    grid_level: int = 9
-    lattice_r: float = 0.3
-    gamma: float | None = None
+    seed: int
+    p: float
+    q: float
+    n: int
+    grid_level: int
+    lattice_r: float
+    gamma: float | None
 
     @classmethod
     def from_dict(cls, raw):
@@ -196,15 +196,17 @@ class ExperimentConfig:
         operator = raw.get("operator", {})
         if not isinstance(operator, dict):
             raise ConfigError("operator spec must be an object", field="operator")
-        cfg = cls(raw=raw)
-        cfg.seed = _integer(raw.get("seed", 0), "seed")
-        cfg.p = _number(raw.get("p", 2.0), "p")
-        cfg.q = _number(raw.get("q", 2.0), "q")
+        seed = _integer(raw.get("seed", 0), "seed")
+        p = _number(raw.get("p", 2.0), "p")
+        q = _number(raw.get("q", 2.0), "q")
         operator_n = _integer(operator.get("n", 0), "operator.n")
-        cfg.n = _integer(raw["n"], "n") if "n" in raw else operator_n
-        cfg.grid_level = _integer(raw.get("grid_level", 9), "grid_level")
-        cfg.lattice_r = _number(raw.get("lattice_r", 0.3), "lattice_r")
-        cfg.gamma = None if raw.get("gamma") is None else _number(raw["gamma"], "gamma")
+        cfg = cls(
+            raw=raw, seed=seed, p=p, q=q,
+            n=_integer(raw["n"], "n") if "n" in raw else operator_n,
+            grid_level=_integer(raw.get("grid_level", 9), "grid_level"),
+            lattice_r=_number(raw.get("lattice_r", 0.3), "lattice_r"),
+            gamma=None if raw.get("gamma") is None else _number(raw["gamma"], "gamma"),
+        )
         if cfg.p <= 0 or cfg.q <= 0:
             raise ConfigError("exponents p, q must be positive", field="p")
         if cfg.seed < 0:

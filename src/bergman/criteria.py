@@ -14,14 +14,17 @@ Each criterion evaluates one of the characterizing quantities:
   HINF_SUP           sup over z of |u(z)| / (wS(phi(z))^{1/p}
                      (1-|phi(z)|)^n)
 
-where wS is the Carleson-square mass of the weight.  Suprema over the disc
-are realized as maxima over a boundary-refined basepoint lattice; every
-report carries dyadic tail suprema plus a refinement signal - what
-deepening the lattice by two dyadic levels does to the tail supremum,
-measured as the ratio of the deepest band maximum to the band two levels
-up (for the integral criteria, of the full integral to its truncation two
-levels up).  Verdicts are decided from that signal, never from a single
-number:
+where wS is the Carleson-square mass of the weight.  EMB_SUP and EMB_LS
+share one profile (_profile), and every criterion divides by the same
+Carleson scale (_carleson_scale).  Suprema over the disc are realized as
+maxima over a boundary-refined basepoint lattice, read over dyadic bands:
+band k holds the gaps 1-|z| in (2^-(k+1), 2^-k] (geometry._band), so the
+bands >= k are the gaps <= 2^-k.  Every report carries dyadic tail suprema
+plus a refinement signal - what deepening the lattice by two dyadic levels
+does to the tail supremum, measured as the ratio of the deepest band maximum
+to the band two levels up (for the integral criteria, of the full integral
+to its truncation two levels up).  Verdicts are decided from that signal,
+never from a single number:
 
   divergent          deepening grew the statistic by >= 25%;
   bounded-consistent it changed by < 10%;
@@ -44,8 +47,8 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, SelfMapViolationError
-from .measures import (AtomicMeasure, RadialDensityMeasure, _node_blocks, pushforward,
-                       radial_rings)
+from .measures import (AtomicMeasure, RadialDensityMeasure, _node_blocks, _ring_layout,
+                       pushforward)
 from .spaces import (AnalyticFunction, _norm_on_rings, apply_operator, bergman_norm,
                      norm_against_measure)
 
@@ -103,9 +106,6 @@ class CriterionReport:
             "samples": [[z.real, z.imag, v] for z, v in self.samples],
         }
 
-    def sample_rows(self):
-        return [(z.real, z.imag, v) for z, v in self.samples]
-
 
 def _growth_verdict(full, shallow):
     if full <= _MASS_FLOOR:
@@ -120,20 +120,11 @@ def _growth_verdict(full, shallow):
     return growth, "inconclusive"
 
 
-def _tail(gaps, vals, reduce):
-    """(delta, reduce(vals over gaps <= delta)) for delta = 2^-k down the lattice."""
-    if len(gaps) == 0:
-        return []
-    out = []
-    k = 0
-    min_gap = np.min(gaps)
-    while 2.0 ** (-k) >= min_gap * (1.0 - 1e-12):
-        mask = gaps <= 2.0 ** (-k)
-        if not np.any(mask):
-            break
-        out.append((2.0 ** (-k), float(reduce(vals[mask]))))
-        k += 1
-    return out
+def _tail(bands, vals, reduce):
+    """(2^-k, reduce(vals over bands >= k, the gaps <= 2^-k)) for k = 0 down
+    to the deepest band."""
+    return [(2.0 ** (-k), float(reduce(vals[bands >= k])))
+            for k in range(int(np.max(bands, initial=-1)) + 1)]
 
 
 def _compact_from_tail(tail):
@@ -153,13 +144,9 @@ def _compact_from_tail(tail):
     return "inconclusive"
 
 
-def _band_peaks(gaps, vals):
+def _band_peaks(bands, vals):
     """{band k: index of the band's largest value (first on ties)}, ascending
-    in k.  Band k collects the gaps in (2^-(k+1), 2^-k], the closed end that
-    the tail masks gaps <= 2^-k use; k is read exactly off the binary
-    exponent, one band shallower for an exact power of two."""
-    mant, exp = np.frexp(gaps)
-    bands = (mant == 0.5) - exp
+    in k, for values in the dyadic bands of geometry._band."""
     peaks = {}
     for b in np.unique(bands):
         idx = np.nonzero(bands == b)[0]
@@ -172,21 +159,22 @@ def _sup_report(criterion_id, params, pts, gaps, vals, truncated=0, notes=None):
     pts, gaps, vals = pts[order], gaps[order], vals[order]
     sup_full = float(np.max(vals)) if len(vals) else 0.0
     min_gap = float(np.min(gaps)) if len(gaps) else 1.0
-    bands = {k: float(vals[i]) for k, i in _band_peaks(gaps, vals).items()}
+    bands = geometry._band(gaps)
+    peaks = {k: float(vals[i]) for k, i in _band_peaks(bands, vals).items()}
     # Refinement signal: deepening the lattice by two dyadic levels adds the
     # two deepest bands; the statistic that deepening moves is the tail
     # supremum, so compare the deepest band against the one two levels up.
-    ks = sorted(bands)
-    if len(ks) >= 3 and ks[-1] - 2 in bands:
-        shallow_stat = bands[ks[-1] - 2]
-        deep_stat = bands[ks[-1]]
+    ks = sorted(peaks)
+    if len(ks) >= 3 and ks[-1] - 2 in peaks:
+        shallow_stat = peaks[ks[-1] - 2]
+        deep_stat = peaks[ks[-1]]
         growth, verdict = _growth_verdict(deep_stat, shallow_stat)
     else:
         # the lattice spans under three dyadic levels: a plain maximum over
         # a compact range, no refinement signal
         shallow_stat = deep_stat = sup_full
         growth, verdict = 1.0, "bounded-consistent"
-    tail = _tail(gaps, vals, np.max)
+    tail = _tail(bands, vals, np.max)
     return CriterionReport(
         criterion_id=criterion_id,
         params=params,
@@ -212,65 +200,45 @@ def _sup_report(criterion_id, params, pts, gaps, vals, truncated=0, notes=None):
 # embedding criteria
 # ---------------------------------------------------------------------------
 
+def _basepoints(basepoints, depth):
+    """(points, gaps) of the caller's basepoints, or of the thin probe
+    lattice to the given depth when there are none."""
+    if basepoints is None:
+        return geometry.probe_lattice(depth=depth)
+    pts = np.asarray(basepoints, dtype=complex)
+    return pts, 1.0 - np.abs(pts)
+
+
+def _carleson_scale(w, gaps, power):
+    """The Carleson scale wS^power at gaps, the mask of its values that are
+    finite and above the mass floor, and the count of the others (the
+    report's truncated points)."""
+    ws = w.carleson_mass_at_gap(gaps) ** power
+    keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
+    return ws, keep, int(np.sum(~keep))
+
+
+def _profile(w, mu, centers, gaps, r, n, q, power):
+    """The paper's quantity mu(Delta(z, r)) / (wS(z)^power (1-|z|)^{nq}) at
+    the centres z (gaps their 1-|z|) where the Carleson scale is kept:
+    (values, keep mask, truncated count)."""
+    masses = mu.pseudo_disc_masses(centers, r, gaps)
+    ws, keep, truncated = _carleson_scale(w, gaps, power)
+    return masses[keep] / (ws[keep] * gaps[keep] ** (n * q)), keep, truncated
+
+
 def embedding_sup_criterion(p, q, n, w, mu, r=0.3, basepoints=None, depth=14):
     """Supremum criterion for p <= q over a boundary-refined basepoint lattice."""
     if not (0 < p <= q):
         raise DomainError("the supremum criterion needs 0 < p <= q")
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if basepoints is None:
-        pts, gaps = geometry.probe_lattice(depth=depth)
-    else:
-        pts = np.asarray(basepoints, dtype=complex)
-        gaps = 1.0 - np.abs(pts)
-    masses = mu.pseudo_disc_masses(pts, r, gaps)
-    ws = w.carleson_mass_at_gap(gaps) ** (q / p)
-    keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
-    truncated = int(np.sum(~keep))
-    vals = masses[keep] / (ws[keep] * gaps[keep] ** (n * q))
+    pts, gaps = _basepoints(basepoints, depth)
+    vals, keep, truncated = _profile(w, mu, pts, gaps, r, n, q, q / p)
     params = {"p": p, "q": q, "n": n, "r": r, "weight": w.name,
               "measure": getattr(mu, "name", "measure"), "convention": "standard"}
     return _sup_report("EMB_SUP", params, pts[keep], gaps[keep], vals,
                        truncated=truncated)
-
-
-def _ls_assemble(params, centers, gaps, bvals, weights_ls, s, level, truncated,
-                 notes=None):
-    contrib = bvals ** s * weights_ls
-    total = float(np.sum(contrib))
-    shallow_mask = gaps >= 2.0 ** (-(level - 1))
-    shallow = float(np.sum(contrib[shallow_mask]))
-    growth, verdict = _growth_verdict(total, shallow)
-    tail = _tail(gaps, contrib, np.sum)  # of the defining integral, not a sup
-    min_gap = np.min(gaps) if len(gaps) else 1.0
-    if verdict == "bounded-consistent":
-        compact = "vanishing-tail"
-    elif verdict == "divergent":
-        compact = "non-vanishing"
-    else:
-        compact = "inconclusive"
-    notes = list(notes or [])
-    notes.append("q < p: boundedness and compactness coincide")
-    order = np.argsort(-gaps, kind="stable")
-    return CriterionReport(
-        criterion_id="EMB_LS",
-        params=params,
-        samples=list(zip(centers[order].tolist(), bvals[order].tolist())),
-        statistic=total ** (1.0 / s) if total > 0 else 0.0,
-        statistic_kind="ls_norm",
-        tail=tail,
-        refinement={
-            "shallow": shallow,
-            "full": total,
-            "growth": growth,
-            "shallow_min_gap": 2.0 ** (-(level - 1)),
-            "full_min_gap": float(min_gap),
-        },
-        verdict=verdict,
-        compact_verdict=compact,
-        truncated=truncated,
-        notes=notes,
-    )
 
 
 def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
@@ -278,8 +246,9 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
 
     For radial densities the profile is evaluated on the radial rings of the
     grid layout (the quantity is rotation invariant); atomic and pointwise
-    measures are evaluated on a polar mesh whose depth follows the measure's
-    own resolution.
+    measures are evaluated on a polar mesh of 32 angles per ring whose depth
+    follows the measure's own resolution.  The refinement signal compares
+    the integral with its part over the bands above the two deepest.
     """
     if not (0 < q < p):
         raise DomainError("the L^s criterion needs 0 < q < p")
@@ -287,34 +256,54 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
         raise DomainError("n must be nonnegative")
     s = p / (p - q)
     notes = []
+    if isinstance(mu, AtomicMeasure) and len(mu.points):
+        # evaluation mesh capped at the atomic resolution
+        level = min(level, max(3, int(geometry._band(mu.min_gap)) - 1))
+        notes.append(f"evaluation depth capped at the atom resolution (level {level})")
+    ring_gaps, ring_masses, _ = _ring_layout(level)
+    ring_w = 2.0 * ring_masses  # full-circle ring masses
     if isinstance(mu, RadialDensityMeasure):
-        gaps, ring_w = radial_rings(level)
+        gaps, cell_w = ring_gaps, ring_w
         centers = (1.0 - gaps).astype(complex)
-        masses = mu.pseudo_disc_masses(centers, r, gaps)
-        cell_w = ring_w
     else:
-        # polar evaluation mesh, capped at the atomic resolution
-        if isinstance(mu, AtomicMeasure) and len(mu.points):
-            deepest = mu.min_gap
-            level = min(level, max(3, int(-math.log2(max(deepest, 1e-300))) - 1))
-            notes.append(f"evaluation depth capped at the atom resolution (level {level})")
-        gaps_r, ring_w = radial_rings(level)
         n_ang = 32
-        theta = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
-        centers = ((1.0 - gaps_r)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-        gaps = np.repeat(gaps_r, n_ang)
+        centers = geometry._ring_points(ring_gaps, np.full(len(ring_gaps), n_ang))
+        gaps = np.repeat(ring_gaps, n_ang)
         cell_w = np.repeat(ring_w / n_ang, n_ang)
-        masses = mu.pseudo_disc_masses(centers, r, gaps)
-    ws = w.carleson_mass_at_gap(gaps)
+    bvals, keep, truncated = _profile(w, mu, centers, gaps, r, n, q, 1.0)
+    # read on every gap, then masked: a gap's tail value depends on its batch
     tilde = np.atleast_1d(w.tail_density_at_gap(gaps))
-    keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
-    truncated = int(np.sum(~keep))
-    bvals = masses[keep] / (ws[keep] * gaps[keep] ** (n * q))
+    centers, gaps = centers[keep], gaps[keep]
+    bands = geometry._band(gaps)
+    contrib = bvals ** s * (tilde * cell_w)[keep]
+    total = float(np.sum(contrib))
+    shallow = float(np.sum(contrib[bands <= level - 2]))
+    growth, verdict = _growth_verdict(total, shallow)
+    notes.append("q < p: boundedness and compactness coincide")
+    order = np.argsort(-gaps, kind="stable")
     params = {"p": p, "q": q, "n": n, "r": r, "s": s, "weight": w.name,
               "measure": getattr(mu, "name", "measure"), "level": level,
               "convention": "standard"}
-    return _ls_assemble(params, np.asarray(centers)[keep], gaps[keep], bvals,
-                        (tilde * cell_w)[keep], s, level, truncated, notes)
+    return CriterionReport(
+        criterion_id="EMB_LS",
+        params=params,
+        samples=list(zip(centers[order].tolist(), bvals[order].tolist())),
+        statistic=total ** (1.0 / s) if total > 0 else 0.0,
+        statistic_kind="ls_norm",
+        tail=_tail(bands, contrib, np.sum),  # of the defining integral, not a sup
+        refinement={
+            "shallow": shallow,
+            "full": total,
+            "growth": growth,
+            "shallow_min_gap": 2.0 ** (-(level - 1)),
+            "full_min_gap": float(np.min(gaps)) if len(gaps) else 1.0,
+        },
+        verdict=verdict,
+        compact_verdict={"bounded-consistent": "vanishing-tail",
+                         "divergent": "non-vanishing"}.get(verdict, "inconclusive"),
+        truncated=truncated,
+        notes=notes,
+    )
 
 
 def op_pushforward_criterion(op, p, q, w, nu, r=0.3, level=12):
@@ -402,14 +391,8 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
         raise DomainError("the Berezin criterion needs 0 < p <= q")
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    if basepoints is None:
-        pts, gaps = geometry.probe_lattice(depth=max(4, grid.levels - 2))
-    else:
-        pts = np.asarray(basepoints, dtype=complex)
-        gaps = 1.0 - np.abs(pts)
-    ws = w.carleson_mass_at_gap(gaps) ** (q / p)
-    keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
-    truncated = int(np.sum(~keep))
+    pts, gaps = _basepoints(basepoints, max(4, grid.levels - 2))
+    ws, keep, truncated = _carleson_scale(w, gaps, q / p)
     pts, gaps, ws = pts[keep], gaps[keep], ws[keep]
     integral = np.zeros(len(pts))
     for lo, hi in _node_blocks(nu.support_size):
@@ -436,15 +419,15 @@ def hinf_criterion(op, p, w, grid):
     """Supremum criterion for a bounded-target operator, with the containment
     branch for compactness.
 
-    The report keeps one representative per dyadic band of |phi|, the band's
-    first largest value.  The grid's nodes are built and swept a block at a
-    time (grid.node_range), so no whole-grid array is made; a block's band
-    peak replaces the kept one only when strictly larger, so the choice is
-    the same as over the whole grid at once.
+    The report keeps one representative per dyadic band of 1-|phi|, the
+    band's first largest value.  The grid's nodes are built and swept a block
+    at a time (grid.node_range), so no whole-grid array is made; the blocks'
+    band peaks, in block order, take a second first-on-ties pass, so the
+    choice is the same as over the whole grid at once.
     """
     if p <= 0:
         raise DomainError("p must be positive")
-    peaks = {}  # band -> (value, node, gap of its image)
+    blocks = []  # per block: value, node, image gap and band of each band peak
     truncated, sup_phi_grid = 0, 0.0
     for lo, hi in _node_blocks(grid.node_count):
         z = grid.node_range(lo, hi)
@@ -454,18 +437,16 @@ def hinf_criterion(op, p, w, grid):
         sup_phi_grid = max(sup_phi_grid, float(np.max(pgaps)))
         np.subtract(1.0, pgaps, out=pgaps)
         uvals = np.abs(op.u(z))
-        ws = w.carleson_mass_at_gap(pgaps) ** (1.0 / p)
-        keep = np.isfinite(ws) & (ws > _MASS_FLOOR)
-        truncated += int(np.sum(~keep))
+        ws, keep, dropped = _carleson_scale(w, pgaps, 1.0 / p)
+        truncated += dropped
         quantity = uvals[keep] / (ws[keep] * pgaps[keep] ** op.n)
-        zs, zgaps = z[keep], pgaps[keep]
-        for k, i in _band_peaks(zgaps, quantity).items():
-            if k not in peaks or quantity[i] > peaks[k][0]:
-                peaks[k] = (quantity[i], zs[i], zgaps[i])
-    bands = sorted(peaks)
-    vals = np.array([peaks[k][0] for k in bands], dtype=float)
-    pts = np.array([peaks[k][1] for k in bands], dtype=complex)
-    gaps = np.array([peaks[k][2] for k in bands], dtype=float)
+        zgaps = pgaps[keep]
+        bands = geometry._band(zgaps)
+        i = list(_band_peaks(bands, quantity).values())
+        blocks.append((quantity[i], z[keep][i], zgaps[i], bands[i]))
+    vals, pts, gaps, bands = (np.concatenate(a) for a in zip(*blocks))
+    i = list(_band_peaks(bands, vals).values())
+    vals, pts, gaps = vals[i], pts[i], gaps[i]
 
     params = {"p": p, "n": op.n, "weight": w.name, "phi": repr(op.phi),
               "u": repr(op.u), "convention": "standard"}
@@ -503,12 +484,10 @@ def maximal_function(mu, w, alpha, z):
     dphi = np.abs((np.angle(z) - np.angle(pts) + math.pi) % (2.0 * math.pi) - math.pi)
     admissible = (mods == 0.0) | ((abs(z) >= mods) & (dphi < halfwidth))
     pts = pts[admissible]
-    w_masses = w.carleson_mass_at_gap(1.0 - np.abs(pts))
-    mu_masses = mu.carleson_masses(pts)
-    ok = w_masses > _MASS_FLOOR
-    if not np.any(ok):
+    ws, keep, _ = _carleson_scale(w, 1.0 - np.abs(pts), 1.0)
+    if not np.any(keep):
         return 0.0
-    return float(np.max(mu_masses[ok] / w_masses[ok] ** alpha))
+    return float(np.max(mu.carleson_masses(pts)[keep] / ws[keep] ** alpha))
 
 
 def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
@@ -575,7 +554,7 @@ def verify_gamma(w, p, gamma, basepoints=None, *, grid):
         means = _ring_kernel_means(a_vals, a_gaps, grid.ring_gaps[rings],
                                    int(n_theta), e)
         contrib[:, rings] = ring_mass[rings] * means
-    shallow_mask = grid.ring_gaps >= 2.0 ** -(grid.levels - 1)
+    shallow_mask = geometry._band(grid.ring_gaps) <= grid.levels - 2
     lhs = np.sum(contrib, axis=1)
     lhs_shallow = np.sum(contrib[:, shallow_mask], axis=1)
     rhs = w.tail_integral_at_gap(a_gaps) / a_gaps ** (e - 1.0)

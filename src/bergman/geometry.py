@@ -3,6 +3,9 @@
 Points are plain complex numbers (vectorized as complex ndarrays).  A
 pseudohyperbolic disc knows its exact Euclidean parameters, and _polar_rule
 gives quadrature nodes for integrals of radial densities over such discs.
+The two dyadic rules every layer shares live here: _band, the band of a gap,
+and _ring_points, the points of rings laid one after another (grids,
+lattices and evaluation meshes all build through it).
 """
 
 from __future__ import annotations
@@ -61,6 +64,44 @@ def _polar_rule(c, R, gap_outer):
     gaps = one_minus_sq / (1.0 + np.sqrt(np.clip(sq, 0.0, 1.0)))
     weights = (R[:, None] * _GL24_W[None, :] * s)[:, :, None] * (2.0 / n_angular)
     return gaps, weights
+
+
+def _band(u):
+    """The dyadic band k with 2^-(k+1) < u <= 2^-k of a gap u > 0 (a scalar
+    or an array), read exactly off its binary exponent: frexp writes u as
+    m 2^e with 1/2 <= m < 1, so k = -e, one band shallower for an exact power
+    of two (m = 1/2).  _band(u) >= k exactly when u <= 2^-k."""
+    mant, exp = np.frexp(u)
+    return (mant == 0.5) - exp
+
+
+def _ring_spans(counts, lo, hi):
+    """(ring, first angle index, point count) of each ring with points in the
+    flat range [lo, hi) of rings holding counts points each, in ring order."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    taken = np.minimum(ends, hi) - np.maximum(starts, lo)
+    rings = np.nonzero(taken > 0)[0]
+    return rings, np.maximum(lo - starts[rings], 0), taken[rings]
+
+
+def _ring_points(gaps, counts, lo=0, hi=None):
+    """Points lo to hi (default: to the end) of rings laid one after another,
+    ring i holding the counts[i] points (1 - gaps[i]) exp(i theta_j),
+    theta_j = (j + 1/2) 2 pi / counts[i].  Each ring's share of the range is
+    its radius times a slice of an angle template, built once per run of
+    rings with equal counts."""
+    hi = int(np.sum(counts)) if hi is None else hi
+    rings, first, taken = _ring_spans(counts, lo, hi)
+    out = np.empty(int(taken.sum()), dtype=complex)
+    pos, n_theta, template = 0, None, None
+    for ring, j, n in zip(rings, first, taken):
+        if counts[ring] != n_theta:
+            n_theta = counts[ring]
+            template = np.exp(1j * ((np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)))
+        np.multiply(1.0 - gaps[ring], template[j:j + n], out=out[pos:pos + n])
+        pos += n
+    return out
 
 
 def rho(a, b):
@@ -132,11 +173,7 @@ def r_lattice(r, depth=16):
         raise ResourceLimitError(
             f"lattice would need {int(np.sum(counts))} nodes (> {_LATTICE_MAX_NODES})"
         )
-    pieces = []
-    for u, n in zip(gaps, counts):
-        theta = (np.arange(n) + 0.5) * (_TWO_PI / n)
-        pieces.append((1.0 - u) * np.exp(1j * theta))
-    return np.concatenate(pieces)
+    return _ring_points(gaps, counts)
 
 
 def probe_lattice(depth=14, angles_per_ring=8):
@@ -149,6 +186,5 @@ def probe_lattice(depth=14, angles_per_ring=8):
     """
     m = np.arange(2 * depth)
     gaps = 2.0 ** (-(m + 0.5) / 2)
-    theta = (np.arange(angles_per_ring) + 0.5) * (_TWO_PI / angles_per_ring)
-    pts = ((1.0 - gaps)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    pts = _ring_points(gaps, np.full(len(gaps), angles_per_ring))
     return pts, np.repeat(gaps, angles_per_ring)

@@ -34,7 +34,6 @@ from .weights import RadialWeight
 
 __all__ = [
     "QuadratureGrid",
-    "radial_rings",
     "DiscMeasure",
     "RadialDensityMeasure",
     "AtomicMeasure",
@@ -132,40 +131,14 @@ class QuadratureGrid:
         return self.node_range(0, self.node_count)
 
     def node_range(self, lo, hi):
-        """nodes[lo:hi] (clipped to the grid), built from the rings: each
-        ring's share of the range is its radius times a slice of its band's
-        angle template exp(i theta), theta = (j + 1/2) 2 pi / n_theta."""
-        rings, first, counts = self._ring_spans(lo, hi)
-        out = np.empty(int(counts.sum()), dtype=complex)
-        pos, n_theta, template = 0, None, None
-        for ring, j, n in zip(rings, first, counts):
-            if self.ring_counts[ring] != n_theta:  # one template per band
-                n_theta = self.ring_counts[ring]
-                template = np.exp(1j * ((np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)))
-            np.multiply(1.0 - self.ring_gaps[ring], template[j:j + n], out=out[pos:pos + n])
-            pos += n
-        return out
-
-    def _ring_spans(self, lo, hi):
-        """(ring, first angle index, node count) of each ring with nodes in
-        the flat range [lo, hi), in ring order."""
-        ends = np.cumsum(self.ring_counts)
-        starts = ends - self.ring_counts
-        counts = np.minimum(ends, hi) - np.maximum(starts, lo)
-        rings = np.nonzero(counts > 0)[0]
-        return rings, np.maximum(lo - starts[rings], 0), counts[rings]
+        """nodes[lo:hi] (clipped to the grid), built from the rings by
+        geometry._ring_points: one angle template per band."""
+        return geometry._ring_points(self.ring_gaps, self.ring_counts, lo, hi)
 
     def __repr__(self):
         return (
             f"QuadratureGrid(levels={self.levels}, nodes={self.node_count})"
         )
-
-
-def radial_rings(levels):
-    """Ring gaps and full-circle ring masses of a grid, without the angular
-    replication; enough for integrals of radial profiles."""
-    gaps, masses, _ = _ring_layout(levels)
-    return gaps, 2.0 * masses
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +187,6 @@ def _disc_params(center_abs, gaps, r):
     return c, R, g_out, g_in
 
 
-def _octave(u):
-    """The octave band k with 2^-(k+1) <= u < 2^-k, read off u's binary exponent."""
-    return -np.frexp(u)[1]
-
-
 # Window padding: relative on gaps and the asin argument, absolute on angles.
 # It only widens windows; membership is decided by the exact test.
 _WINDOW_PAD = 1e-12
@@ -230,16 +198,17 @@ _CANDIDATE_CHUNK = 1 << 16  # candidate points tested per step
 
 
 class _SupportIndex:
-    """Points with masses, sorted by (octave band of the gap, angle), for
+    """Points with masses, sorted by (dyadic band of the gap, angle), for
     region sums that visit only the points that can lie in each region.
+    The band is geometry._band: band k holds the gaps in (2^-(k+1), 2^-k].
 
-    Both regions the criteria need are windows in this order: a few octave
+    Both regions the criteria need are windows in this order: a few dyadic
     bands of gaps times an arc of angles.
     - Delta(a, r) is the Euclidean disc D(ce, R).  Its points have gaps
       between the disc's outer and inner gaps; when R < |ce| they also lie
       within asin(R/|ce|) of arg(ce) (otherwise the disc holds the origin and
       every angle).
-    - S(a) holds the bands from octave(1-|a|) to the deepest one and the
+    - S(a) holds the bands from _band(1-|a|) to the deepest one and the
       angles within (1-|a|)/2 of arg a; S(0) is the whole disc.
     Each (region, band) pair thus reads one or two contiguous runs of the
     sorted keys (two where the angle window wraps at +-pi), found with
@@ -251,7 +220,7 @@ class _SupportIndex:
         # one key buffer: the gaps, then the band bases, then the keys
         keys = np.abs(points)
         np.subtract(1.0, keys, out=keys)
-        bands = _octave(keys)
+        bands = geometry._band(keys)
         self.band_range = (bands.min(), bands.max()) if len(bands) else None
         np.multiply(_BAND_STRIDE, bands, out=keys)
         del bands
@@ -293,8 +262,8 @@ class _SupportIndex:
         half = np.arcsin(np.minimum(R / np.maximum(c, 1e-300) * (1.0 + _WINDOW_PAD), 1.0))
         half += _WINDOW_PAD  # <= pi/2 + pad, so at most one end wraps
         arcs = self._angle_windows(np.angle(ce), half, R >= c)
-        windows = self._windows(_octave(g_in * (1.0 + _WINDOW_PAD)),
-                                _octave(g_out * (1.0 - _WINDOW_PAD)), arcs)
+        windows = self._windows(geometry._band(g_in * (1.0 + _WINDOW_PAD)),
+                                geometry._band(g_out * (1.0 - _WINDOW_PAD)), arcs)
         return windows, lambda idx, k: np.abs(self.points[idx] - ce[k]) < R[k]
 
     def _square_windows(self, bases):
@@ -306,7 +275,8 @@ class _SupportIndex:
         theta, half = np.angle(bases), gaps / 2.0
         whole = mods == 0.0
         arcs = self._angle_windows(theta, half * (1.0 + _WINDOW_PAD) + _WINDOW_PAD, whole)
-        windows = self._windows(_octave(gaps * (1.0 + _WINDOW_PAD)), self.band_range[1], arcs)
+        windows = self._windows(geometry._band(gaps * (1.0 + _WINDOW_PAD)),
+                                self.band_range[1], arcs)
 
         def inside(idx, k):
             pts = self.points[idx]
@@ -411,7 +381,7 @@ class RadialDensityMeasure(DiscMeasure):
         that range alone; no node-sized array is kept."""
         grid = self.grid
         hi = grid.node_count if hi is None else hi
-        rings, _, counts = grid._ring_spans(lo, hi)
+        rings, _, counts = geometry._ring_spans(grid.ring_counts, lo, hi)
         return grid.node_range(lo, hi), np.repeat(self._ring_masses[rings], counts)
 
     def carleson_masses(self, bases):

@@ -388,6 +388,12 @@ def classify(w, mesh=256):
     """
     if mesh < 64:
         raise DomainError("classification mesh must have at least 64 points")
+    # The deepest gap read, 2^-((mesh + 31)/8), and the _MAX_OCTAVES halvings
+    # of its tail sweep must stay normal floats: deeper, the tail turns
+    # infinite and the ratios NaN.
+    max_mesh = _PER_OCTAVE * (-np.finfo(float).minexp - _MAX_OCTAVES) - 4 * _PER_OCTAVE + 1
+    if mesh > max_mesh:
+        raise DomainError(f"classification mesh must have at most {max_mesh} points")
 
     u, hat, ratios, truncated_at = _dyadic_ratio_stats(w, mesh)
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -400,6 +401,45 @@ class TestNonFiniteReports:
         err = json.loads(capsys.readouterr().out)["error"]
         assert "not finite" in err["message"]
         assert not (out / "report.json").exists()
+
+
+class TestClassifyMesh:
+    """classify-weight rejects a mesh whose deepest tail sweeps would leave
+    the normal float range, with a JSON DomainError before any mesh-sized
+    work: exit 2, nothing on stderr, no report."""
+
+    @staticmethod
+    def classify(tmp_path, mesh):
+        cfg = write_config(tmp_path, {"weight": {"kind": "power", "alpha": -0.9}})
+        src = os.path.dirname(os.path.dirname(criteria.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+        def cap_memory():  # 2 GB of address space for the child alone
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+        return subprocess.run([sys.executable, "-m", "bergman", "classify-weight",
+                               "--config", cfg, "--out", str(tmp_path / "o"),
+                               "--deterministic", "--mesh", str(mesh)],
+                              env=env, capture_output=True, text=True, timeout=300,
+                              preexec_fn=cap_memory)
+
+    def assert_rejected(self, tmp_path, proc):
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stderr == ""
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "DomainError"
+        assert "mesh must have at most" in err["message"]
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_mesh_whose_tails_reach_subnormal_gaps(self, tmp_path):
+        # mesh 8000 reads gaps down to 2^-1004, and their tail sweeps reach
+        # subnormal gaps, where the tail of power(-0.9) is infinite
+        self.assert_rejected(tmp_path, self.classify(tmp_path, 8000))
+
+    def test_mesh_too_large_to_allocate(self, tmp_path):
+        # the mesh's gap array alone would take 7.45 GiB
+        self.assert_rejected(tmp_path, self.classify(tmp_path, 1_000_000_000))
 
 
 class TestDeterminism:

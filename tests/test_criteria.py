@@ -21,6 +21,7 @@ from bergman import (
     RadialDensityMeasure,
     RadialWeight,
     Scale,
+    SelfMap,
     berezin_criterion,
     embedding_ls_criterion,
     embedding_sup_criterion,
@@ -32,8 +33,7 @@ from bergman import (
     probe_lattice,
     verify_gamma,
 )
-from bergman import criteria, measures
-from bergman.criteria import _band_peaks
+from bergman import criteria, geometry, measures
 
 ONE = Polynomial([1.0])
 
@@ -130,7 +130,42 @@ class TestDyadicBands:
         # (2^-(k+1), 2^-k], the band whose top the tail mask gaps <= 2^-k closes
         for k in range(61):
             gaps = np.array([2.0 ** -k, np.nextafter(2.0 ** -(k + 1), 1.0)])
-            assert _band_peaks(gaps, np.array([1.0, 2.0])) == {k: 1}, k
+            assert geometry._band(gaps).tolist() == [k, k], k
+
+
+def mask_loop_tail(gaps, vals, reduce):
+    """The tail summary as a loop of masks gaps <= 2^-k, the form the band
+    rule replaced."""
+    if len(gaps) == 0:
+        return []
+    out = []
+    k = 0
+    min_gap = np.min(gaps)
+    while 2.0 ** (-k) >= min_gap * (1.0 - 1e-12):
+        mask = gaps <= 2.0 ** (-k)
+        if not np.any(mask):
+            break
+        out.append((2.0 ** (-k), float(reduce(vals[mask]))))
+        k += 1
+    return out
+
+
+class TestTail:
+    @pytest.mark.parametrize("reduce", [np.max, np.sum])
+    @pytest.mark.parametrize("n", [0, 1, 9, 2000])
+    def test_matches_mask_loop_bitwise(self, reduce, n):
+        # random gaps mixed with exact powers of two and their neighbours
+        rng = np.random.default_rng(40 + n)
+        gaps = 2.0 ** -rng.uniform(0.0, 30.0, n)
+        powers = np.ldexp(1.0, -rng.integers(0, 31, n // 3))
+        gaps = np.concatenate([gaps, powers, np.nextafter(powers[: n // 9], 0.0),
+                               np.nextafter(powers[: n // 9], 2.0)])
+        gaps = gaps[gaps <= 1.0]
+        rng.shuffle(gaps)
+        vals = rng.lognormal(0.0, 3.0, len(gaps))
+        got = criteria._tail(geometry._band(gaps), vals, reduce)
+        want = mask_loop_tail(gaps, vals, reduce)
+        assert [(d.hex(), v.hex()) for d, v in got] == [(d.hex(), v.hex()) for d, v in want]
 
 
 class TestEmbeddingLs:
@@ -366,6 +401,24 @@ class TestHinfBlocks:
             monkeypatch.setattr(measures, "_NODE_BLOCK", block)
             blobs.append(json.dumps(hinf_criterion(op, 2.0, w, grid=grid).to_json()))
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_ties_keep_the_first_node(self, monkeypatch):
+        """A constant image makes every node tie: the report's one sample is
+        node 0 at every block size, as over the whole grid at once."""
+
+        class Constant(SelfMap):
+            def __call__(self, z):
+                return np.full(np.shape(z), 0.5 + 0.0j)
+
+            def image_radius(self, s):
+                return 0.5
+
+        grid = QuadratureGrid(9)  # two default blocks
+        op = OperatorSpec(Constant(), ONE, 1)
+        for block in (1 << 10, measures._NODE_BLOCK, grid.node_count):
+            monkeypatch.setattr(measures, "_NODE_BLOCK", block)
+            report = hinf_criterion(op, 2.0, RadialWeight.power(1.0), grid=grid)
+            assert [z for z, _ in report.samples] == [grid.node_range(0, 1)[0]], block
 
     def test_temporaries_stay_in_blocks(self):
         """At grid 11 (524 k nodes) the sweep's per-node temporaries would

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman.geometry import _polar_rule
+from bergman.geometry import _band, _polar_rule
 from bergman.measures import _disc_params
 
 from bergman import (
@@ -174,3 +174,25 @@ class TestLattices:
     def test_probe_lattice_gaps_exact(self):
         pts, gaps = probe_lattice(depth=6)
         assert np.allclose(1.0 - np.abs(pts), gaps, atol=1e-15)
+
+
+class TestBand:
+    """_band is the one band rule: band k holds the gaps in (2^-(k+1), 2^-k]."""
+
+    def gaps_at_every_power_of_two(self):
+        """Every 2^-k, k = 0..1074 (subnormals from k = 1023 on), and both of
+        its float neighbours, zero left out."""
+        tops = np.ldexp(1.0, -np.arange(1075))
+        u = np.concatenate([tops, np.nextafter(tops, 0.0), np.nextafter(tops, 2.0)])
+        return u[u > 0.0]
+
+    def test_band_at_least_k_exactly_when_gap_at_most_2_to_minus_k(self):
+        u = self.gaps_at_every_power_of_two()
+        ks = np.arange(1075)
+        got = _band(u)[:, None] >= ks[None, :]
+        want = u[:, None] <= np.ldexp(1.0, -ks)[None, :]
+        assert np.array_equal(got, want)
+
+    def test_scalar_and_array_agree(self):
+        u = self.gaps_at_every_power_of_two()
+        assert [int(_band(float(x))) for x in u] == _band(u).tolist()

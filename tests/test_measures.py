@@ -25,10 +25,9 @@ from bergman import (
     pseudo_disc,
     pushforward,
     r_lattice,
-    radial_rings,
     rho,
 )
-from bergman import measures
+from bergman import geometry, measures
 from bergman.criteria import _MASS_FLOOR
 from bergman.errors import SelfMapViolationError
 
@@ -88,11 +87,6 @@ class TestGrid:
     def test_level_bounds(self):
         with pytest.raises(DomainError):
             QuadratureGrid(0)
-
-    def test_ring_arrays_match_standalone(self, grid8):
-        gaps, weights = radial_rings(8)
-        assert np.array_equal(gaps, grid8.ring_gaps)
-        assert np.allclose(weights, grid8.ring_weights, rtol=1e-15)
 
 
 class TestMeasureOf:
@@ -191,7 +185,7 @@ class TestMeasureOf:
             pts = np.concatenate([pts, edges + 0j, -edges + 0j, [0j]])
         masses = rng.uniform(0, 1, len(pts))
         index = measures._SupportIndex(pts, masses)
-        bands = measures._octave(1.0 - np.abs(pts))
+        bands = geometry._band(1.0 - np.abs(pts))
         keys = measures._BAND_STRIDE * bands + np.angle(pts)
         order = np.argsort(keys)
         assert np.array_equal(index.keys, keys[order])

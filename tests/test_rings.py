@@ -28,8 +28,11 @@ from bergman import (
     bergman_norm,
     derivative_bound_sup,
     norm_equivalence_ratios,
+    probe_lattice,
+    r_lattice,
     verify_gamma,
 )
+from bergman import geometry, measures
 from bergman.criteria import _ring_kernel_means
 
 RTOL = 1e-12
@@ -130,17 +133,23 @@ def test_grid_matches_seed_layout_bitwise(level, angular_base):
 
 
 def node_ranges(grid):
-    """(lo, hi) ranges of every kind: inside one ring, across rings, across
-    a band boundary and several bands, the whole grid, past its end, empty."""
-    ends = np.cumsum(grid.ring_counts)
-    starts = ends - grid.ring_counts
-    per_band = 2 * grid.radial_subcells
+    """(lo, hi) ranges of the grid's nodes of every kind (ring_ranges)."""
+    return ring_ranges(grid.ring_counts, 2 * grid.radial_subcells)
+
+
+def ring_ranges(counts, per_band):
+    """(lo, hi) ranges of the points of rings holding counts points each, of
+    every kind: inside one ring, across rings, across the boundary before
+    ring per_band and across several rings, the whole set, past its end,
+    empty."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
     last = len(starts) - 1
     count = int(ends[-1])
-    mid = lambda ring: int(starts[ring] + grid.ring_counts[ring] // 2)
+    mid = lambda ring: int(starts[ring] + counts[ring] // 2)
     return [
-        (int(starts[last]) + int(grid.ring_counts[last]) // 3,
-         int(starts[last]) + 2 * int(grid.ring_counts[last]) // 3),
+        (int(starts[last]) + int(counts[last]) // 3,
+         int(starts[last]) + 2 * int(counts[last]) // 3),
         (int(starts[3]), int(ends[3])),
         (mid(1), mid(3)),
         (int(starts[per_band]) - 1, int(starts[per_band]) + 1),
@@ -163,6 +172,59 @@ def test_node_range_matches_nodes_bitwise(level, angular_base):
         assert np.array_equal(got, nodes[lo:hi]), (lo, hi)
     assert "nodes" not in vars(grid)
     assert np.array_equal(grid.nodes, nodes)
+    # the ring builder behind node_range, on rings whose counts change from
+    # ring to ring (an r-lattice's) and to the end of the set (hi = None)
+    gaps, counts, points = ring_loop_r_lattice(0.5, level + 2)
+    for lo, hi in ring_ranges(counts, 2):
+        assert np.array_equal(geometry._ring_points(gaps, counts, lo, hi),
+                              points[lo:hi]), (lo, hi)
+        assert np.array_equal(geometry._ring_points(gaps, counts, lo), points[lo:])
+
+
+def ring_loop_r_lattice(r, depth):
+    """r_lattice's rings and points from the per-ring loop it replaced:
+    (gaps, counts, points)."""
+    n_sub = max(1, math.ceil(0.7 / r))
+    gaps = 2.0 ** (-(np.arange(n_sub * depth) + 0.5) / n_sub)
+    radii = 1.0 - gaps
+    counts = np.maximum(
+        1, np.ceil(4.0 * math.pi * radii / (r * gaps * (2.0 - gaps)))).astype(int)
+    pieces = []
+    for u, n in zip(gaps, counts):
+        theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        pieces.append((1.0 - u) * np.exp(1j * theta))
+    return gaps, counts, np.concatenate(pieces)
+
+
+def outer_product_rings(gaps, n_angles):
+    """Rings of n_angles points as the outer product that probe_lattice and
+    the 32-angle embedding_ls_criterion mesh used."""
+    theta = (np.arange(n_angles) + 0.5) * (2.0 * math.pi / n_angles)
+    return ((1.0 - gaps)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r,depth", [(0.9, 3), (0.5, 12), (0.3, 14), (0.05, 6)])
+def test_r_lattice_matches_ring_loop(r, depth):
+    assert same_bits(r_lattice(r, depth), ring_loop_r_lattice(r, depth)[2])
+
+
+@pytest.mark.parametrize("depth,angles", [(1, 8), (9, 8), (14, 8), (6, 5)])
+def test_probe_lattice_matches_outer_product(depth, angles):
+    pts, gaps = probe_lattice(depth, angles)
+    want_gaps = 2.0 ** (-(np.arange(2 * depth) + 0.5) / 2)
+    assert same_bits(pts, outer_product_rings(want_gaps, angles))
+    assert same_bits(gaps, np.repeat(want_gaps, angles))
+
+
+@pytest.mark.parametrize("level", [3, 10, 12, 16])
+def test_ls_mesh_matches_outer_product(level):
+    ring_gaps = measures._ring_layout(level)[0]
+    got = geometry._ring_points(ring_gaps, np.full(len(ring_gaps), 32))
+    assert same_bits(got, outer_product_rings(ring_gaps, 32))
 
 
 def test_grid_build_holds_and_peaks_near_its_arrays():
