@@ -256,7 +256,7 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
         raise DomainError("n must be nonnegative")
     s = p / (p - q)
     notes = []
-    if isinstance(mu, AtomicMeasure) and len(mu.points):
+    if isinstance(mu, AtomicMeasure) and mu.support_size:
         # evaluation mesh capped at the atomic resolution
         level = min(level, max(3, int(geometry._band(mu.min_gap)) - 1))
         notes.append(f"evaluation depth capped at the atom resolution (level {level})")
@@ -315,7 +315,7 @@ def op_pushforward_criterion(op, p, q, w, nu, r=0.3, level=12):
     report = embedding_ls_criterion(p, q, op.n, w, pf, r=r, level=level)
     report.criterion_id = "OP_PUSHFORWARD_LS"
     report.params.update({"phi": repr(op.phi), "u": repr(op.u), "n": op.n,
-                          "pushforward_atoms": len(pf.points)})
+                          "pushforward_atoms": pf.support_size})
     return report
 
 

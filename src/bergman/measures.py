@@ -13,10 +13,14 @@ ring.  Any range of that order is built from the rings alone
 Measures come in two representations: a radial density (backed by the
 same tail-integral machinery as radial weights, so its Carleson-square masses
 have a closed form and its pseudo-disc masses a disc-centred polar rule) and
-an atomic cloud, whose masses are sums over a sorted index of its atoms.
-``support_nodes(lo, hi)`` exposes a range of the common discrete picture
-(points, masses) that the pushforward and criterion integrals consume; the
-streaming callers read it in blocks of _NODE_BLOCK nodes.
+an atomic cloud, whose masses are sums over a sorted index of its atoms.  A
+cloud is stored (points and masses) or streamed: the weighted pushforward
+recomputes its atoms from (phi, h, mu) whenever they are read.  Either way
+the index, built from the cloud's support blocks, is the only whole-support
+copy of the atoms.  ``support_nodes(lo, hi)`` exposes a range of the common
+discrete picture (points, masses) that the pushforward, the index and the
+criterion integrals consume; the streaming callers read it in blocks of
+_NODE_BLOCK nodes.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ _TWO_PI = 2.0 * math.pi
 _MAX_GRID_NODES = 100_000_000
 _RADIAL_SUBCELLS = 4
 # Support nodes per block where the support is streamed (pushforward, the
-# Berezin and H-infinity criteria): per-node temporaries stay a few MB however
-# fine the grid.  A multiple of the Berezin sweep's slice, so streaming keeps
-# the sweep's summation order.
+# support index build, the Berezin and H-infinity criteria): per-node
+# temporaries stay a few MB however fine the grid.  A multiple of the Berezin
+# sweep's slice, so streaming keeps the sweep's summation order.
 _NODE_BLOCK = 1 << 16
 
 # 2-point Gauss-Legendre on [0, 1]
@@ -198,9 +202,11 @@ _CANDIDATE_CHUNK = 1 << 16  # candidate points tested per step
 
 
 class _SupportIndex:
-    """Points with masses, sorted by (dyadic band of the gap, angle), for
-    region sums that visit only the points that can lie in each region.
-    The band is geometry._band: band k holds the gaps in (2^-(k+1), 2^-k].
+    """A measure's support points with their masses, sorted by (dyadic band
+    of the gap, angle), for region sums that visit only the points that can
+    lie in each region.  The band is geometry._band: band k holds the gaps in
+    (2^-(k+1), 2^-k].  The index reads the measure a support block at a time,
+    so its sorted arrays are the only whole-support copy it makes.
 
     Both regions the criteria need are windows in this order: a few dyadic
     bands of gaps times an arc of angles.
@@ -216,20 +222,48 @@ class _SupportIndex:
     membership test, so a generous window changes nothing.
     """
 
-    def __init__(self, points, masses):
-        # one key buffer: the gaps, then the band bases, then the keys
-        keys = np.abs(points)
-        np.subtract(1.0, keys, out=keys)
-        bands = geometry._band(keys)
-        self.band_range = (bands.min(), bands.max()) if len(bands) else None
-        np.multiply(_BAND_STRIDE, bands, out=keys)
-        del bands
-        keys += np.angle(points)
+    def __init__(self, measure):
+        # Four passes over the measure's blocks: the sort keys, whose order
+        # gives each node's sorted place; a scatter of each block's points and
+        # masses to their places; the keys again, now of the sorted points.
+        # A key depends on its point alone, so these are the sorted keys, and
+        # the peak stays at 32 B per node plus one block's temporaries.
+        n = measure.support_size
+        blocks = _node_blocks(n)
+        keys = np.empty(n)
+        for lo, hi in blocks:
+            self._keys(measure.support_nodes(lo, hi)[0], out=keys[lo:hi])
         order = np.argsort(keys)
-        self.keys = keys[order]
         del keys
-        self.points = points[order]
-        self.masses = masses[order]
+        # int32 places: 2^31 atoms would hold 50 GB of points and masses
+        place = np.empty(n, dtype=np.int32)
+        for lo, hi in blocks:
+            place[order[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+        del order
+        self.points = np.empty(n, dtype=complex)
+        self.masses = np.empty(n)
+        for lo, hi in blocks:
+            pts, masses = measure.support_nodes(lo, hi)
+            self.points[place[lo:hi]] = pts
+            self.masses[place[lo:hi]] = masses
+        del place
+        self.keys = np.empty(n)
+        ends = []  # the first and last band of each block
+        for lo, hi in blocks:
+            bands = self._keys(self.points[lo:hi], out=self.keys[lo:hi])
+            ends += [bands[0], bands[-1]]
+        # the sorted keys run band by band
+        self.band_range = (ends[0], ends[-1]) if n else None
+
+    @staticmethod
+    def _keys(points, out):
+        """Write the sort keys of points to out, and return their bands."""
+        np.abs(points, out=out)  # the gaps, then the band bases, then the keys
+        np.subtract(1.0, out, out=out)
+        bands = geometry._band(out)
+        np.multiply(_BAND_STRIDE, bands, out=out)
+        out += np.angle(points)
+        return bands
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
         """Mass of the points in Delta(a, r) for each centre a."""
@@ -439,16 +473,15 @@ class AtomicMeasure(DiscMeasure):
             raise DomainError("points and masses must have matching shapes")
         if np.any(masses < 0.0) or np.any(~np.isfinite(masses)):
             raise DomainError("atom masses must be finite and nonnegative")
-        if not np.all(np.abs(points) < 1.0):  # also rejects NaN coordinates
+        gaps = np.abs(points)
+        if not np.all(gaps < 1.0):  # also rejects NaN coordinates
             raise DomainError("atoms must lie inside the open disc")
+        np.subtract(1.0, gaps, out=gaps)
         self.name = name
         self.points = points
         self.masses = masses
-
-    @property
-    def min_gap(self):
-        """The deepest atom's gap min(1 - |p|); inf for an empty cloud."""
-        return float(np.min(1.0 - np.abs(self.points), initial=np.inf))
+        # the deepest atom's gap min(1 - |p|); inf for an empty cloud
+        self.min_gap = float(np.min(gaps, initial=np.inf))
 
     @classmethod
     def from_csv(cls, path):
@@ -485,7 +518,7 @@ class AtomicMeasure(DiscMeasure):
     @functools.cached_property
     def _index(self):
         """The _SupportIndex of the atoms, built on first use."""
-        return _SupportIndex(self.points, self.masses)
+        return _SupportIndex(self)
 
     def pseudo_disc_masses(self, centers, r, center_gaps=None):
         return self._index.pseudo_disc_masses(centers, r, center_gaps)
@@ -499,35 +532,85 @@ def _node_blocks(count):
     return [(lo, min(lo + _NODE_BLOCK, count)) for lo in range(0, count, _NODE_BLOCK)]
 
 
+class _Pushforward(AtomicMeasure):
+    """The atoms (phi(x), h(x) * mass(x)) over mu's support, computed from
+    (phi, h, mu) a block at a time whenever they are read.
+
+    support_nodes(lo, hi) evaluates phi and h over the whole _NODE_BLOCK
+    blocks that hold the range, the blocks of the constructor's checking
+    pass, so every read gives the same bits.  points and masses build the
+    whole arrays on each read.
+    """
+
+    def __init__(self, phi, h, mu):
+        self.name = f"pushforward({mu.name})"
+        self._phi, self._h, self._mu = phi, h, mu
+        self._block = _NODE_BLOCK
+        worst = None  # (|image|, point, image) of the first largest image off the disc
+        negative, min_gap = False, math.inf
+        for lo in range(0, self.support_size, self._block):
+            pts, images, masses = self._atoms(lo)
+            mods = np.abs(images)
+            off = mods >= 1.0
+            if np.any(off):
+                i = int(np.argmax(np.where(off, mods, 0.0)))
+                if worst is None or mods[i] > worst[0]:
+                    worst = (mods[i], pts[i], images[i])
+            negative = negative or bool(np.any(masses < 0.0))
+            min_gap = np.minimum(min_gap, np.min(1.0 - mods))  # NaN carries, as np.min
+        if worst is not None:
+            _, pt, image = worst
+            raise SelfMapViolationError(f"map sent {pt} to {image} (|.| = {abs(image):.6f})")
+        if negative:
+            raise DomainError("pushforward density h must be nonnegative")
+        self.min_gap = float(min_gap)
+
+    def _atoms(self, lo):
+        """(support points, images, masses) of the block starting at lo."""
+        pts, masses = self._mu.support_nodes(lo, min(lo + self._block, self.support_size))
+        images = np.empty(len(pts), dtype=complex)
+        images[:] = self._phi(pts)
+        if self._h is not None:
+            masses = np.multiply(np.asarray(self._h(pts), dtype=float), masses)
+        return pts, images, masses
+
+    @property
+    def support_size(self):
+        return self._mu.support_size
+
+    def support_nodes(self, lo=0, hi=None):
+        """Atoms lo to hi (default: to the end) and their masses."""
+        hi = self.support_size if hi is None else min(hi, self.support_size)
+        parts = []
+        for start in range(lo - lo % self._block, hi, self._block):
+            _, images, masses = self._atoms(start)
+            cut = slice(max(lo - start, 0), hi - start)
+            parts.append((images[cut], masses[cut]))
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.empty(0, dtype=complex), np.empty(0)
+        return np.concatenate([p for p, _ in parts]), np.concatenate([m for _, m in parts])
+
+    @property
+    def points(self):
+        return self.support_nodes()[0]
+
+    @property
+    def masses(self):
+        return self.support_nodes()[1]
+
+
 def pushforward(phi, h, mu):
     """Weighted pushforward: atoms (phi(x), h(x) * mass(x)) over mu's support.
 
     The discrete change of variable int g d(pushforward) = int (g o phi) h
     d(mu) then holds exactly, term by term.  h = None means h == 1.  The
-    support is read in blocks of _NODE_BLOCK nodes, so the only support-sized
-    arrays are the two the result keeps.  A map that leaves the disc raises
-    SelfMapViolationError naming the first point of largest image modulus.
+    result is an AtomicMeasure that recomputes its atoms from (phi, h, mu)
+    whenever they are read (_Pushforward), so it holds no support-sized
+    array.  One checking pass over mu's support records the deepest image
+    gap, min_gap.  A map that leaves the disc raises SelfMapViolationError
+    naming the first point of largest image modulus; then a negative h
+    raises DomainError.
     """
-    images = np.empty(mu.support_size, dtype=complex)
-    new_masses = np.empty(mu.support_size)
-    worst = None  # (|image|, point, image) of the first largest image off the disc
-    for lo, hi in _node_blocks(mu.support_size):
-        pts, masses = mu.support_nodes(lo, hi)
-        img = images[lo:hi]
-        img[:] = phi(pts)
-        mods = np.abs(img)
-        off = mods >= 1.0
-        if np.any(off):
-            i = int(np.argmax(np.where(off, mods, 0.0)))
-            if worst is None or mods[i] > worst[0]:
-                worst = (mods[i], pts[i], img[i])
-        if h is None:
-            new_masses[lo:hi] = masses
-        else:
-            np.multiply(np.asarray(h(pts), dtype=float), masses, out=new_masses[lo:hi])
-    if worst is not None:
-        _, pt, image = worst
-        raise SelfMapViolationError(f"map sent {pt} to {image} (|.| = {abs(image):.6f})")
-    if np.any(new_masses < 0.0):
-        raise DomainError("pushforward density h must be nonnegative")
-    return AtomicMeasure(images, new_masses, name=f"pushforward({mu.name})")
+    return _Pushforward(phi, h, mu)

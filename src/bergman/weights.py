@@ -376,6 +376,22 @@ def _dyadic_ratio_stats(w, points):
     return u[:n_ok], hat[:n_ok], ratios, truncated_at
 
 
+def _sandwich_constants(u, hat, alpha_hat, beta_hat):
+    """(c_up, c_lo): the maxima over the mesh pairs i < j (u_i > u_j, so
+    r_i <= r_j) of rat / scale^beta_hat and scale^alpha_hat / rat, where
+    scale = u_i / u_j and rat = hat_i / hat_j.  The pairs are taken one
+    diagonal j - i = d at a time, in O(mesh) memory; a maximum of diagonal
+    maxima is the maximum itself, bit for bit."""
+    up, lo = [], []
+    with np.errstate(over="ignore"):
+        for d in range(1, len(u)):
+            scale = u[:-d] / u[d:]
+            rat = hat[:-d] / hat[d:]
+            up.append(np.max(rat / scale ** beta_hat))
+            lo.append(np.max(scale ** alpha_hat / rat))
+    return np.max(up), np.max(lo)
+
+
 def classify(w, mesh=256):
     """Classify a radial weight into the upper/lower doubling and moment classes.
 
@@ -419,15 +435,7 @@ def classify(w, mesh=256):
     slope = float(np.polyfit(np.log(u), np.log(hat), 1)[0])
 
     # minimal sandwich constant at the fitted exponent envelope
-    idx = np.arange(len(u))
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    keep = ii < jj  # u[ii] > u[jj], i.e. r_ii <= r_jj
-    scale = u[ii[keep]] / u[jj[keep]]
-    rat = hat[ii[keep]] / hat[jj[keep]]
-    with np.errstate(over="ignore"):
-        c_up = np.max(rat / scale ** beta_hat)
-        c_lo = np.max(scale ** alpha_hat / rat)
-    sandwich = float(max(1.0, c_up, c_lo))
+    sandwich = float(max(1.0, *_sandwich_constants(u, hat, alpha_hat, beta_hat)))
 
     xs = 2.0 ** np.arange(11)
     moms = np.array([w.moment(float(x)) for x in xs])

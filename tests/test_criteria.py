@@ -493,16 +493,17 @@ class TestSupportBlocks:
         assert peak < 10e6, peak
 
     def test_pushforward_criterion_builds_no_grid_nodes(self):
-        """The grid-11 pushforward keeps its images and masses (12.6 MB) and
-        the embedding sweep sorts them; the grid's 8.4 MB of nodes and the
-        whole-support temporaries stay out, so the call stays under 37 MB."""
+        """The grid-11 pushforward keeps no support-sized array, and the
+        embedding sweep's index (16.8 MB of sorted keys, points and masses)
+        is the only whole-support copy; the grid's 8.4 MB of nodes and the
+        whole-support temporaries stay out, so the call stays under 25 MB."""
         w = RadialWeight.power(1.0)
         op = OperatorSpec(Moebius(0.3 - 0.2j), self.U, 0)
         grid = QuadratureGrid(11)
         peak = self.traced_peak(lambda g: op_pushforward_criterion(
             op, 2.0, 1.0, w, RadialDensityMeasure.from_power(3.0, g), level=11), grid)
         assert "nodes" not in vars(grid)
-        assert peak < 37e6, peak
+        assert peak < 25e6, peak
 
 
 class TestMaximalFunction:

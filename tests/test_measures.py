@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from bergman import (
     AtomicMeasure,
     DomainError,
     Moebius,
+    Polynomial,
     PowerMap,
     QuadratureGrid,
     RadialDensityMeasure,
@@ -174,24 +176,42 @@ class TestMeasureOf:
         expect = [masses[rho(c, pts) < 0.5].sum() for c in centers]
         assert got == pytest.approx(expect, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [0, 1, 2000])
-    def test_support_index_matches_plain_construction(self, n):
-        """The index builds its sort keys in one buffer; keys, points, masses
-        and band range are those of the plain expression it replaced."""
-        rng = np.random.default_rng(9 + n)
-        pts = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        if n > 1:
-            edges = 1.0 - 2.0 ** -np.arange(1, 13)  # gaps exactly 2^-k, angles 0 and pi
-            pts = np.concatenate([pts, edges + 0j, -edges + 0j, [0j]])
-        masses = rng.uniform(0, 1, len(pts))
-        index = measures._SupportIndex(pts, masses)
+    @staticmethod
+    def assert_index_is_plain_sort(index, pts, masses):
+        """keys, points, masses and band range of the index are those of the
+        plain whole-support expressions: keys sorted by argsort, and the
+        points and masses gathered in that order (ties included)."""
         bands = geometry._band(1.0 - np.abs(pts))
         keys = measures._BAND_STRIDE * bands + np.angle(pts)
         order = np.argsort(keys)
         assert np.array_equal(index.keys, keys[order])
         assert np.array_equal(index.points.view(float), pts[order].view(float))
         assert np.array_equal(index.masses, masses[order])
-        assert index.band_range == ((bands.min(), bands.max()) if n else None)
+        assert index.band_range == ((bands.min(), bands.max()) if len(pts) else None)
+
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    def test_support_index_matches_plain_construction(self, monkeypatch, n):
+        """The index, built from a measure's support blocks (several here),
+        equals the plain sort of the whole support."""
+        monkeypatch.setattr(measures, "_NODE_BLOCK", 1 << 9)
+        rng = np.random.default_rng(9 + n)
+        pts = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        if n > 1:
+            edges = 1.0 - 2.0 ** -np.arange(1, 13)  # gaps exactly 2^-k, angles 0 and pi
+            pts = np.concatenate([pts, edges + 0j, -edges + 0j, [0j]])
+        masses = rng.uniform(0, 1, len(pts))
+        index = measures._SupportIndex(AtomicMeasure(pts, masses))
+        self.assert_index_is_plain_sort(index, pts, masses)
+
+    def test_support_index_of_grid_support(self, monkeypatch, grid8):
+        """A grid support repeats each band's angles on every ring of the
+        band, so most keys tie; the tied nodes keep argsort's order."""
+        monkeypatch.setattr(measures, "_NODE_BLOCK", 1 << 12)
+        density = RadialWeight(lambda u: 1.0 + u * u, allow_zero=True)
+        mu = RadialDensityMeasure(density, grid8)
+        pts, masses = mu.support_nodes()
+        assert len(np.unique(np.angle(pts))) < len(pts) // 4
+        self.assert_index_is_plain_sort(measures._SupportIndex(mu), pts, masses)
 
     def test_grid_support_disc_masses_vs_bruteforce(self, grid8):
         # grid-shaped support: evenly spaced rings, many tied keys
@@ -393,6 +413,71 @@ class TestPushforward:
                 pushforward(outward, h, nu)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kind", ["density", "atoms"])
+    def test_support_nodes_match_whole_support(self, monkeypatch, grid8, kind):
+        """Every range of the streamed atoms, those that straddle blocks
+        included, is bit for bit the slice of the whole-support arrays; so
+        are the whole points and masses, and min_gap is the images' deepest
+        gap."""
+        monkeypatch.setattr(measures, "_NODE_BLOCK", 1000)
+        if kind == "density":
+            nu = RadialDensityMeasure.from_power(1.0, grid8)
+        else:
+            gen = np.random.default_rng(12)
+            pts = 0.99 * np.sqrt(gen.uniform(0, 1, 4321)) * np.exp(2j * np.pi * gen.uniform(0, 1, 4321))
+            nu = AtomicMeasure(pts, gen.uniform(0, 1, 4321))
+        phi, h = Moebius(0.3 - 0.2j), lambda z: np.abs(1.0 + 0.5 * z) ** 1.5
+        images, masses, _ = self.whole_support(phi, h, nu)
+        pf = pushforward(phi, h, nu)
+        n = pf.support_size
+        assert n == nu.support_size
+        for lo, hi in [(0, None), (0, 1000), (999, 1001), (1000, 2000), (500, 3700),
+                       (1234, 1300), (n - 5, n), (n - 5, n + 100), (n, n), (3000, 3000)]:
+            got_pts, got_masses = pf.support_nodes(lo, hi)
+            assert np.array_equal(got_pts.view(float), images[lo:hi].view(float)), (lo, hi)
+            assert np.array_equal(got_masses, masses[lo:hi]), (lo, hi)
+        assert np.array_equal(pf.points, images) and np.array_equal(pf.masses, masses)
+        assert pf.min_gap == float(np.min(1.0 - np.abs(images)))
+
+    def test_violation_in_later_block_names_the_same_point(self, monkeypatch, grid8):
+        """Only the grid's deep rings, the last blocks of its node order, leave
+        the disc; the message names the first point of largest image modulus
+        over the whole support."""
+        monkeypatch.setattr(measures, "_NODE_BLOCK", 1 << 12)
+        nu = RadialDensityMeasure.from_power(1.0, grid8)
+        outward = Moebius(0.3 - 0.2j)
+        stretch = lambda z: 1.003 * outward(z)
+        h = lambda z: 1.0 + np.abs(z)
+        images, _, message = self.whole_support(stretch, h, nu)
+        off = np.nonzero(np.abs(images) >= 1.0)[0]
+        assert len(off) and off[0] >= 4 << 12
+        with pytest.raises(SelfMapViolationError) as exc:
+            pushforward(stretch, h, nu)
+        assert str(exc.value) == message
+
+    def test_negative_density(self, grid8):
+        """A negative h raises DomainError, after the self-map check: a map
+        that also leaves the disc reports that first."""
+        nu = RadialDensityMeasure.from_power(1.0, grid8)
+        h = lambda z: np.where(np.abs(z) > 0.99, -1.0, 1.0)
+        with pytest.raises(DomainError, match="pushforward density h must be nonnegative"):
+            pushforward(Moebius(0.3), h, nu)
+        with pytest.raises(SelfMapViolationError):
+            pushforward(lambda z: 1.5 * z, h, nu)
+
+    def test_empty_support(self):
+        mu = AtomicMeasure(np.array([], dtype=complex), np.array([]))
+        pf = pushforward(Moebius(0.3), lambda z: np.abs(z), mu)
+        assert isinstance(pf, AtomicMeasure)
+        assert pf.support_size == 0 and pf.min_gap == math.inf
+        pts, masses = pf.support_nodes()
+        assert pts.dtype == complex and len(pts) == 0 and len(masses) == 0
+        assert len(pf.points) == 0 and len(pf.masses) == 0
+        assert pf.integrate(lambda z: z + 1.0) == 0.0
+        centers = np.array([0.0, 0.5j])
+        assert np.array_equal(pf.pseudo_disc_masses(centers, 0.3), [0.0, 0.0])
+        assert np.array_equal(pf.carleson_masses(centers), [0.0, 0.0])
+
     def test_self_map_violation(self, rng):
         # the atom at 0.99 leaves the disc under z -> 1.02 z whatever the draws
         drawn = self._atoms(rng, n=100)
@@ -408,6 +493,61 @@ def row_parse(path):
                 for row in csv.DictReader(fh)]
     arr = np.array(rows).reshape(-1, 3)
     return arr[:, 0] + 1j * arr[:, 1], arr[:, 2]
+
+
+def traced(call):
+    """(result, current, peak) traced allocation of call()."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class TestSupportMemory:
+    """The pushforward keeps no support-sized array, and the support index,
+    32 B per node of sorted keys, points and masses, is the only
+    whole-support copy: its build peaks at those 32 B per node plus one
+    block's temporaries."""
+
+    PHI = Moebius(0.3 - 0.2j)
+    U = Polynomial([0.4, -1.1 + 0.3j, 0.7j, 0.25])
+
+    def h(self, z):
+        return np.abs(self.U(z))
+
+    def pushforward_on(self, level):
+        """The pushforward of a power density on a grid of the given level,
+        after the same call on a small grid keeps first-call allocations out."""
+        pushforward(self.PHI, self.h, RadialDensityMeasure.from_power(3.0, QuadratureGrid(4)))._index
+        nu = RadialDensityMeasure.from_power(3.0, QuadratureGrid(level))
+        return traced(lambda: pushforward(self.PHI, self.h, nu))
+
+    def test_pushforward_holds_no_support_array(self):
+        """After pushforward on a grid-9 density (131 k nodes) the traced
+        allocations that remain are less than one int32 support array."""
+        pf, current, _ = self.pushforward_on(9)
+        assert pf.support_size == QuadratureGrid(9).node_count
+        assert current < 4 * pf.support_size, current
+
+    def test_index_build_from_stored_atoms(self):
+        """Built from a stored cloud (the grid-11 pushforward's 524 k atoms),
+        the index peaks within 36 B per node over the cloud's own arrays."""
+        pf, _, _ = self.pushforward_on(11)
+        mu = AtomicMeasure(*pf.support_nodes())
+        _, current, peak = traced(lambda: measures._SupportIndex(mu))
+        assert current >= 32 * mu.support_size
+        assert peak <= 36 * mu.support_size, peak / mu.support_size
+
+    def test_index_build_from_pushforward(self):
+        """Built from the streamed grid-11 pushforward, the index peaks
+        within 32 B per node over the pushforward's own pass, which holds one
+        block of phi and h temporaries at a time."""
+        pf, _, block_peak = self.pushforward_on(11)
+        _, _, peak = traced(lambda: measures._SupportIndex(pf))
+        assert peak <= 32 * pf.support_size + block_peak, (peak - block_peak) / pf.support_size
 
 
 class TestAtomsCsv:

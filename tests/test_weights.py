@@ -18,6 +18,7 @@ from bergman import (
     gamma_exponent,
     pseudo_disc,
 )
+from bergman import weights
 
 
 def power_weight(alpha):
@@ -137,6 +138,29 @@ class TestClassify:
                 scale = u[i] / u[j]
                 assert ratio <= C * scale ** hi + 1e-12
                 assert ratio >= scale ** lo / C - 1e-12
+
+    @pytest.mark.parametrize("mesh", [256, 512])
+    @pytest.mark.parametrize("w", [
+        RadialWeight.power(1.5),
+        RadialWeight.log_power(1.0, 2.0),
+        RadialWeight.from_table(np.linspace(0.0, 0.99, 40), 1.0 + np.linspace(0.0, 0.99, 40) ** 2),
+    ], ids=["power", "log_power", "table"])
+    def test_sandwich_constants_match_pair_formula(self, w, mesh):
+        """The sandwich constants, taken one diagonal of mesh pairs at a
+        time, are bit for bit the maxima over the whole table of pairs i < j."""
+        u, hat, ratios, _ = weights._dyadic_ratio_stats(w, mesh)
+        exps = np.log2(ratios[2])
+        alpha_hat, beta_hat = float(np.min(exps)), float(np.max(exps))
+        idx = np.arange(len(u))
+        ii, jj = np.meshgrid(idx, idx, indexing="ij")
+        keep = ii < jj
+        scale = u[ii[keep]] / u[jj[keep]]
+        rat = hat[ii[keep]] / hat[jj[keep]]
+        with np.errstate(over="ignore"):
+            want = (np.max(rat / scale ** beta_hat), np.max(scale ** alpha_hat / rat))
+        got = weights._sandwich_constants(u, hat, alpha_hat, beta_hat)
+        assert np.array_equal(got, want)
+        assert classify(w, mesh=mesh).sandwich_constant == float(max(1.0, *want))
 
     def test_moment_class_for_power_weight(self):
         assert classify(power_weight(0.0), mesh=96).moment_class

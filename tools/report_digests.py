@@ -42,9 +42,12 @@ def run_digest(argv, workdir, out_dir, env):
     return h.hexdigest()
 
 
-def main(tree, out_path):
+def pinned_runs(tree):
+    """Yield (key, args, workdir, out_dir, env) for every pinned run, keyed
+    "workload/job/variant": run `python -m bergman *args` in workdir with env
+    (TREE/src on the path), and it writes its reports to out_dir.  A
+    workload variant's inputs live until its last run has been yielded."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads.WORKLOADS:
             keys = workloads.job_keys(workload)
@@ -52,10 +55,17 @@ def main(tree, out_path):
                 workdir = os.path.join(tmp, f"{workload}-{v}")
                 for job in workloads.write_inputs(workload, dict.fromkeys(keys, v), workdir):
                     out_dir = os.path.join("out", job.key)
-                    argv = [sys.executable, "-m", "bergman", *job.argv, "--config",
-                            f"{job.key}.json", "--out", out_dir, "--deterministic"]
-                    digests[f"{workload}/{job.ref_key}"] = run_digest(argv, workdir, out_dir, env)
+                    args = [*job.argv, "--config", f"{job.key}.json", "--out", out_dir,
+                            "--deterministic"]
+                    yield f"{workload}/{job.ref_key}", args, workdir, out_dir, env
                 shutil.rmtree(workdir)  # the cloud CSV alone is about 17 MB
+
+
+def main(tree, out_path):
+    digests = {}
+    for key, args, workdir, out_dir, env in pinned_runs(tree):
+        argv = [sys.executable, "-m", "bergman", *args]
+        digests[key] = run_digest(argv, workdir, out_dir, env)
     with open(out_path, "w") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
