@@ -61,7 +61,6 @@ from .criteria import (
     embedding_ls_criterion,
     embedding_sup_criterion,
     hinf_criterion,
-    maximal_function,
     norm_equivalence_ratios,
     op_pushforward_criterion,
     operator_norm_lower_bound,

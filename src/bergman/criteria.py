@@ -59,7 +59,6 @@ __all__ = [
     "op_pushforward_criterion",
     "berezin_criterion",
     "hinf_criterion",
-    "maximal_function",
     "verify_gamma",
     "operator_norm_lower_bound",
     "norm_equivalence_ratios",
@@ -463,32 +462,8 @@ def hinf_criterion(op, p, w, grid):
 
 
 # ---------------------------------------------------------------------------
-# maximal function, gamma verification, norm probes
+# gamma verification, norm probes
 # ---------------------------------------------------------------------------
-
-def maximal_function(mu, w, alpha, z):
-    """max over basepoints a with z in S(a) of mu(S(a)) / wS(a)^alpha.
-
-    The basepoint a = 0 (whole disc) is always admissible, so the value is
-    well defined for every z.  The other basepoints are the covering lattice
-    r_lattice(0.5, depth=12) (its angular counts refine toward the boundary;
-    the square of a deep basepoint has a tiny angular window, so fixed-angle
-    probe rings would never contain a deep z).
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    z = complex(z)
-    pts = np.concatenate([[0.0 + 0.0j], geometry.r_lattice(0.5, depth=12)])
-    mods = np.abs(pts)
-    halfwidth = (1.0 - mods) / 2.0
-    dphi = np.abs((np.angle(z) - np.angle(pts) + math.pi) % (2.0 * math.pi) - math.pi)
-    admissible = (mods == 0.0) | ((abs(z) >= mods) & (dphi < halfwidth))
-    pts = pts[admissible]
-    ws, keep, _ = _carleson_scale(w, 1.0 - np.abs(pts), 1.0)
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(mu.carleson_masses(pts)[keep] / ws[keep] ** alpha))
-
 
 def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
     """Angular means of the kernel |1 - a rho e^{i theta}|^{-e} on rings.

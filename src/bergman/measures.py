@@ -10,14 +10,14 @@ ring gaps, masses and node counts, and its flat node order runs ring after
 ring.  Any range of that order is built from the rings alone
 (node_range), so a caller that streams the grid never holds all of it.
 
-Measures come in two representations: a radial density (backed by the
-same tail-integral machinery as radial weights, so its Carleson-square masses
-have a closed form and its pseudo-disc masses a disc-centred polar rule) and
-an atomic cloud, whose masses are sums over a sorted index of its atoms.  A
-cloud is stored (points and masses) or streamed: the weighted pushforward
-recomputes its atoms from (phi, h, mu) whenever they are read.  Either way
-the index, built from the cloud's support blocks, is the only whole-support
-copy of the atoms.  ``support_nodes(lo, hi)`` exposes a range of the common
+Measures answer one region query, the pseudo-disc masses mu(Delta(a, r))
+that the criteria read, and come in two representations: a radial density
+(a RadialWeight's density) takes them from a disc-centred polar rule, and
+an atomic cloud sums them over a sorted index of its atoms.  A cloud is
+stored (points and masses) or streamed: the weighted pushforward recomputes
+its atoms from (phi, h, mu) whenever they are read.  Either way the index,
+built from the cloud's support blocks, is the only whole-support copy of
+the atoms.  ``support_nodes(lo, hi)`` exposes a range of the common
 discrete picture (points, masses) that the pushforward, the index and the
 criterion integrals consume; the streaming callers read it in blocks of
 _NODE_BLOCK nodes.
@@ -162,16 +162,9 @@ class DiscMeasure:
         picture and their masses, as two arrays."""
         raise NotImplementedError
 
-    def pseudo_disc_masses(self, centers, r, center_gaps=None):
-        """Vectorized mu(Delta(a, r)) over an array of centers."""
-        raise NotImplementedError
-
-    def carleson_masses(self, bases):
-        """mu(S(a)) over an array of basepoints (S(0) is the whole disc).
-
-        S(a) for a != 0 holds the points p with |p| >= |a| whose angle lies
-        within (1-|a|)/2 of arg a.
-        """
+    def pseudo_disc_masses(self, centers, r, center_gaps):
+        """Vectorized mu(Delta(a, r)) over an array of centers, given their
+        exact gaps 1-|a|."""
         raise NotImplementedError
 
     def integrate(self, g):
@@ -203,23 +196,19 @@ _CANDIDATE_CHUNK = 1 << 16  # candidate points tested per step
 
 class _SupportIndex:
     """A measure's support points with their masses, sorted by (dyadic band
-    of the gap, angle), for region sums that visit only the points that can
-    lie in each region.  The band is geometry._band: band k holds the gaps in
-    (2^-(k+1), 2^-k].  The index reads the measure a support block at a time,
-    so its sorted arrays are the only whole-support copy it makes.
+    of the gap, angle), for pseudo-disc sums that visit only the points that
+    can lie in each disc.  The band is geometry._band: band k holds the gaps
+    in (2^-(k+1), 2^-k].  The index reads the measure a support block at a
+    time, so its sorted arrays are the only whole-support copy it makes.
 
-    Both regions the criteria need are windows in this order: a few dyadic
-    bands of gaps times an arc of angles.
-    - Delta(a, r) is the Euclidean disc D(ce, R).  Its points have gaps
-      between the disc's outer and inner gaps; when R < |ce| they also lie
-      within asin(R/|ce|) of arg(ce) (otherwise the disc holds the origin and
-      every angle).
-    - S(a) holds the bands from _band(1-|a|) to the deepest one and the
-      angles within (1-|a|)/2 of arg a; S(0) is the whole disc.
-    Each (region, band) pair thus reads one or two contiguous runs of the
-    sorted keys (two where the angle window wraps at +-pi), found with
-    searchsorted.  Every point of those windows takes the region's exact
-    membership test, so a generous window changes nothing.
+    The pseudo-disc Delta(a, r) is the Euclidean disc D(ce, R), a window in
+    this order: a few dyadic bands of gaps times an arc of angles.  Its
+    points have gaps between the disc's outer and inner gaps; when R < |ce|
+    they also lie within asin(R/|ce|) of arg(ce) (otherwise the disc holds
+    the origin and every angle).  Each (disc, band) pair thus reads one or
+    two contiguous runs of the sorted keys (two where the angle window wraps
+    at +-pi), found with searchsorted.  Every point of those windows takes
+    the exact test |p - ce| < R, so a generous window changes nothing.
     """
 
     def __init__(self, measure):
@@ -265,31 +254,20 @@ class _SupportIndex:
         out += np.angle(points)
         return bands
 
-    def pseudo_disc_masses(self, centers, r, center_gaps=None):
-        """Mass of the points in Delta(a, r) for each centre a."""
+    def pseudo_disc_masses(self, centers, r, center_gaps):
+        """Mass of the points in Delta(a, r) for each centre a (gaps 1-|a|),
+        _CENTER_BLOCK centres at a time."""
         centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-        if center_gaps is None:
-            center_gaps = 1.0 - np.abs(centers)
-        return self._per_block(len(centers),
-                               lambda b: self._disc_windows(centers[b], center_gaps[b], r))
-
-    def carleson_masses(self, bases):
-        """Mass of the points in S(a) for each basepoint a."""
-        bases = np.atleast_1d(np.asarray(bases, dtype=complex))
-        return self._per_block(len(bases), lambda b: self._square_windows(bases[b]))
-
-    def _per_block(self, n, block):
-        """Masses of n regions, _CENTER_BLOCK at a time; block(b) gives the
-        windows and the exact membership test of the regions in slice b."""
-        out = np.zeros(n)
+        out = np.zeros(len(centers))
         if self.band_range is not None:
-            for s in range(0, n, _CENTER_BLOCK):
+            for s in range(0, len(centers), _CENTER_BLOCK):
                 b = slice(s, s + _CENTER_BLOCK)
-                self._sum_windows(out[b], *block(b))
+                self._sum_windows(out[b], *self._disc_windows(centers[b], center_gaps[b], r))
         return out
 
     def _disc_windows(self, centers, center_gaps, r):
-        """Windows and exact test of Delta(a, r) for a block of centres."""
+        """Windows and Euclidean discs D(ce, R) of Delta(a, r) for a block of
+        centres."""
         mods = np.abs(centers)
         c, R, g_out, g_in = _disc_params(mods, center_gaps, r)
         ce = np.where(mods > 0, centers / np.maximum(mods, 1e-300), 1.0) * c
@@ -298,30 +276,11 @@ class _SupportIndex:
         arcs = self._angle_windows(np.angle(ce), half, R >= c)
         windows = self._windows(geometry._band(g_in * (1.0 + _WINDOW_PAD)),
                                 geometry._band(g_out * (1.0 - _WINDOW_PAD)), arcs)
-        return windows, lambda idx, k: np.abs(self.points[idx] - ce[k]) < R[k]
-
-    def _square_windows(self, bases):
-        """Windows and exact test of S(a) for a block of basepoints."""
-        # |a| as Python's abs takes it (np.abs of a complex array can differ
-        # by an ulp); a point's |p| >= |a| then implies its gap <= 1 - |a|
-        mods = np.hypot(bases.real, bases.imag)
-        gaps = 1.0 - mods
-        theta, half = np.angle(bases), gaps / 2.0
-        whole = mods == 0.0
-        arcs = self._angle_windows(theta, half * (1.0 + _WINDOW_PAD) + _WINDOW_PAD, whole)
-        windows = self._windows(geometry._band(gaps * (1.0 + _WINDOW_PAD)),
-                                self.band_range[1], arcs)
-
-        def inside(idx, k):
-            pts = self.points[idx]
-            d = np.abs((np.angle(pts) - theta[k] + math.pi) % _TWO_PI - math.pi)
-            return whole[k] | ((np.abs(pts) >= mods[k]) & (d < half[k]))
-
-        return windows, inside
+        return windows, ce, R
 
     @staticmethod
     def _angle_windows(theta, half, whole):
-        """Per region, two angle intervals (lo1, hi1, lo2, hi2) relative to a
+        """Per disc, two angle intervals (lo1, hi1, lo2, hi2) relative to a
         band's key base; an empty one has lo > hi.  The arc is theta +- half
         (half < pi), or every angle where whole."""
         lo, hi = theta - half, theta + half
@@ -335,10 +294,9 @@ class _SupportIndex:
         arcs[whole] = (-edge, edge, 1.0, -1.0)
         return arcs
 
-    def _sum_windows(self, out, windows, inside):
-        """Add to out[k] the mass of the points of region k's windows that
-        pass the exact test inside(idx, k), idx their positions in the
-        sorted points and k their regions."""
+    def _sum_windows(self, out, windows, ce, R):
+        """Add to out[k] the mass of the points of disc k's windows that lie
+        in D(ce[k], R[k])."""
         owner, start, length = windows
         end = np.cumsum(length)
         begin = end - length
@@ -351,21 +309,21 @@ class _SupportIndex:
             counts = np.minimum(end[ws], t1) - np.maximum(begin[ws], t0)
             w = np.repeat(np.arange(w0, w1 + 1), counts)
             idx = np.arange(t0, t1) + shift[w]
-            k = owner[w]  # nondecreasing: windows are ordered by region
-            hit = inside(idx, k)
+            k = owner[w]  # nondecreasing: windows are ordered by disc
+            hit = np.abs(self.points[idx] - ce[k]) < R[k]
             out[k[0]:k[-1] + 1] += np.bincount(k[hit] - k[0],
                                                weights=self.masses[idx[hit]],
                                                minlength=k[-1] - k[0] + 1)
 
     def _windows(self, band_lo, band_hi, arcs):
-        """(owner region, start, length) of the nonempty runs of sorted points
-        in the regions' windows (bands band_lo to band_hi, the angle
-        intervals arcs), ordered by owner."""
+        """(owner disc, start, length) of the nonempty runs of sorted points
+        in the discs' windows (bands band_lo to band_hi, the angle intervals
+        arcs), ordered by owner."""
         lo, hi = self.band_range
         band_lo = np.maximum(band_lo, lo)
         band_hi = np.minimum(band_hi, hi)
         n_bands = np.maximum(band_hi - band_lo + 1, 0)
-        owner = np.repeat(np.arange(len(arcs)), n_bands)  # one entry per (region, band)
+        owner = np.repeat(np.arange(len(arcs)), n_bands)  # one entry per (disc, band)
         first = np.cumsum(n_bands) - n_bands
         base = _BAND_STRIDE * (band_lo[owner] + np.arange(len(owner)) - first[owner])
         bounds = base[:, None] + arcs[owner]  # lo1 hi1 lo2 hi2 in key units
@@ -378,10 +336,9 @@ class _SupportIndex:
 class RadialDensityMeasure(DiscMeasure):
     """d(mu) = w(|z|) dA for a RadialWeight w, on a grid.
 
-    Carleson-square masses are the weight's tail integrals and pseudo-disc
-    masses come from a disc-centred polar rule, so they are accurate
-    independently of any grid.  The grid defines the discrete support for
-    pushforwards.
+    Pseudo-disc masses come from a disc-centred polar rule, so they are
+    accurate independently of any grid.  The grid defines the discrete
+    support for pushforwards.
     """
 
     def __init__(self, weight, grid, name="radial_density"):
@@ -418,14 +375,8 @@ class RadialDensityMeasure(DiscMeasure):
         rings, _, counts = geometry._ring_spans(grid.ring_counts, lo, hi)
         return grid.node_range(lo, hi), np.repeat(self._ring_masses[rings], counts)
 
-    def carleson_masses(self, bases):
-        bases = np.atleast_1d(np.asarray(bases, dtype=complex))
-        return self._weight.carleson_mass_at_gap(1.0 - np.abs(bases))
-
-    def pseudo_disc_masses(self, centers, r, center_gaps=None):
+    def pseudo_disc_masses(self, centers, r, center_gaps):
         centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-        if center_gaps is None:
-            center_gaps = 1.0 - np.abs(centers)
         c, R, g_out, _ = _disc_params(np.abs(centers), center_gaps, r)
         gaps, w = geometry._polar_rule(c, R, g_out)
         vals = self._weight.density_at_gap(gaps.ravel()).reshape(gaps.shape)
@@ -520,11 +471,8 @@ class AtomicMeasure(DiscMeasure):
         """The _SupportIndex of the atoms, built on first use."""
         return _SupportIndex(self)
 
-    def pseudo_disc_masses(self, centers, r, center_gaps=None):
+    def pseudo_disc_masses(self, centers, r, center_gaps):
         return self._index.pseudo_disc_masses(centers, r, center_gaps)
-
-    def carleson_masses(self, bases):
-        return self._index.carleson_masses(bases)
 
 
 def _node_blocks(count):

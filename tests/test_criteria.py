@@ -22,15 +22,15 @@ from bergman import (
     RadialWeight,
     Scale,
     SelfMap,
+    SelfMapViolationError,
     berezin_criterion,
     embedding_ls_criterion,
     embedding_sup_criterion,
+    gamma_for,
     hinf_criterion,
-    maximal_function,
     norm_equivalence_ratios,
     op_pushforward_criterion,
     operator_norm_lower_bound,
-    probe_lattice,
     verify_gamma,
 )
 from bergman import criteria, geometry, measures
@@ -274,6 +274,40 @@ class TestBerezin:
         report = berezin_criterion(op, 2.0, 2.0, unit_weight, nu, 3.0, grid=grid8)
         assert any("gamma" in note for note in report.notes)
 
+    def test_embedding_crosscheck(self, grid8, unit_weight):
+        # q >= p: with phi the identity and u = 1 the kernel integral tests
+        # the embedding itself, so on both sides of the exponent boundary
+        # the Berezin verdict matches the supremum criterion's
+        p, q, n = 1.0, 2.0, 0
+        gamma = gamma_for(unit_weight, p, grid8)
+        assert gamma.verified
+        op = OperatorSpec(Identity(), ONE, n)
+        for margin, expected in ((0.4, "bounded-consistent"), (-0.4, "divergent")):
+            beta = beta_for_sup_margin(0.0, p, q, n, margin)
+            mu = RadialDensityMeasure.from_power(beta, grid8)
+            sup = embedding_sup_criterion(p, q, n, unit_weight, mu)
+            berezin = berezin_criterion(op, p, q, unit_weight, mu, gamma.gamma,
+                                        grid=grid8, gamma_validated=True)
+            assert (sup.verdict, berezin.verdict) == (expected, expected), margin
+
+    def test_self_map_leaving_the_disc(self, unit_weight, grid8):
+        """Berezin checks the images of the support and hinf those of the
+        grid; a map that sends either outside the disc raises."""
+
+        class Stretch(SelfMap):
+            def __call__(self, z):
+                return 1.5 * np.asarray(z)
+
+            def image_radius(self, s):
+                return 1.5 * s
+
+        op = OperatorSpec(Stretch(), ONE, 0)
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
+        with pytest.raises(SelfMapViolationError, match="on the support"):
+            berezin_criterion(op, 2.0, 2.0, unit_weight, nu, 3.0, grid=grid8)
+        with pytest.raises(SelfMapViolationError, match="on the grid"):
+            hinf_criterion(op, 2.0, unit_weight, grid=grid8)
+
 
 class TestKernelSweep:
     """The Berezin sweep in row chunks and support slices against the direct
@@ -504,34 +538,6 @@ class TestSupportBlocks:
             op, 2.0, 1.0, w, RadialDensityMeasure.from_power(3.0, g), level=11), grid)
         assert "nodes" not in vars(grid)
         assert peak < 25e6, peak
-
-
-class TestMaximalFunction:
-    def test_weight_measure_has_unit_floor(self, unit_weight, grid8):
-        mu = RadialDensityMeasure.from_weight(unit_weight, grid8)
-        for z in (0.0, 0.3, 0.5j, -0.8):
-            assert maximal_function(mu, unit_weight, 1.0, z) >= 1.0 - 1e-12
-
-    def test_zero_measure(self, unit_weight, grid8):
-        zero = RadialWeight(lambda u: np.zeros_like(u), allow_zero=True)
-        mu = RadialDensityMeasure(zero, grid8, name="zero")
-        assert maximal_function(mu, unit_weight, 1.0, 0.2) == 0.0
-
-    def test_embedding_crosscheck(self, grid8, unit_weight):
-        # q >= p: uniform boundedness of the maximal function matches the
-        # supremum criterion verdict on the standard family
-        p, q, n = 1.0, 2.0, 0
-        for margin, bounded in ((0.4, True), (-0.4, False)):
-            beta = beta_for_sup_margin(0.0, p, q, n, margin)
-            mu = RadialDensityMeasure.from_power(beta, grid8)
-            verdict = embedding_sup_criterion(p, q, n, unit_weight, mu).verdict
-            pts, _ = probe_lattice(depth=10, angles_per_ring=1)
-            vals = [maximal_function(mu, unit_weight, q / p, z) for z in pts[::2]]
-            ratio = max(vals) / vals[0]
-            if bounded:
-                assert verdict == "bounded-consistent" and ratio < 3.0
-            else:
-                assert verdict == "divergent" and ratio > 10.0
 
 
 class TestVerifyGamma:

@@ -1,4 +1,4 @@
-"""Pseudohyperbolic geometry, Carleson squares, and lattices."""
+"""Pseudohyperbolic geometry and lattices."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from bergman.geometry import _band, _polar_rule
 from bergman.measures import _disc_params
 
 from bergman import (
-    AtomicMeasure,
     DomainError,
     ResourceLimitError,
     probe_lattice,
@@ -97,39 +96,6 @@ class TestPseudoDisc:
         weights = np.broadcast_to(weights, gaps.shape)
         assert weights.sum() == pytest.approx(d.euclid_radius ** 2, rel=1e-12)
         assert np.all(gaps > 0.0)
-
-
-def held_by_square(base, *pts):
-    """Which unit atoms the Carleson square S(base) holds, read off the
-    atoms' square masses one atom at a time."""
-    return [AtomicMeasure(np.array([p], dtype=complex), np.ones(1)).carleson_masses(base)[0] == 1
-            for p in pts]
-
-
-class TestCarlesonSquare:
-    def test_zero_is_whole_disc(self):
-        assert all(held_by_square(0.0, 0.0, 0.5j, -0.99))
-
-    def test_halfwidth(self):
-        # S(0.5): angles within 0.25 of 0 and radii from 0.5
-        eps = 1e-9
-        inside = [0.75 * np.exp(1j * (0.25 - eps)), 0.75 * np.exp(-1j * (0.25 - eps)),
-                  0.5, 0.5 + eps]
-        outside = [0.75 * np.exp(1j * (0.25 + eps)), 0.75 * np.exp(-1j * (0.25 + eps)),
-                   0.5 - eps]
-        assert all(held_by_square(0.5, *inside))
-        assert not any(held_by_square(0.5, *outside))
-
-    def test_membership_example(self):
-        assert held_by_square(0.5, 0.75 * np.exp(0.1j)) == [True]
-        assert held_by_square(0.3, 0.5 * np.exp(0.05j)) == [True]
-        assert held_by_square(0.72, 0.5) == [False]  # below the radial side
-
-    def test_rotation_covariance(self):
-        base = 0.5 * np.exp(1.3j)
-        inner = 0.75 * np.exp(1.3j + 0.1j)
-        outer = 0.75 * np.exp(1.3j + 0.3j)
-        assert held_by_square(base, inner, outer) == [True, False]
 
 
 class TestLattices:

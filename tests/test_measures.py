@@ -23,14 +23,11 @@ from bergman import (
     RadialWeight,
     ResourceLimitError,
     Identity,
-    maximal_function,
     pseudo_disc,
     pushforward,
-    r_lattice,
     rho,
 )
 from bergman import geometry, measures
-from bergman.criteria import _MASS_FLOOR
 from bergman.errors import SelfMapViolationError
 
 
@@ -94,12 +91,12 @@ class TestGrid:
 class TestMeasureOf:
     def test_atom_in_disc(self):
         mu = AtomicMeasure(np.array([0.0 + 0.0j]), np.array([1.0]))
-        assert mu.pseudo_disc_masses(np.array([0j]), 0.5)[0] == 1.0
+        assert mu.pseudo_disc_masses(np.array([0j]), 0.5, np.ones(1))[0] == 1.0
 
     def test_area_of_pseudo_disc_at_origin(self, grid8):
         mu = RadialDensityMeasure.from_power(0.0, grid8)
         for r in (0.2, 0.5, 0.8):
-            got = mu.pseudo_disc_masses(np.array([0j]), r)[0]
+            got = mu.pseudo_disc_masses(np.array([0j]), r, np.ones(1))[0]
             assert got == pytest.approx(r * r, rel=1e-10)
 
     def test_power_density_scaling(self, grid8):
@@ -107,7 +104,7 @@ class TestMeasureOf:
         beta = 1.5
         mu = RadialDensityMeasure.from_power(beta, grid8)
         rho_vals = 1.0 - 2.0 ** (-np.arange(6, 16))
-        masses = mu.pseudo_disc_masses(rho_vals.astype(complex), 0.4)
+        masses = mu.pseudo_disc_masses(rho_vals.astype(complex), 0.4, 1.0 - rho_vals)
         ratios = masses / (1.0 - rho_vals) ** (beta + 2.0)
         assert np.max(ratios) / np.min(ratios) < 1.2
 
@@ -125,7 +122,7 @@ class TestMeasureOf:
 
         oracle, _ = quad(lambda t: (1 - t) ** beta * t * arc(t) / np.pi,
                          c - R, c + R, limit=400)
-        got = mu.pseudo_disc_masses(np.array([a + 0j]), r)[0]
+        got = mu.pseudo_disc_masses(np.array([a + 0j]), r, np.array([1.0 - a]))[0]
         assert got == pytest.approx(oracle, rel=1e-8)
 
     def test_atomic_disc_masses_vs_bruteforce(self, rng):
@@ -133,7 +130,7 @@ class TestMeasureOf:
         masses = rng.uniform(0, 1, 3000)
         mu = AtomicMeasure(pts, masses)
         centers = np.array([0.1 + 0.2j, 0.85, -0.6j, 0.97])
-        got = mu.pseudo_disc_masses(centers, 0.3)
+        got = mu.pseudo_disc_masses(centers, 0.3, 1.0 - np.abs(centers))
         for i, c in enumerate(centers):
             expect = masses[rho(c, pts) < 0.3].sum()
             assert got[i] == pytest.approx(expect, rel=1e-12, abs=1e-12)
@@ -158,21 +155,31 @@ class TestMeasureOf:
             0.5 * r * np.exp(1j * theta),  # discs that hold the origin
             np.sqrt(rng.uniform(0, 0.999, 8)) * np.exp(2j * np.pi * rng.uniform(0, 1, 8)),
         ])
-        got = mu.pseudo_disc_masses(centers, r)
+        got = mu.pseudo_disc_masses(centers, r, 1.0 - np.abs(centers))
         for i, c in enumerate(centers):
             expect = masses[rho(c, pts) < r].sum()
             assert got[i] == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
     def test_atomic_disc_masses_across_chunks(self, monkeypatch):
-        # windows split across candidate chunks and centres across blocks
+        # windows split across candidate chunks and centres across blocks,
+        # with windows that wrap at +-pi over atoms on the +-pi rays
         monkeypatch.setattr(measures, "_CANDIDATE_CHUNK", 7)
         monkeypatch.setattr(measures, "_CENTER_BLOCK", 3)
         rng = np.random.default_rng(8)
-        pts = np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500))
-        masses = rng.uniform(0, 1, 500)
-        centers = np.concatenate([[0.0, -0.6 + 1e-9j],
-                                  0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, 9))])
-        got = AtomicMeasure(pts, masses).pseudo_disc_masses(centers, 0.5)
+        edges = 1.0 - 2.0 ** -np.arange(1, 13)  # gaps exactly 2^-k
+        pts = np.concatenate([
+            np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500)),
+            -edges + 0j,  # angle +pi
+            np.conj(-edges + 0j),  # angle -pi
+        ])
+        masses = rng.uniform(0, 1, len(pts))
+        centers = np.concatenate([
+            [0.0, -0.6 + 1e-9j, -0.6 - 1e-9j, np.conj(-0.6 + 0j), -(1 - 2.0 ** -6),
+             0.9 * np.exp(3.0j), 0.9 * np.exp(-3.0j)],
+            0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, 9)),
+        ])
+        got = AtomicMeasure(pts, masses).pseudo_disc_masses(centers, 0.5,
+                                                            1.0 - np.abs(centers))
         expect = [masses[rho(c, pts) < 0.5].sum() for c in centers]
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -224,7 +231,7 @@ class TestMeasureOf:
             rng.uniform(-0.7, 0.7, 8) + 1j * rng.uniform(-0.7, 0.7, 8),
         ])
         for r in (0.05, 0.3, 0.9):
-            got = mu.pseudo_disc_masses(centers, r)
+            got = mu.pseudo_disc_masses(centers, r, 1.0 - np.abs(centers))
             expect = [masses[rho(c, pts) < r].sum() for c in centers]
             assert got == pytest.approx(expect, rel=1e-12)
 
@@ -239,8 +246,7 @@ class TestMeasureOf:
     def test_zero_density_measure(self, grid8):
         zero = RadialWeight(lambda u: np.zeros_like(u), allow_zero=True)
         mu = RadialDensityMeasure(zero, grid8, name="zero")
-        assert mu.carleson_masses(0.0)[0] == 0.0
-        assert mu.pseudo_disc_masses(np.array([0.5 + 0j]), 0.3)[0] == 0.0
+        assert mu.pseudo_disc_masses(np.array([0.5 + 0j]), 0.3, np.array([0.5]))[0] == 0.0
 
     def test_weight_measure_shares_its_weight(self, grid8, monkeypatch):
         # from_weight builds no RadialWeight of its own; its masses equal, bit
@@ -257,10 +263,10 @@ class TestMeasureOf:
         for got, want in zip(mu.support_nodes(), rebuilt.support_nodes()):
             assert np.array_equal(got, want)
         centers = np.array([0.0, 0.3 - 0.2j, -0.9j, 0.999, 1 - 2.0 ** -20])
+        gaps = 1.0 - np.abs(centers)
         for r in (0.1, 0.3, 0.9):
-            assert np.array_equal(mu.pseudo_disc_masses(centers, r),
-                                  rebuilt.pseudo_disc_masses(centers, r))
-        assert np.array_equal(mu.carleson_masses(centers), rebuilt.carleson_masses(centers))
+            assert np.array_equal(mu.pseudo_disc_masses(centers, r, gaps),
+                                  rebuilt.pseudo_disc_masses(centers, r, gaps))
 
     def test_density_support_keeps_no_node_masses(self, grid8):
         # support_nodes computes the masses on each call; the measure holds
@@ -271,73 +277,6 @@ class TestMeasureOf:
         _, second = mu.support_nodes()
         assert len(first) == len(pts) == grid8.node_count
         assert np.array_equal(first, second)
-
-
-class TestCarlesonMasses:
-    EDGES = 1.0 - 2.0 ** -np.arange(1, 13)  # gaps exactly 2^-k
-
-    def bases(self, rng):
-        theta = 2 * np.pi * rng.uniform(0, 1, 6)
-        return np.concatenate([
-            [0.0, 0.5, 0.3, 0.72, 0.5 * np.exp(1.3j)],  # the membership examples
-            [-0.6 + 1e-9j, -0.6 - 1e-9j, -0.9, np.conj(-0.9 + 0j), -(1 - 2.0 ** -6),
-             0.9 * np.exp(3.0j), 0.9 * np.exp(-3.0j)],  # windows that wrap at +-pi
-            self.EDGES, self.EDGES * np.exp(0.3j),
-            (1.0 - 10.0 ** rng.uniform(-5, 0, 6)) * np.exp(1j * theta),
-        ])
-
-    def cloud(self, rng, n, bases):
-        """n random atoms graded toward the boundary, plus the edge cases."""
-        pts = (1.0 - 10.0 ** rng.uniform(-6, 0, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        examples = [0.75 * np.exp(0.1j), 0.5 * np.exp(0.05j), 0.5,  # membership
-                    0.75 * np.exp(1.4j), 0.75 * np.exp(1.6j),  # rotation
-                    0.0, 0.5j, -0.99]
-        return np.concatenate([
-            pts, examples, self.EDGES + 0j, -self.EDGES + 0j,  # angle +pi
-            np.conj(-self.EDGES + 0j),  # angle -pi
-            bases, np.conj(bases),  # atoms exactly on a square's radial edge
-        ])
-
-    @pytest.mark.parametrize("chunk, block", [(None, None), (7, 3)])
-    def test_atomic_vs_bruteforce(self, monkeypatch, chunk, block):
-        if chunk:  # windows split across candidate chunks and bases across blocks
-            monkeypatch.setattr(measures, "_CANDIDATE_CHUNK", chunk)
-            monkeypatch.setattr(measures, "_CENTER_BLOCK", block)
-        rng = np.random.default_rng(11)
-        bases = self.bases(rng)
-        pts = self.cloud(rng, 2000, bases)
-        masses = rng.uniform(0, 1, len(pts))
-        got = AtomicMeasure(pts, masses).carleson_masses(bases)
-        expect = [masses[in_square(a, pts)].sum() for a in bases]
-        assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
-        counts = AtomicMeasure(pts, np.ones(len(pts))).carleson_masses(bases)
-        assert np.array_equal(counts, [np.count_nonzero(in_square(a, pts)) for a in bases])
-
-    def test_empty_cloud(self):
-        mu = AtomicMeasure(np.array([], dtype=complex), np.array([]))
-        assert np.array_equal(mu.carleson_masses([0.0, 0.5, -0.9j]), np.zeros(3))
-
-    def test_maximal_function_matches_square_loop(self):
-        """maximal_function against the per-square loop it replaced."""
-        rng = np.random.default_rng(12)
-        n = 3000
-        pts = np.sqrt(rng.uniform(0, 0.999, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        mu = AtomicMeasure(pts, rng.uniform(0, 1, n))
-        w = RadialWeight.power(1.0)
-        lattice = r_lattice(0.5, depth=12)
-
-        def loop(z):
-            cands = np.concatenate([[0j], lattice])
-            mods = np.abs(cands)
-            dphi = np.abs((np.angle(z) - np.angle(cands) + math.pi) % (2 * math.pi) - math.pi)
-            adm = cands[(mods == 0.0) | ((abs(z) >= mods) & (dphi < (1.0 - mods) / 2.0))]
-            w_masses = w.carleson_mass_at_gap(1.0 - np.abs(adm))
-            mu_masses = np.array([mu.masses[in_square(a, mu.points)].sum() for a in adm])
-            ok = w_masses > _MASS_FLOOR
-            return float(np.max(mu_masses[ok] / w_masses[ok]))
-
-        for z in (0.0, 0.5, 0.3 - 0.8j, 0.99 * np.exp(2.0j), -0.999):
-            assert maximal_function(mu, w, 1.0, z) == pytest.approx(loop(z), rel=1e-12)
 
 
 class TestPushforward:
@@ -359,9 +298,9 @@ class TestPushforward:
         mu = self._atoms(rng)
         pf = pushforward(Identity(), None, mu)
         centers = np.array([0.4, 0.6, -0.3j, 0.0])
-        assert np.array_equal(pf.pseudo_disc_masses(centers, 0.3),
-                              mu.pseudo_disc_masses(centers, 0.3))
-        assert np.array_equal(pf.carleson_masses(centers), mu.carleson_masses(centers))
+        gaps = 1.0 - np.abs(centers)
+        assert np.array_equal(pf.pseudo_disc_masses(centers, 0.3, gaps),
+                              mu.pseudo_disc_masses(centers, 0.3, gaps))
 
     def test_density_support_atomization(self, grid8):
         # the operator case: h = |u|^q against a density weight gives atoms
@@ -475,8 +414,8 @@ class TestPushforward:
         assert len(pf.points) == 0 and len(pf.masses) == 0
         assert pf.integrate(lambda z: z + 1.0) == 0.0
         centers = np.array([0.0, 0.5j])
-        assert np.array_equal(pf.pseudo_disc_masses(centers, 0.3), [0.0, 0.0])
-        assert np.array_equal(pf.carleson_masses(centers), [0.0, 0.0])
+        assert np.array_equal(pf.pseudo_disc_masses(centers, 0.3, 1.0 - np.abs(centers)),
+                              [0.0, 0.0])
 
     def test_self_map_violation(self, rng):
         # the atom at 0.99 leaves the disc under z -> 1.02 z whatever the draws

@@ -19,7 +19,6 @@ import pytest
 from scipy.special import hyp2f1
 
 from bergman import (
-    AtomicMeasure,
     ConformalPower,
     Polynomial,
     QuadratureGrid,
@@ -326,17 +325,6 @@ def test_ranged_support_matches_whole_support(grid, weight):
         got_pts, got_masses = mu.support_nodes(lo, hi)
         assert np.array_equal(got_pts, pts[lo:hi]), (lo, hi)
         assert np.array_equal(got_masses, masses[lo:hi]), (lo, hi)
-
-
-def test_weighted_area_on_grid_matches_node_reference(grid, gaps, weight):
-    # the Carleson-square mass of the grid's atoms: ring masses, sorted index
-    a = 0.8 * np.exp(0.4j)
-    z = grid.nodes
-    angle_gap = np.abs((np.angle(z) - np.angle(a) + math.pi) % (2.0 * math.pi) - math.pi)
-    inside = (np.abs(z) >= abs(a)) & (angle_gap < (1.0 - abs(a)) / 2.0)
-    want = float(np.sum(weight.density_at_gap(gaps[inside]) * grid.weights[inside]))
-    atoms = AtomicMeasure(*RadialDensityMeasure.from_weight(weight, grid).support_nodes())
-    assert_close(atoms.carleson_masses(a)[0], want)
 
 
 # ---------------------------------------------------------------------------

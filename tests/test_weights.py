@@ -210,8 +210,9 @@ class TestWeightedArea:
         assert np.sum(dens[square]) == pytest.approx(w.carleson_mass_at_gap(0.5), rel=0.03)
         d = pseudo_disc(0.4 + 0.2j, 0.4)
         disc = np.abs(z - d.euclid_center) < d.euclid_radius
+        centers = np.array([d.center])
         exact = RadialDensityMeasure.from_weight(w, grid).pseudo_disc_masses(
-            np.array([d.center]), d.radius)[0]
+            centers, d.radius, 1.0 - np.abs(centers))[0]
         assert np.sum(dens[disc]) == pytest.approx(exact, rel=0.03)
 
 
