@@ -466,6 +466,55 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS")
+
+# python -c ENTRY ARGS...: run the CLI entry in this process, as
+# tools/job_peaks.py does, and print the process's thread count at exit
+_ENTRY = """
+import atexit, os, runpy, sys
+atexit.register(lambda: print("threads", len(os.listdir("/proc/self/task"))))
+sys.argv = ["bergman", *sys.argv[1:]]
+runpy.run_module("bergman", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and at least 2 CPUs")
+class TestEntry:
+    """The process entry runs OpenBLAS on one thread unless the caller set
+    one of the BLAS thread variables, and importing the package changes
+    nothing; each case runs in a fresh child without those variables."""
+
+    @staticmethod
+    def child(argv, **extra):
+        src = os.path.dirname(os.path.dirname(criteria.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        return subprocess.run([sys.executable, *argv], env={**env, **extra},
+                              capture_output=True, text=True, timeout=300)
+
+    @pytest.mark.parametrize("extra,threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                             ids=["default", "caller-set"])
+    def test_blas_threads_at_exit(self, tmp_path, extra, threads):
+        cfg = write_config(tmp_path)
+        proc = self.child(["-c", _ENTRY, "classify-weight", "--config", cfg,
+                           "--out", str(tmp_path / "o"), "--deterministic"], **extra)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == f"threads {threads}"
+
+    def test_import_loads_no_numpy_and_keeps_environ(self):
+        proc = self.child(["-c", (
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import bergman\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import bergman.cli\n"
+            "assert 'numpy' in sys.modules and dict(os.environ) == before\n")])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 _DROP = object()  # mutation that deletes the field instead of replacing it
 
 

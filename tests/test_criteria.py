@@ -363,27 +363,39 @@ class TestKernelSweep:
     @pytest.mark.skipif(shutil.which("taskset") is None
                         or not hasattr(os, "sched_getaffinity"), reason="needs taskset")
     def test_report_independent_of_affinity(self, tmp_path):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({
-            "schema": 1, "p": 2.0, "q": 2.0, "grid_level": 8, "gamma": 3.0,
-            "weight": {"kind": "power", "alpha": 1.0},
-            "target_weight": {"kind": "power", "alpha": 4.5},
-            "operator": {"phi": {"kind": "moebius", "c": [0.3, 0.1]},
-                         "u": {"kind": "poly", "coeffs": [[1, 0], [0.5, 0.5]]},
-                         "n": 1}}))
+        # one CPU, every CPU, and a caller-set 2-thread OpenBLAS pool, on the
+        # Berezin sweep and on verify lemma21 (whose tail sums are dgemvs)
+        cases = {
+            "berezin": (["criterion", "berezin"], {
+                "schema": 1, "p": 2.0, "q": 2.0, "grid_level": 8, "gamma": 3.0,
+                "weight": {"kind": "power", "alpha": 1.0},
+                "target_weight": {"kind": "power", "alpha": 4.5},
+                "operator": {"phi": {"kind": "moebius", "c": [0.3, 0.1]},
+                             "u": {"kind": "poly", "coeffs": [[1, 0], [0.5, 0.5]]},
+                             "n": 1}}),
+            "lemma21": (["verify", "lemma21"], {
+                "schema": 1, "p": 2.0, "grid_level": 6, "seed": 7,
+                "weight": {"kind": "log_power", "alpha": 1.0, "b": 2.0}}),
+        }
         src = os.path.dirname(os.path.dirname(criteria.__file__))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        blobs = []
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         one_cpu = ["taskset", "-c", str(min(os.sched_getaffinity(0)))]
-        for name, prefix in (("one", one_cpu), ("all", [])):
-            out = tmp_path / name
-            subprocess.run([*prefix, sys.executable, "-m", "bergman", "criterion",
-                            "berezin", "--config", str(cfg), "--out", str(out),
-                            "--deterministic"], env=env, check=True,
-                           capture_output=True, timeout=300)
-            blobs.append((out / "report.json").read_bytes())
-        assert blobs[0] == blobs[1]
+        runs = (("one", one_cpu, {}), ("all", [], {}),
+                ("blas2", [], {"OPENBLAS_NUM_THREADS": "2"}))
+        for case, (command, config) in cases.items():
+            cfg = tmp_path / f"{case}.json"
+            cfg.write_text(json.dumps(config))
+            blobs = []
+            for name, prefix, extra in runs:
+                out = tmp_path / case / name
+                subprocess.run([*prefix, sys.executable, "-m", "bergman", *command,
+                                "--config", str(cfg), "--out", str(out),
+                                "--deterministic"], env={**env, **extra}, check=True,
+                               capture_output=True, timeout=300)
+                blobs.append((out / "report.json").read_bytes())
+            assert blobs[0] == blobs[1] == blobs[2], case
 
 
 class TestHinf:

@@ -21,12 +21,16 @@ def test_every_layer_name_resolves():
 
 
 def test_every_top_level_name_is_declared_by_a_layer():
+    # the package loads its names lazily, so its namespace is read through
+    # dir() and __all__, which list names not yet loaded, not vars()
     declared = set().union(*(layer_all(layer) for layer in LAYERS))
     error_types = {name for name, obj in vars(errors).items()
                    if inspect.isclass(obj) and issubclass(obj, Exception)}
-    public = {name for name, obj in vars(bergman).items()
-              if not name.startswith("_") and not inspect.ismodule(obj)}
+    public = {name for name in dir(bergman)
+              if not name.startswith("_") and not inspect.ismodule(getattr(bergman, name))}
     assert sorted(public - declared - error_types) == []
+    assert len(bergman.__all__) == len(set(bergman.__all__))
+    assert set(bergman.__all__) == declared | error_types
 
 
 def test_every_layer_name_is_exported_at_the_top():

@@ -1,15 +1,19 @@
-"""Peak resident memory of every pinned benchmark run of a source tree.
+"""Peak resident memory and CPU time of every pinned benchmark run of a source tree.
 
     python tools/job_peaks.py TREE OUT.json
 
 Runs the pinned runs of report_digests.py (every variant of every job of both
 benchmark workloads) as `python -m bergman ... --deterministic` with TREE/src
-on the path, each under a bootstrap that reads the process's VmHWM (its peak
-resident set, from /proc/self/status, so Linux only) at interpreter exit.
-VmHWM starts afresh at exec, so unlike the benchmark's ru_maxrss, which
-survives exec, it holds none of the launching process's memory.  OUT holds
-each run's peak in MB keyed "workload/job/variant", and per job
-"workload/job" the median and range over its variants.
+on the path, each under a bootstrap that runs the CLI entry the way
+`python -m bergman` does and reads the process's VmHWM (its peak resident
+set, from /proc/self/status, so Linux only) at interpreter exit.  VmHWM
+starts afresh at exec, so unlike the benchmark's ru_maxrss, which survives
+exec, it holds none of the launching process's memory.  Each run's CPU time
+is user plus system time from os.wait4, as the benchmark measures it.  The
+traced benchmark runs call `bergman.cli.main` and bypass the entry, so this
+tool, not the trace, attributes CPU spent at process start-up.  OUT holds
+each run's `vmhwm_mb` and `cpu_s` keyed "workload/job/variant", and per job
+"workload/job" the median and range of each over its variants.
 """
 
 import json
@@ -40,13 +44,20 @@ runpy.run_module("bergman", run_name="__main__", alter_sys=True)
 
 
 def run_peak(args, workdir, env, peak_file):
-    """VmHWM in MB of `python -m bergman *args` run in workdir."""
+    """(VmHWM in MB, CPU seconds) of `python -m bergman *args` run in workdir."""
     if os.path.exists(peak_file):
         os.remove(peak_file)  # a run that dies before exit leaves none
-    subprocess.run([sys.executable, "-c", BOOTSTRAP, peak_file, *args], cwd=workdir,
-                   env=env, capture_output=True, check=False)
+    proc = subprocess.Popen([sys.executable, "-c", BOOTSTRAP, peak_file, *args], cwd=workdir,
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
     with open(peak_file) as fh:
-        return int(fh.read()) / 1024.0
+        return int(fh.read()) / 1024.0, usage.ru_utime + usage.ru_stime
+
+
+def _spread(values):
+    return {"median": round(statistics.median(values), 3),
+            "range": [round(min(values), 3), round(max(values), 3)]}
 
 
 def main(tree, out_path):
@@ -54,18 +65,21 @@ def main(tree, out_path):
     with tempfile.TemporaryDirectory() as tmp:
         peak_file = os.path.join(tmp, "vmhwm")
         for key, args, workdir, _, env in pinned_runs(tree):
-            runs[key] = run_peak(args, workdir, env, peak_file)
+            mb, cpu = run_peak(args, workdir, env, peak_file)
+            runs[key] = {"vmhwm_mb": mb, "cpu_s": cpu}
     per_job = {}
-    for key, mb in runs.items():
-        per_job.setdefault(key.rsplit("/", 1)[0], []).append(mb)
-    summary = {job: {"median": round(statistics.median(v), 3),
-                     "range": [round(min(v), 3), round(max(v), 3)]}
+    for key, run in runs.items():
+        per_job.setdefault(key.rsplit("/", 1)[0], []).append(run)
+    summary = {job: {"vmhwm_mb": _spread([r["vmhwm_mb"] for r in v]),
+                     "cpu_s": _spread([r["cpu_s"] for r in v])}
                for job, v in per_job.items()}
     with open(out_path, "w") as fh:
         json.dump({"per_job": summary, "runs": runs}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for job, s in summary.items():
-        print(f"{job:45s} {s['median']:8.1f} MB  [{s['range'][0]:.1f}, {s['range'][1]:.1f}]")
+        mb, cpu = s["vmhwm_mb"], s["cpu_s"]
+        print(f"{job:45s} {mb['median']:8.1f} MB  [{mb['range'][0]:.1f}, {mb['range'][1]:.1f}]"
+              f"  {cpu['median']:7.3f} s CPU  [{cpu['range'][0]:.3f}, {cpu['range'][1]:.3f}]")
 
 
 if __name__ == "__main__":
