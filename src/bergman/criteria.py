@@ -147,7 +147,7 @@ def _band_peaks(bands, vals):
     """{band k: index of the band's largest value (first on ties)}, ascending
     in k, for values in the dyadic bands of geometry._band."""
     peaks = {}
-    for b in np.unique(bands):
+    for b in np.flatnonzero(np.bincount(bands)):  # np.unique would load numpy.ma
         idx = np.nonzero(bands == b)[0]
         peaks[int(b)] = int(idx[np.argmax(vals[idx])])
     return peaks
@@ -524,10 +524,9 @@ def verify_gamma(w, p, gamma, basepoints=None, *, grid):
     e = gamma * p
     ring_mass = w.density_at_gap(grid.ring_gaps) * grid.ring_weights
     contrib = np.empty((len(a_vals), len(grid.ring_gaps)))
-    for n_theta in np.unique(grid.ring_counts):
+    for n_theta in sorted(set(grid.ring_counts.tolist())):  # np.unique would load numpy.ma
         rings = np.nonzero(grid.ring_counts == n_theta)[0]
-        means = _ring_kernel_means(a_vals, a_gaps, grid.ring_gaps[rings],
-                                   int(n_theta), e)
+        means = _ring_kernel_means(a_vals, a_gaps, grid.ring_gaps[rings], n_theta, e)
         contrib[:, rings] = ring_mass[rings] * means
     shallow_mask = geometry._band(grid.ring_gaps) <= grid.levels - 2
     lhs = np.sum(contrib, axis=1)

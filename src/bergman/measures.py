@@ -13,14 +13,14 @@ ring.  Any range of that order is built from the rings alone
 Measures answer one region query, the pseudo-disc masses mu(Delta(a, r))
 that the criteria read, and come in two representations: a radial density
 (a RadialWeight's density) takes them from a disc-centred polar rule, and
-an atomic cloud sums them over a sorted index of its atoms.  A cloud is
-stored (points and masses) or streamed: the weighted pushforward recomputes
-its atoms from (phi, h, mu) whenever they are read.  Either way the index,
-built from the cloud's support blocks, is the only whole-support copy of
-the atoms.  ``support_nodes(lo, hi)`` exposes a range of the common
-discrete picture (points, masses) that the pushforward, the index and the
-criterion integrals consume; the streaming callers read it in blocks of
-_NODE_BLOCK nodes.
+an atomic cloud sums them one support block at a time, over a sorted index
+of that block alone.  A cloud is stored (points and masses) or streamed:
+the weighted pushforward recomputes its atoms from (phi, h, mu) whenever
+they are read.  Either way the query holds one block's sorted copy at a
+time and makes no whole-support copy of the atoms.  ``support_nodes(lo,
+hi)`` exposes a range of the common discrete picture (points, masses) that
+the pushforward, the pseudo-disc query and the criterion integrals consume;
+the streaming callers read it in blocks of _NODE_BLOCK nodes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ _TWO_PI = 2.0 * math.pi
 _MAX_GRID_NODES = 100_000_000
 _RADIAL_SUBCELLS = 4
 # Support nodes per block where the support is streamed (pushforward, the
-# support index build, the Berezin and H-infinity criteria): per-node
+# atomic pseudo-disc query, the Berezin and H-infinity criteria): per-node
 # temporaries stay a few MB however fine the grid.  A multiple of the Berezin
 # sweep's slice, so streaming keeps the sweep's summation order.
 _NODE_BLOCK = 1 << 16
@@ -195,11 +195,12 @@ _CANDIDATE_CHUNK = 1 << 16  # candidate points tested per step
 
 
 class _SupportIndex:
-    """A measure's support points with their masses, sorted by (dyadic band
+    """One support block's points with their masses, sorted by (dyadic band
     of the gap, angle), for pseudo-disc sums that visit only the points that
     can lie in each disc.  The band is geometry._band: band k holds the gaps
-    in (2^-(k+1), 2^-k].  The index reads the measure a support block at a
-    time, so its sorted arrays are the only whole-support copy it makes.
+    in (2^-(k+1), 2^-k].  AtomicMeasure.pseudo_disc_masses sorts each
+    _NODE_BLOCK block of the support alone, so no index spans the whole
+    support and none outlives its block.
 
     The pseudo-disc Delta(a, r) is the Euclidean disc D(ce, R), a window in
     this order: a few dyadic bands of gaps times an arc of angles.  Its
@@ -211,59 +212,13 @@ class _SupportIndex:
     the exact test |p - ce| < R, so a generous window changes nothing.
     """
 
-    def __init__(self, measure):
-        # Four passes over the measure's blocks: the sort keys, whose order
-        # gives each node's sorted place; a scatter of each block's points and
-        # masses to their places; the keys again, now of the sorted points.
-        # A key depends on its point alone, so these are the sorted keys, and
-        # the peak stays at 32 B per node plus one block's temporaries.
-        n = measure.support_size
-        blocks = _node_blocks(n)
-        keys = np.empty(n)
-        for lo, hi in blocks:
-            self._keys(measure.support_nodes(lo, hi)[0], out=keys[lo:hi])
+    def __init__(self, points, masses):
+        bands = geometry._band(1.0 - np.abs(points))
+        keys = _BAND_STRIDE * bands + np.angle(points)
         order = np.argsort(keys)
-        del keys
-        # int32 places: 2^31 atoms would hold 50 GB of points and masses
-        place = np.empty(n, dtype=np.int32)
-        for lo, hi in blocks:
-            place[order[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
-        del order
-        self.points = np.empty(n, dtype=complex)
-        self.masses = np.empty(n)
-        for lo, hi in blocks:
-            pts, masses = measure.support_nodes(lo, hi)
-            self.points[place[lo:hi]] = pts
-            self.masses[place[lo:hi]] = masses
-        del place
-        self.keys = np.empty(n)
-        ends = []  # the first and last band of each block
-        for lo, hi in blocks:
-            bands = self._keys(self.points[lo:hi], out=self.keys[lo:hi])
-            ends += [bands[0], bands[-1]]
+        self.keys, self.points, self.masses = keys[order], points[order], masses[order]
         # the sorted keys run band by band
-        self.band_range = (ends[0], ends[-1]) if n else None
-
-    @staticmethod
-    def _keys(points, out):
-        """Write the sort keys of points to out, and return their bands."""
-        np.abs(points, out=out)  # the gaps, then the band bases, then the keys
-        np.subtract(1.0, out, out=out)
-        bands = geometry._band(out)
-        np.multiply(_BAND_STRIDE, bands, out=out)
-        out += np.angle(points)
-        return bands
-
-    def pseudo_disc_masses(self, centers, r, center_gaps):
-        """Mass of the points in Delta(a, r) for each centre a (gaps 1-|a|),
-        _CENTER_BLOCK centres at a time."""
-        centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-        out = np.zeros(len(centers))
-        if self.band_range is not None:
-            for s in range(0, len(centers), _CENTER_BLOCK):
-                b = slice(s, s + _CENTER_BLOCK)
-                self._sum_windows(out[b], *self._disc_windows(centers[b], center_gaps[b], r))
-        return out
+        self.band_range = (bands[order[0]], bands[order[-1]]) if len(order) else None
 
     def _disc_windows(self, centers, center_gaps, r):
         """Windows and Euclidean discs D(ce, R) of Delta(a, r) for a block of
@@ -466,13 +421,18 @@ class AtomicMeasure(DiscMeasure):
         """Views of the atoms lo to hi and their masses."""
         return self.points[lo:hi], self.masses[lo:hi]
 
-    @functools.cached_property
-    def _index(self):
-        """The _SupportIndex of the atoms, built on first use."""
-        return _SupportIndex(self)
-
     def pseudo_disc_masses(self, centers, r, center_gaps):
-        return self._index.pseudo_disc_masses(centers, r, center_gaps)
+        """Mass of the atoms in Delta(a, r) for each centre a (gaps 1-|a|):
+        each _NODE_BLOCK block of the support is read once and sorted alone,
+        and its windows are summed _CENTER_BLOCK centres at a time."""
+        centers = np.atleast_1d(np.asarray(centers, dtype=complex))
+        out = np.zeros(len(centers))
+        for lo, hi in _node_blocks(self.support_size):
+            index = _SupportIndex(*self.support_nodes(lo, hi))
+            for s in range(0, len(centers), _CENTER_BLOCK):
+                b = slice(s, s + _CENTER_BLOCK)
+                index._sum_windows(out[b], *index._disc_windows(centers[b], center_gaps[b], r))
+        return out
 
 
 def _node_blocks(count):

@@ -486,8 +486,10 @@ class TestHinfBlocks:
 
 class TestSupportBlocks:
     """berezin_criterion and op_pushforward_criterion read a density
-    measure's support a block of _NODE_BLOCK nodes at a time: the block size
-    moves no bit of a report, and no whole-grid array is built."""
+    measure's support a block of _NODE_BLOCK nodes at a time, and no
+    whole-grid array is built.  The block size moves no bit of a Berezin
+    report; it moves the pushforward criterion's pseudo-disc sums by ulps,
+    since each atom's mass is added within its own block's sum."""
 
     U = Polynomial([0.4, -1.1 + 0.3j, 0.7j, 0.25])
     OP = OperatorSpec(Moebius(0.3 - 0.2j), U, 1)
@@ -538,18 +540,31 @@ class TestSupportBlocks:
         assert "nodes" not in vars(grid)
         assert peak < 10e6, peak
 
-    def test_pushforward_criterion_builds_no_grid_nodes(self):
-        """The grid-11 pushforward keeps no support-sized array, and the
-        embedding sweep's index (16.8 MB of sorted keys, points and masses)
-        is the only whole-support copy; the grid's 8.4 MB of nodes and the
-        whole-support temporaries stay out, so the call stays under 25 MB."""
+    def pushforward_criterion_peak(self, level):
+        """Traced peak of op_pushforward_criterion on a power density at the
+        given grid level, evaluated to that level."""
         w = RadialWeight.power(1.0)
         op = OperatorSpec(Moebius(0.3 - 0.2j), self.U, 0)
-        grid = QuadratureGrid(11)
+        grid = QuadratureGrid(level)
         peak = self.traced_peak(lambda g: op_pushforward_criterion(
-            op, 2.0, 1.0, w, RadialDensityMeasure.from_power(3.0, g), level=11), grid)
+            op, 2.0, 1.0, w, RadialDensityMeasure.from_power(3.0, g), level=g.levels), grid)
         assert "nodes" not in vars(grid)
-        assert peak < 25e6, peak
+        return peak
+
+    def test_pushforward_criterion_builds_no_grid_nodes(self):
+        """The grid-11 pushforward keeps no support-sized array and its
+        pseudo-disc sums sort one support block at a time; the grid's 8.4 MB
+        of nodes and every whole-support copy stay out, so the call stays
+        under 10 MB."""
+        peak = self.pushforward_criterion_peak(11)
+        assert peak < 10e6, peak
+
+    def test_pushforward_criterion_memory_is_flat(self):
+        """From grid 9 (131 k nodes) to grid 12 (1.05 M nodes) the call's peak
+        grows by less than 1 MB and stays under 10 MB: no copy of the support
+        grows with the grid."""
+        small, large = self.pushforward_criterion_peak(9), self.pushforward_criterion_peak(12)
+        assert large - small < 1e6 and large < 10e6, (small, large)
 
 
 class TestVerifyGamma:

@@ -161,8 +161,11 @@ class TestMeasureOf:
             assert got[i] == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
     def test_atomic_disc_masses_across_chunks(self, monkeypatch):
-        # windows split across candidate chunks and centres across blocks,
-        # with windows that wrap at +-pi over atoms on the +-pi rays
+        """Windows split across candidate chunks, centres across blocks and
+        atoms across support blocks, each sorted and summed alone, with
+        windows that wrap at +-pi over atoms on the +-pi rays: at every
+        support block size the masses are the brute-force sums, and the discs
+        that hold no atom hold exactly zero."""
         monkeypatch.setattr(measures, "_CANDIDATE_CHUNK", 7)
         monkeypatch.setattr(measures, "_CENTER_BLOCK", 3)
         rng = np.random.default_rng(8)
@@ -177,17 +180,24 @@ class TestMeasureOf:
             [0.0, -0.6 + 1e-9j, -0.6 - 1e-9j, np.conj(-0.6 + 0j), -(1 - 2.0 ** -6),
              0.9 * np.exp(3.0j), 0.9 * np.exp(-3.0j)],
             0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, 9)),
+            0.999 * np.exp(2j * np.pi * rng.uniform(0, 1, 9)),  # most hold no atom
         ])
-        got = AtomicMeasure(pts, masses).pseudo_disc_masses(centers, 0.5,
-                                                            1.0 - np.abs(centers))
-        expect = [masses[rho(c, pts) < 0.5].sum() for c in centers]
-        assert got == pytest.approx(expect, rel=1e-12)
+        mu = AtomicMeasure(pts, masses)
+        expect = np.array([masses[rho(c, pts) < 0.5].sum() for c in centers])
+        empty = expect == 0.0
+        assert 0 < np.count_nonzero(empty) < len(centers)
+        for block in (1 << 9, measures._NODE_BLOCK, mu.support_size):
+            monkeypatch.setattr(measures, "_NODE_BLOCK", block)
+            got = mu.pseudo_disc_masses(centers, 0.5, 1.0 - np.abs(centers))
+            assert got == pytest.approx(expect, rel=1e-12), block
+            assert np.all(got[empty] == 0.0), block
 
     @staticmethod
-    def assert_index_is_plain_sort(index, pts, masses):
-        """keys, points, masses and band range of the index are those of the
-        plain whole-support expressions: keys sorted by argsort, and the
+    def assert_index_is_plain_sort(pts, masses):
+        """keys, points, masses and band range of a block's index are those of
+        the plain expressions: the block's keys sorted by argsort, and its
         points and masses gathered in that order (ties included)."""
+        index = measures._SupportIndex(pts, masses)
         bands = geometry._band(1.0 - np.abs(pts))
         keys = measures._BAND_STRIDE * bands + np.angle(pts)
         order = np.argsort(keys)
@@ -197,28 +207,21 @@ class TestMeasureOf:
         assert index.band_range == ((bands.min(), bands.max()) if len(pts) else None)
 
     @pytest.mark.parametrize("n", [0, 1, 2000])
-    def test_support_index_matches_plain_construction(self, monkeypatch, n):
-        """The index, built from a measure's support blocks (several here),
-        equals the plain sort of the whole support."""
-        monkeypatch.setattr(measures, "_NODE_BLOCK", 1 << 9)
+    def test_block_index_is_plain_sort(self, n):
         rng = np.random.default_rng(9 + n)
         pts = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
         if n > 1:
             edges = 1.0 - 2.0 ** -np.arange(1, 13)  # gaps exactly 2^-k, angles 0 and pi
             pts = np.concatenate([pts, edges + 0j, -edges + 0j, [0j]])
-        masses = rng.uniform(0, 1, len(pts))
-        index = measures._SupportIndex(AtomicMeasure(pts, masses))
-        self.assert_index_is_plain_sort(index, pts, masses)
+        self.assert_index_is_plain_sort(pts, rng.uniform(0, 1, len(pts)))
 
-    def test_support_index_of_grid_support(self, monkeypatch, grid8):
-        """A grid support repeats each band's angles on every ring of the
-        band, so most keys tie; the tied nodes keep argsort's order."""
-        monkeypatch.setattr(measures, "_NODE_BLOCK", 1 << 12)
+    def test_block_index_of_grid_support(self, grid8):
+        """A block of a grid support repeats each band's angles on every ring
+        of the band, so most keys tie; the tied nodes keep argsort's order."""
         density = RadialWeight(lambda u: 1.0 + u * u, allow_zero=True)
-        mu = RadialDensityMeasure(density, grid8)
-        pts, masses = mu.support_nodes()
+        pts, masses = RadialDensityMeasure(density, grid8).support_nodes(1 << 12, 3 << 12)
         assert len(np.unique(np.angle(pts))) < len(pts) // 4
-        self.assert_index_is_plain_sort(measures._SupportIndex(mu), pts, masses)
+        self.assert_index_is_plain_sort(pts, masses)
 
     def test_grid_support_disc_masses_vs_bruteforce(self, grid8):
         # grid-shaped support: evenly spaced rings, many tied keys
@@ -446,10 +449,9 @@ def traced(call):
 
 
 class TestSupportMemory:
-    """The pushforward keeps no support-sized array, and the support index,
-    32 B per node of sorted keys, points and masses, is the only
-    whole-support copy: its build peaks at those 32 B per node plus one
-    block's temporaries."""
+    """The pushforward keeps no support-sized array, and the pseudo-disc
+    query sorts one support block at a time: its peak is one block's sorted
+    copy plus window temporaries, whatever the support size."""
 
     PHI = Moebius(0.3 - 0.2j)
     U = Polynomial([0.4, -1.1 + 0.3j, 0.7j, 0.25])
@@ -459,10 +461,21 @@ class TestSupportMemory:
 
     def pushforward_on(self, level):
         """The pushforward of a power density on a grid of the given level,
-        after the same call on a small grid keeps first-call allocations out."""
-        pushforward(self.PHI, self.h, RadialDensityMeasure.from_power(3.0, QuadratureGrid(4)))._index
+        after the same call and a query on a small grid keep first-call
+        allocations out."""
+        small = pushforward(self.PHI, self.h, RadialDensityMeasure.from_power(3.0, QuadratureGrid(4)))
+        small.pseudo_disc_masses(np.array([0.5j]), 0.3, np.array([0.5]))
         nu = RadialDensityMeasure.from_power(3.0, QuadratureGrid(level))
         return traced(lambda: pushforward(self.PHI, self.h, nu))
+
+    @staticmethod
+    def query_peak(measure):
+        """Traced peak of the pseudo-disc query on the 32-angle level-11 mesh
+        (2,816 centres) that embedding_ls_criterion reads."""
+        ring_gaps = measures._ring_layout(11)[0]
+        centers = geometry._ring_points(ring_gaps, np.full(len(ring_gaps), 32))
+        gaps = np.repeat(ring_gaps, 32)
+        return traced(lambda: measure.pseudo_disc_masses(centers, 0.3, gaps))[2]
 
     def test_pushforward_holds_no_support_array(self):
         """After pushforward on a grid-9 density (131 k nodes) the traced
@@ -471,22 +484,20 @@ class TestSupportMemory:
         assert pf.support_size == QuadratureGrid(9).node_count
         assert current < 4 * pf.support_size, current
 
-    def test_index_build_from_stored_atoms(self):
-        """Built from a stored cloud (the grid-11 pushforward's 524 k atoms),
-        the index peaks within 36 B per node over the cloud's own arrays."""
-        pf, _, _ = self.pushforward_on(11)
-        mu = AtomicMeasure(*pf.support_nodes())
-        _, current, peak = traced(lambda: measures._SupportIndex(mu))
-        assert current >= 32 * mu.support_size
-        assert peak <= 36 * mu.support_size, peak / mu.support_size
+    def test_query_from_stored_atoms(self):
+        """On stored clouds of 131 k and 524 k atoms (grid-9 and grid-11
+        pushforwards) the query peaks within 0.5 MB of each other and under
+        8 MB, less than 16 B per atom of the larger cloud."""
+        peaks = [self.query_peak(AtomicMeasure(*self.pushforward_on(level)[0].support_nodes()))
+                 for level in (9, 11)]
+        assert abs(peaks[1] - peaks[0]) < 0.5e6 and peaks[1] < 8e6, peaks
 
-    def test_index_build_from_pushforward(self):
-        """Built from the streamed grid-11 pushforward, the index peaks
-        within 32 B per node over the pushforward's own pass, which holds one
-        block of phi and h temporaries at a time."""
-        pf, _, block_peak = self.pushforward_on(11)
-        _, _, peak = traced(lambda: measures._SupportIndex(pf))
-        assert peak <= 32 * pf.support_size + block_peak, (peak - block_peak) / pf.support_size
+    def test_query_from_pushforward(self):
+        """On the streamed grid-9 and grid-11 pushforwards the query, which
+        recomputes phi and h a block at a time, peaks within 0.5 MB of each
+        other and under 8 MB."""
+        peaks = [self.query_peak(self.pushforward_on(level)[0]) for level in (9, 11)]
+        assert abs(peaks[1] - peaks[0]) < 0.5e6 and peaks[1] < 8e6, peaks
 
 
 class TestAtomsCsv:

@@ -25,8 +25,9 @@ import workloads  # noqa: E402
 
 
 def run_digest(argv, workdir, out_dir, env):
-    """SHA-256 over one run's exit code, output streams and report files; each
-    part is length-prefixed, and a missing file hashes apart from an empty one."""
+    """(SHA-256, completed process) of one run: the digest spans its exit code,
+    output streams and report files; each part is length-prefixed, and a
+    missing file hashes apart from an empty one."""
     proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True)
     parts = [str(proc.returncode).encode(), proc.stdout, proc.stderr]
     for name in ("report.json", "samples.csv"):
@@ -39,7 +40,7 @@ def run_digest(argv, workdir, out_dir, env):
     h = hashlib.sha256()
     for part in parts:
         h.update(b"missing" if part is None else len(part).to_bytes(8, "little") + part)
-    return h.hexdigest()
+    return h.hexdigest(), proc
 
 
 def pinned_runs(tree):
@@ -65,7 +66,7 @@ def main(tree, out_path):
     digests = {}
     for key, args, workdir, out_dir, env in pinned_runs(tree):
         argv = [sys.executable, "-m", "bergman", *args]
-        digests[key] = run_digest(argv, workdir, out_dir, env)
+        digests[key], _ = run_digest(argv, workdir, out_dir, env)
     with open(out_path, "w") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")

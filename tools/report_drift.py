@@ -1,0 +1,79 @@
+"""Compare what two source trees decide on every pinned benchmark run.
+
+    python tools/report_drift.py PARENT CHANGE OUT.json
+
+Runs every pinned run of report_digests.py (every variant of every job of
+both benchmark workloads) as `python -m bergman ... --deterministic`, once
+with PARENT/src and once with CHANGE/src on the path, and reads each run's
+outcome (exit code, verify PASS/FAIL line, verdict flags and statistics)
+with perfbench/jobs.py's `outcome`, imported, not changed.  CHANGE's run is
+measured against PARENT's with `jobs.compare`, as the benchmark measures a
+run against its reference.  OUT holds, per job "workload/job": how many of
+its runs wrote byte-identical output (report_digests.py's digest), whether
+every run kept its exit code and its verdict flags, and the largest relative
+drift of any statistic; and the same totals over all runs.
+"""
+
+import json
+import math
+import os
+import sys
+import types
+
+sys.dont_write_bytecode = True  # read perfbench/, write nothing into it
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import jobs  # noqa: E402
+from report_digests import pinned_runs, run_digest  # noqa: E402
+
+
+def run_outcome(args, workdir, out_dir, env):
+    """(digest, jobs.outcome) of `python -m bergman *args` run in workdir."""
+    digest, proc = run_digest([sys.executable, "-m", "bergman", *args], workdir, out_dir, env)
+    report = None
+    path = os.path.join(workdir, out_dir, "report.json")
+    if os.path.exists(path):
+        with open(path) as fh:
+            report = json.load(fh)
+    stdout = (proc.stdout + proc.stderr).decode(errors="replace")
+    res = jobs.JobResult(proc.returncode, 0.0, 0.0, 0.0, stdout, report, digest, 0)
+    return jobs.outcome(types.SimpleNamespace(argv=args), res)
+
+
+def _summary(runs):
+    drift = max(r["max_rel_drift"] for r in runs)
+    return {"runs": len(runs),
+            "digests_equal": sum(r["digest_equal"] for r in runs),
+            "exits_equal": all(r["exit_equal"] for r in runs),
+            "flags_equal": all(r["flags_equal"] for r in runs),
+            # strict JSON: an infinite drift (a statistic lost or leaving 0) as a string
+            "max_rel_drift": drift if math.isfinite(drift) else str(drift)}
+
+
+def main(parent, change, out_path):
+    per_job = {}
+    for (key, args, workdir, out_dir, env), (key2, _, workdir2, _, env2) in zip(
+            pinned_runs(parent), pinned_runs(change), strict=True):
+        assert key == key2, (key, key2)
+        ref = run_outcome(args, workdir, out_dir, env)
+        got = run_outcome(args, workdir2, out_dir, env2)
+        _, drift, digest_changed = jobs.compare(got, ref)
+        per_job.setdefault(key.rsplit("/", 1)[0], []).append({
+            "digest_equal": not digest_changed,
+            "exit_equal": got["exit"] == ref["exit"],
+            "flags_equal": got["flags"] == ref["flags"] and got.get("line") == ref.get("line"),
+            "max_rel_drift": drift})
+    table = {job: _summary(runs) for job, runs in per_job.items()}
+    total = _summary([r for runs in per_job.values() for r in runs])
+    with open(out_path, "w") as fh:
+        json.dump({"per_job": table, "total": total}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for job, s in [*table.items(), ("total", total)]:
+        print(f"{job:45s} {s['digests_equal']:3d}/{s['runs']} digests equal"
+              f"  exits equal {s['exits_equal']}  flags equal {s['flags_equal']}"
+              f"  max drift {s['max_rel_drift']}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4:
+        sys.exit("usage: python tools/report_drift.py PARENT CHANGE OUT.json")
+    main(*sys.argv[1:])
