@@ -323,15 +323,24 @@ def op_pushforward_criterion(op, p, q, w, nu, r=0.3, level=12):
 # ---------------------------------------------------------------------------
 
 # Berezin sweep blocks: basepoint rows per task, support nodes per slice.  A
-# 16 x 1024 slice keeps about 400 kB of kernel buffers per worker, so the
-# sweep runs from cache instead of streaming a full rows x support block.
-_SWEEP_ROWS = 16
+# 72 x 1024 slice keeps one 2 x 72 x 1024 buffer (about 1.2 MB) per worker,
+# so the sweep runs from cache instead of streaming a full rows x support
+# block, and each numpy call is long enough that two workers rarely wait on
+# each other for the GIL.  Both sizes are fixed, never derived from the CPU
+# count: OpenBLAS rounds a matmul row by a kernel that depends on the
+# matrix's shape, so a value depends on its chunk's size.
+_SWEEP_ROWS = 72
 _SWEEP_SLICE = 1024
 
 
 def _kernel_sweep(pts, phin, uq, e, out=None):
     """Add sum_j |1 - conj(a) phin_j|^(-e) uq_j to out (default zeros) for
     every basepoint a in pts, and return out.
+
+    The arithmetic is real.  For a chunk of R basepoints a = ax + i ay, one
+    matmul of the rows [ax, ay] and [-ay, ax] against [Re phin; Im phin]
+    gives Re(conj(a) phin) and Im(conj(a) phin) for a whole slice; then
+    s = (1 - Re)^2 + Im^2 and the kernel is exp(-e/2 log s).
 
     Each chunk of _SWEEP_ROWS basepoints accumulates its sums over support
     slices of _SWEEP_SLICE nodes in a fixed order, inside one thread, so the
@@ -341,20 +350,30 @@ def _kernel_sweep(pts, phin, uq, e, out=None):
     chunks are spread over the CPUs this process may run on.
     """
     out = np.zeros(len(pts)) if out is None else out
+    xy = np.stack([phin.real, phin.imag])
+    neg_half_e = -0.5 * e
 
     def sweep(start):
-        ca = np.conj(pts[start:start + _SWEEP_ROWS])[:, None]
-        cbuf = np.empty((len(ca), _SWEEP_SLICE), dtype=complex)
-        kbuf = np.empty((len(ca), _SWEEP_SLICE))
+        a = pts[start:start + _SWEEP_ROWS]
+        rows = len(a)
+        basis = np.empty((2 * rows, 2))
+        basis[:rows, 0], basis[:rows, 1] = a.real, a.imag
+        basis[rows:, 0], basis[rows:, 1] = -a.imag, a.real
+        buf = np.empty((2 * rows, _SWEEP_SLICE))
         acc = out[start:start + _SWEEP_ROWS]
         for lo in range(0, len(phin), _SWEEP_SLICE):
             hi = min(lo + _SWEEP_SLICE, len(phin))
-            c, k = cbuf[:, :hi - lo], kbuf[:, :hi - lo]
-            np.multiply(ca, phin[lo:hi], out=c)
-            np.subtract(1.0, c, out=c)
-            np.abs(c, out=k)
-            np.power(k, -e, out=k)
-            acc += k @ uq[lo:hi]
+            b = buf[:, :hi - lo]
+            np.matmul(basis, xy[:, lo:hi], out=b)  # Re(conj(a) w) rows, then Im
+            s, im = b[:rows], b[rows:]
+            np.subtract(1.0, s, out=s)
+            np.square(s, out=s)
+            np.square(im, out=im)
+            s += im  # |1 - conj(a) w|^2
+            np.log(s, out=s)
+            s *= neg_half_e
+            np.exp(s, out=s)
+            acc += s @ uq[lo:hi]
 
     starts = range(0, len(pts), _SWEEP_ROWS)
     # the affinity mask (taskset, cgroup cpusets) where the OS reports one

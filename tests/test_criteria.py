@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -328,7 +329,8 @@ class TestKernelSweep:
     def direct(pts, phin, uq, e):
         return np.abs(1.0 - np.conj(pts)[:, None] * phin[None, :]) ** (-e) @ uq
 
-    @pytest.mark.parametrize("n_pts", [1, 16, 37])
+    @pytest.mark.parametrize("n_pts", [1, 16, 37, criteria._SWEEP_ROWS + 1,
+                                       2 * criteria._SWEEP_ROWS + 3])
     def test_matches_full_block(self, n_pts):
         # 3,195 support nodes: three full slices and a partial one
         pts, phin, uq = self.problem(n_pts, 3 * criteria._SWEEP_SLICE + 123, n_pts)
@@ -339,7 +341,7 @@ class TestKernelSweep:
 
     def test_independent_of_cpu_count(self, monkeypatch):
         # 3 chunks on 1 CPU, and on 64 CPUs (fewer chunks than CPUs)
-        pts, phin, uq = self.problem(40, 2500, 7)
+        pts, phin, uq = self.problem(2 * criteria._SWEEP_ROWS + 5, 2500, 7)
         runs = []
         for cpus in (1, 64):
             monkeypatch.setattr(criteria.os, "sched_getaffinity",
@@ -348,6 +350,31 @@ class TestKernelSweep:
         assert np.array_equal(runs[0], runs[1])
         np.testing.assert_allclose(runs[0], self.direct(pts, phin, uq, 4.0),
                                    rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("e", [4, 8])
+    def test_exact_near_boundary(self, e):
+        # each of 20 basepoints, with |a| up to 1 - 2^-12, against 20 images
+        # two to eight gaps from a/|a|: 400 pairs where 1 - Re(conj(a) w)
+        # cancels most digits.  At an even exponent the kernel
+        # ((1 - Re)^2 + Im^2)^(-e/2) of the floats is a rational number, so
+        # each row is checked against its exact Fraction sum.
+        gen = np.random.default_rng(5)
+        gaps = 2.0 ** -gen.integers(1, 13, 20)
+        dirs = np.exp(2j * np.pi * gen.uniform(0.0, 1.0, 20))
+        pts = (1.0 - gaps) * dirs
+        depth = gen.uniform(2.0, 8.0, (20, 20)) * gaps[:, None]
+        turn = gen.uniform(-8.0, 8.0, (20, 20)) * gaps[:, None]
+        images = dirs[:, None] * (1.0 - depth) * np.exp(1j * turn)
+        uqs = gen.uniform(0.5, 1.0, (20, 20))
+        for i, a in enumerate(pts):
+            got = criteria._kernel_sweep(pts, images[i], uqs[i], float(e))[i]
+            ax, ay = Fraction(a.real), Fraction(a.imag)
+            want = Fraction(0)
+            for w, u in zip(images[i], uqs[i]):
+                wx, wy = Fraction(w.real), Fraction(w.imag)
+                s = (1 - (ax * wx + ay * wy)) ** 2 + (ax * wy - ay * wx) ** 2
+                want += Fraction(u) / s ** (e // 2)
+            assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * want, i
 
     def test_every_basepoint_truncated(self, unit_weight, grid8):
         # wS(a)^(q/p) underflows below the mass floor at both basepoints

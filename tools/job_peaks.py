@@ -1,4 +1,4 @@
-"""Peak resident memory and CPU time of every pinned benchmark run of a source tree.
+"""Peak resident memory, CPU and wall time of every pinned benchmark run of a source tree.
 
     python tools/job_peaks.py TREE OUT.json
 
@@ -9,10 +9,12 @@ on the path, each under a bootstrap that runs the CLI entry the way
 set, from /proc/self/status, so Linux only) at interpreter exit.  VmHWM
 starts afresh at exec, so unlike the benchmark's ru_maxrss, which survives
 exec, it holds none of the launching process's memory.  Each run's CPU time
-is user plus system time from os.wait4, as the benchmark measures it.  The
-traced benchmark runs call `bergman.cli.main` and bypass the entry, so this
-tool, not the trace, attributes CPU spent at process start-up.  OUT holds
-each run's `vmhwm_mb` and `cpu_s` keyed "workload/job/variant", and per job
+is user plus system time from os.wait4, as the benchmark measures it, and
+its wall time runs from the start of the process to its reaping.  The two
+differ most where a job runs threads (the Berezin sweep).  The traced benchmark
+runs call `bergman.cli.main` and bypass the entry, so this tool, not the
+trace, attributes CPU spent at process start-up.  OUT holds each run's
+`vmhwm_mb`, `cpu_s` and `wall_s` keyed "workload/job/variant", and per job
 "workload/job" the median and range of each over its variants.
 """
 
@@ -22,6 +24,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 sys.dont_write_bytecode = True  # read perfbench/, write nothing into it
 from report_digests import pinned_runs  # noqa: E402
@@ -44,15 +47,18 @@ runpy.run_module("bergman", run_name="__main__", alter_sys=True)
 
 
 def run_peak(args, workdir, env, peak_file):
-    """(VmHWM in MB, CPU seconds) of `python -m bergman *args` run in workdir."""
+    """(VmHWM in MB, CPU seconds, wall seconds) of `python -m bergman *args`
+    run in workdir."""
     if os.path.exists(peak_file):
         os.remove(peak_file)  # a run that dies before exit leaves none
+    start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", BOOTSTRAP, peak_file, *args], cwd=workdir,
                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     with open(peak_file) as fh:
-        return int(fh.read()) / 1024.0, usage.ru_utime + usage.ru_stime
+        return int(fh.read()) / 1024.0, usage.ru_utime + usage.ru_stime, wall
 
 
 def _spread(values):
@@ -65,21 +71,22 @@ def main(tree, out_path):
     with tempfile.TemporaryDirectory() as tmp:
         peak_file = os.path.join(tmp, "vmhwm")
         for key, args, workdir, _, env in pinned_runs(tree):
-            mb, cpu = run_peak(args, workdir, env, peak_file)
-            runs[key] = {"vmhwm_mb": mb, "cpu_s": cpu}
+            mb, cpu, wall = run_peak(args, workdir, env, peak_file)
+            runs[key] = {"vmhwm_mb": mb, "cpu_s": cpu, "wall_s": wall}
     per_job = {}
     for key, run in runs.items():
         per_job.setdefault(key.rsplit("/", 1)[0], []).append(run)
-    summary = {job: {"vmhwm_mb": _spread([r["vmhwm_mb"] for r in v]),
-                     "cpu_s": _spread([r["cpu_s"] for r in v])}
+    summary = {job: {name: _spread([r[name] for r in v])
+                     for name in ("vmhwm_mb", "cpu_s", "wall_s")}
                for job, v in per_job.items()}
     with open(out_path, "w") as fh:
         json.dump({"per_job": summary, "runs": runs}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for job, s in summary.items():
-        mb, cpu = s["vmhwm_mb"], s["cpu_s"]
+        mb, cpu, wall = s["vmhwm_mb"], s["cpu_s"], s["wall_s"]
         print(f"{job:45s} {mb['median']:8.1f} MB  [{mb['range'][0]:.1f}, {mb['range'][1]:.1f}]"
-              f"  {cpu['median']:7.3f} s CPU  [{cpu['range'][0]:.3f}, {cpu['range'][1]:.3f}]")
+              f"  {cpu['median']:7.3f} s CPU  [{cpu['range'][0]:.3f}, {cpu['range'][1]:.3f}]"
+              f"  {wall['median']:7.3f} s wall  [{wall['range'][0]:.3f}, {wall['range'][1]:.3f}]")
 
 
 if __name__ == "__main__":
