@@ -48,9 +48,8 @@ import numpy as np
 from . import geometry
 from .errors import DomainError, SelfMapViolationError
 from .measures import (AtomicMeasure, RadialDensityMeasure, _node_blocks, _ring_layout,
-                       pushforward)
-from .spaces import (AnalyticFunction, _norm_on_rings, apply_operator, bergman_norm,
-                     norm_against_measure)
+                       _stream_sum, pushforward)
+from .spaces import _ring_pass, apply_operator, bergman_norm, norm_against_measure
 
 __all__ = [
     "CriterionReport",
@@ -270,11 +269,9 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
         gaps = np.repeat(ring_gaps, n_ang)
         cell_w = np.repeat(ring_w / n_ang, n_ang)
     bvals, keep, truncated = _profile(w, mu, centers, gaps, r, n, q, 1.0)
-    # read on every gap, then masked: a gap's tail value depends on its batch
-    tilde = np.atleast_1d(w.tail_density_at_gap(gaps))
     centers, gaps = centers[keep], gaps[keep]
     bands = geometry._band(gaps)
-    contrib = bvals ** s * (tilde * cell_w)[keep]
+    contrib = bvals ** s * (w.tail_density_at_gap(gaps) * cell_w[keep])
     total = float(np.sum(contrib))
     shallow = float(np.sum(contrib[bands <= level - 2]))
     growth, verdict = _growth_verdict(total, shallow)
@@ -333,7 +330,20 @@ _SWEEP_ROWS = 72
 _SWEEP_SLICE = 1024
 
 
-def _kernel_sweep(pts, phin, uq, e, out=None):
+def _sweep_pool(n_pts):
+    """A thread pool for sweeping n_pts basepoints: one worker per CPU this
+    process may run on, at most one per chunk of _SWEEP_ROWS basepoints."""
+    # the affinity mask (taskset, cgroup cpusets) where the OS reports one
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    # imported here: loading the pool module adds about 0.7 MB to the peak
+    # RSS of every CLI process, and only this sweep uses it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=max(1, min(cpus, -(-n_pts // _SWEEP_ROWS))))
+
+
+def _kernel_sweep(pts, phin, uq, e, out=None, pool=None):
     """Add sum_j |1 - conj(a) phin_j|^(-e) uq_j to out (default zeros) for
     every basepoint a in pts, and return out.
 
@@ -347,7 +357,8 @@ def _kernel_sweep(pts, phin, uq, e, out=None):
     result does not depend on how many workers share the chunks.  A support
     swept in several calls, in blocks that are multiples of _SWEEP_SLICE,
     adds the same slices in the same order as one call over all of it.  The
-    chunks are spread over the CPUs this process may run on.
+    chunks run on pool, which a caller sweeping many blocks opens once
+    (default: a _sweep_pool for this call).
     """
     out = np.zeros(len(pts)) if out is None else out
     xy = np.stack([phin.real, phin.imag])
@@ -376,15 +387,10 @@ def _kernel_sweep(pts, phin, uq, e, out=None):
             acc += s @ uq[lo:hi]
 
     starts = range(0, len(pts), _SWEEP_ROWS)
-    # the affinity mask (taskset, cgroup cpusets) where the OS reports one
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = max(1, min(cpus, len(starts)))
-    # imported here: loading the pool module adds about 0.7 MB to the peak
-    # RSS of every CLI process, and only this sweep uses it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    if pool is None:
+        with _sweep_pool(len(pts)) as own:
+            list(own.map(sweep, starts))
+    else:
         list(pool.map(sweep, starts))
     return out
 
@@ -413,13 +419,14 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
     ws, keep, truncated = _carleson_scale(w, gaps, q / p)
     pts, gaps, ws = pts[keep], gaps[keep], ws[keep]
     integral = np.zeros(len(pts))
-    for lo, hi in _node_blocks(nu.support_size):
-        pts_nu, masses_nu = nu.support_nodes(lo, hi)
-        uq = np.abs(op.u(pts_nu)) ** q * masses_nu
-        phin = np.asarray(op.phi(pts_nu), dtype=complex)
-        if np.any(np.abs(phin) >= 1.0):
-            raise SelfMapViolationError("self-map left the open disc on the support")
-        _kernel_sweep(pts, phin, uq, (gamma + op.n) * q, out=integral)
+    with _sweep_pool(len(pts)) as pool:  # one pool for every block
+        for lo, hi in _node_blocks(nu.support_size):
+            pts_nu, masses_nu = nu.support_nodes(lo, hi)
+            uq = np.abs(op.u(pts_nu)) ** q * masses_nu
+            phin = np.asarray(op.phi(pts_nu), dtype=complex)
+            if np.any(np.abs(phin) >= 1.0):
+                raise SelfMapViolationError("self-map left the open disc on the support")
+            _kernel_sweep(pts, phin, uq, (gamma + op.n) * q, out=integral, pool=pool)
     vals = gaps ** (gamma * q) * integral / ws
     notes = []
     if gamma_validated is None:
@@ -484,6 +491,11 @@ def hinf_criterion(op, p, w, grid):
 # gamma verification, norm probes
 # ---------------------------------------------------------------------------
 
+# Template angles per chunk of _ring_kernel_means: a 21-basepoint ladder
+# keeps one 21 x 4096 buffer (about 0.7 MB) however fine the grid.
+_TEMPLATE_CHUNK = 4096
+
+
 def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
     """Angular means of the kernel |1 - a rho e^{i theta}|^{-e} on rings.
 
@@ -497,21 +509,27 @@ def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
 
     (u_a, u the two gaps), and the template sin^2(theta_j / 2) is shared by
     every ring with n_theta angles.  It is symmetric about theta = pi, so
-    only the first half circle is summed.
+    only the first half circle is summed, _TEMPLATE_CHUNK angles at a time
+    along numpy's pairwise order (measures._stream_sum), which gives the
+    bits of one sum over the whole half circle.
     """
     half = (n_theta + 1) // 2
     template = np.sin((np.arange(half) + 0.5) * (math.pi / n_theta)) ** 2
     near = a_gaps[:, None] + ring_gaps[None, :] - a_gaps[:, None] * ring_gaps[None, :]
     spread = 4.0 * a[:, None] * (1.0 - ring_gaps)[None, :]
     out = np.empty(near.shape)
-    buf = np.empty((len(a), half))
     for k in range(len(ring_gaps)):
-        np.multiply(spread[:, k, None], template[None, :], out=buf)
-        buf += (near[:, k] ** 2)[:, None]
-        np.power(buf, -0.5 * e, out=buf)
-        total = 2.0 * buf.sum(axis=1)
+        near_sq = (near[:, k] ** 2)[:, None]
+
+        def kernel(lo, hi):
+            buf = np.multiply(spread[:, k, None], template[None, lo:hi])
+            buf += near_sq
+            return np.power(buf, -0.5 * e, out=buf)
+
+        total = 2.0 * _stream_sum(half, lambda lo, hi: np.sum(kernel(lo, hi), axis=1),
+                                  limit=_TEMPLATE_CHUNK)
         if n_theta % 2:  # the midpoint theta = pi has no mirror partner
-            total -= buf[:, -1]
+            total -= kernel(half - 1, half)[:, 0]
         out[:, k] = total / n_theta
     return out
 
@@ -585,7 +603,7 @@ def operator_norm_lower_bound(op, p, q, w, nu, family, grid, target="lq"):
         if target == "lq":
             num = norm_against_measure(g, q, nu)
         elif target == "hinf":
-            num = float(np.max(np.abs(g(grid.nodes))))
+            num = float(np.max(_ring_pass([g], grid, orders=(0,))[1]))
         else:
             raise DomainError(f"unknown target {target!r}")
         best = max(best, num / den)
@@ -594,27 +612,29 @@ def operator_norm_lower_bound(op, p, q, w, nu, family, grid, target="lq"):
 
 def norm_equivalence_ratios(functions, p, w, grid):
     """|f| against w's tail density over |f| against w, per function: each
-    density is read once per ring, each function evaluated once on the grid."""
-    tail_dens = w.tail_density_at_gap(grid.ring_gaps)
-    dens = w.density_at_gap(grid.ring_gaps)
-    ratios = []
-    for f in functions:
-        vals = np.abs(f(grid.nodes))
-        ratios.append(_norm_on_rings(vals, p, tail_dens, grid)
-                      / _norm_on_rings(vals, p, dens, grid))
-    return np.array(ratios)
+    density is read once per ring, and every norm comes from one pass of
+    the family over the grid."""
+    dens = [w.tail_density_at_gap(grid.ring_gaps), w.density_at_gap(grid.ring_gaps)]
+    sums, _ = _ring_pass(functions, grid, p, dens)
+    return np.array([float(tail_sum ** (1.0 / p)) / float(dens_sum ** (1.0 / p))
+                     for tail_sum, dens_sum in sums])
 
 
-def derivative_bound_sup(f, n, p, w, grid, norm):
-    """Empirical constant in the pointwise derivative bound:
-    sup over grid of |f^{(n)}(z)| wS(z)^{1/p} (1-|z|)^n / |f|_{A^p_w},
-    where norm is the caller's bergman_norm(f, p, w, grid).
+def derivative_bound_sup(functions, orders, p, w, grid):
+    """Empirical constants in the pointwise derivative bound: for each
+    function f (rows) and order n (columns), the sup over the grid of
+    |f^(n)(z)| wS(z)^{1/p} (1-|z|)^n / |f|_{A^p_w}, the norm being
+    bergman_norm(f, p, w, grid).
 
-    f is an AnalyticFunction or the node values |f^{(n)}|.  The factor after
-    |f^{(n)}| depends on the ring alone and is positive, so the supremum is
-    taken over each ring's largest |f^{(n)}| (rounding keeps the product
-    monotone, so this is the node-wise maximum bit for bit)."""
-    dvals = np.abs(f.eval_deriv(n, grid.nodes)) if isinstance(f, AnalyticFunction) else f
-    ring_peaks = np.maximum.reduceat(dvals, np.cumsum(grid.ring_counts) - grid.ring_counts)
+    One pass of the family over the grid gives every norm and, per ring,
+    every largest |f^(n)|; the factor after |f^(n)| depends on the ring
+    alone and is positive, so the supremum is taken over the ring peaks
+    (rounding keeps the product monotone, so this is the node-wise maximum
+    bit for bit), and the Carleson factor is read once per grid."""
+    sums, peaks = _ring_pass(functions, grid, p, [w.density_at_gap(grid.ring_gaps)], orders)
     ws = w.carleson_mass_at_gap(grid.ring_gaps) ** (1.0 / p)
-    return float(np.max(ring_peaks * ws * grid.ring_gaps ** n) / norm)
+    out = np.empty((len(functions), len(orders)))
+    for i, (f_sums, f_peaks) in enumerate(zip(sums, peaks)):
+        norm = float(f_sums[0] ** (1.0 / p))
+        out[i] = [np.max(pk * ws * grid.ring_gaps ** n) / norm for pk, n in zip(f_peaks, orders)]
+    return out

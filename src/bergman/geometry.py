@@ -89,17 +89,23 @@ def _ring_points(gaps, counts, lo=0, hi=None):
     """Points lo to hi (default: to the end) of rings laid one after another,
     ring i holding the counts[i] points (1 - gaps[i]) exp(i theta_j),
     theta_j = (j + 1/2) 2 pi / counts[i].  Each ring's share of the range is
-    its radius times a slice of an angle template, built once per run of
-    rings with equal counts."""
+    its radius times its angles e^{i theta_j}: a template built once per run
+    of whole rings with equal counts, or, for a ring the range cuts, the
+    range's own angles."""
     hi = int(np.sum(counts)) if hi is None else hi
     rings, first, taken = _ring_spans(counts, lo, hi)
     out = np.empty(int(taken.sum()), dtype=complex)
     pos, n_theta, template = 0, None, None
     for ring, j, n in zip(rings, first, taken):
         if counts[ring] != n_theta:
-            n_theta = counts[ring]
-            template = np.exp(1j * ((np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)))
-        np.multiply(1.0 - gaps[ring], template[j:j + n], out=out[pos:pos + n])
+            n_theta, template = counts[ring], None
+        if n < n_theta:
+            angles = np.exp(1j * ((np.arange(j, j + n) + 0.5) * (_TWO_PI / n_theta)))
+        else:
+            if template is None:
+                template = np.exp(1j * ((np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)))
+            angles = template
+        np.multiply(1.0 - gaps[ring], angles, out=out[pos:pos + n])
         pos += n
     return out
 

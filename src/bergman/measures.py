@@ -8,19 +8,24 @@ for cubic radial integrands) and an angular midpoint count proportional to
 happens once per ring through its boundary gap u = 1-|z|: the grid stores
 ring gaps, masses and node counts, and its flat node order runs ring after
 ring.  Any range of that order is built from the rings alone
-(node_range), so a caller that streams the grid never holds all of it.
+(node_range), and the grid keeps no per-node array: every reader streams
+ranges of _NODE_BLOCK nodes or fewer.  Whole-grid sums (norms, integrals
+against a measure) add those ranges along numpy's own pairwise summation
+tree (_stream_sum), so they equal one np.sum over the whole grid bit for
+bit.
 
 Measures answer one region query, the pseudo-disc masses mu(Delta(a, r))
 that the criteria read, and come in two representations: a radial density
-(a RadialWeight's density) takes them from a disc-centred polar rule, and
-an atomic cloud sums them one support block at a time, over a sorted index
-of that block alone.  A cloud is stored (points and masses) or streamed:
-the weighted pushforward recomputes its atoms from (phi, h, mu) whenever
-they are read.  Either way the query holds one block's sorted copy at a
-time and makes no whole-support copy of the atoms.  ``support_nodes(lo,
-hi)`` exposes a range of the common discrete picture (points, masses) that
-the pushforward, the pseudo-disc query and the criterion integrals consume;
-the streaming callers read it in blocks of _NODE_BLOCK nodes.
+(a RadialWeight's density) takes them from a disc-centred polar rule, once
+per distinct centre radius, and an atomic cloud sums them one support block
+of _ATOM_BLOCK atoms at a time, over a sorted index of that block alone.  A
+cloud is stored (points and masses) or streamed: the weighted pushforward
+recomputes its atoms from (phi, h, mu) whenever they are read.  Either way
+the query holds one block's sorted copy at a time and makes no
+whole-support copy of the atoms.  ``support_nodes(lo, hi)`` exposes a range
+of the common discrete picture (points, masses) that the pushforward, the
+pseudo-disc query and the criterion integrals consume; grid sweeps read it
+in blocks of _NODE_BLOCK nodes, the atom query in blocks of _ATOM_BLOCK.
 """
 
 from __future__ import annotations
@@ -47,11 +52,16 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _MAX_GRID_NODES = 100_000_000
 _RADIAL_SUBCELLS = 4
-# Support nodes per block where the support is streamed (pushforward, the
-# atomic pseudo-disc query, the Berezin and H-infinity criteria): per-node
-# temporaries stay a few MB however fine the grid.  A multiple of the Berezin
-# sweep's slice, so streaming keeps the sweep's summation order.
-_NODE_BLOCK = 1 << 16
+# Nodes per block where a grid or a support is swept (the Berezin and
+# H-infinity criteria, norms, integrals): per-node temporaries stay well
+# under a MB however fine the grid.  A multiple of the Berezin sweep's slice,
+# so streaming keeps the sweep's summation order.
+_NODE_BLOCK = 1 << 14
+# Atoms per block of the atomic pseudo-disc query and of the pushforward's
+# atoms.  Larger than _NODE_BLOCK: a query costs about one window search per
+# (centre, support block), so a 369,986-centre query over a 300k cloud takes
+# about three times the CPU at 1 << 14.
+_ATOM_BLOCK = 1 << 16
 
 # 2-point Gauss-Legendre on [0, 1]
 _GL2_X = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
@@ -95,13 +105,11 @@ class QuadratureGrid:
     constant within a dyadic band, so band-wide angular templates apply to
     every ring of the band.  Weights sum to 1 exactly up to roundoff.
 
-    The constructor keeps only these ring arrays.  The flat per-node order
-    runs ring after ring (so np.repeat(ring_gaps, ring_counts) are the
-    nodes' gaps); node_range(lo, hi) builds any range of it, and the cached
-    nodes and weights arrays, built on first read, are its whole-grid form,
-    so work that needs only the rings or streams ranges never allocates
-    them; node_count reads the ring counts.  Instances are immutable and
-    shared freely.
+    The grid keeps only these ring arrays.  The flat per-node order runs
+    ring after ring (so np.repeat(ring_gaps, ring_counts) are the nodes'
+    gaps and np.repeat(ring_node_weights, ring_counts) their weights);
+    node_range(lo, hi) builds any range of its nodes, and node_count reads
+    the ring counts.  Instances are immutable and shared freely.
     """
 
     radial_subcells = _RADIAL_SUBCELLS
@@ -126,17 +134,9 @@ class QuadratureGrid:
         self.ring_node_weights = masses * (_TWO_PI / counts) / math.pi
         self.node_count = int(counts.sum())
 
-    @functools.cached_property
-    def weights(self):
-        return np.repeat(self.ring_node_weights, self.ring_counts)
-
-    @functools.cached_property
-    def nodes(self):
-        return self.node_range(0, self.node_count)
-
     def node_range(self, lo, hi):
-        """nodes[lo:hi] (clipped to the grid), built from the rings by
-        geometry._ring_points: one angle template per band."""
+        """Nodes lo to hi of the flat order (clipped to the grid), built from
+        the rings by geometry._ring_points."""
         return geometry._ring_points(self.ring_gaps, self.ring_counts, lo, hi)
 
     def __repr__(self):
@@ -168,9 +168,40 @@ class DiscMeasure:
         raise NotImplementedError
 
     def integrate(self, g):
-        """int g d(mu) over the discrete representation (g may be complex)."""
-        pts, masses = self.support_nodes()
-        return np.sum(np.asarray(g(pts)) * masses).item()
+        """int g d(mu) over the discrete representation (g may be complex):
+        np.sum of g times the masses over the support, bit for bit, read a
+        range at a time (_stream_sum)."""
+        def terms(lo, hi):
+            pts, masses = self.support_nodes(lo, hi)
+            return np.asarray(g(pts)) * masses
+
+        # a complex sum halves its runs unlike a real one: probe the type
+        per = 2 if np.iscomplexobj(terms(0, 1)) else 1
+        return _stream_sum(self.support_size, lambda lo, hi: np.sum(terms(lo, hi)),
+                           per=per).item()
+
+
+def _stream_sum(count, piece_sum, limit=None, per=1):
+    """np.sum(x, axis=-1), bit for bit, for an array x whose last axis runs
+    over count items, from calls piece_sum(lo, hi) = np.sum(x[..., lo:hi],
+    axis=-1) of at most limit (default _NODE_BLOCK) items each.
+
+    numpy sums a long run pairwise: it halves the run at a multiple of 8
+    floats (an item holds per floats, 2 for complex) until the pieces are
+    short.  This recursion halves [0, count) the same way down to limit
+    items, so each piece's np.sum is a subtree of the whole sum and the
+    pieces add up in the same order.
+    """
+    limit = _NODE_BLOCK if limit is None else limit
+
+    def total(lo, hi):
+        if hi - lo <= limit:
+            return piece_sum(lo, hi)
+        half = per * (hi - lo) // 2
+        mid = lo + (half - half % 8) // per
+        return total(lo, mid) + total(mid, hi)
+
+    return total(0, count)
 
 
 def _disc_params(center_abs, gaps, r):
@@ -199,7 +230,7 @@ class _SupportIndex:
     of the gap, angle), for pseudo-disc sums that visit only the points that
     can lie in each disc.  The band is geometry._band: band k holds the gaps
     in (2^-(k+1), 2^-k].  AtomicMeasure.pseudo_disc_masses sorts each
-    _NODE_BLOCK block of the support alone, so no index spans the whole
+    _ATOM_BLOCK block of the support alone, so no index spans the whole
     support and none outlives its block.
 
     The pseudo-disc Delta(a, r) is the Euclidean disc D(ce, R), a window in
@@ -331,11 +362,22 @@ class RadialDensityMeasure(DiscMeasure):
         return grid.node_range(lo, hi), np.repeat(self._ring_masses[rings], counts)
 
     def pseudo_disc_masses(self, centers, r, center_gaps):
-        centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-        c, R, g_out, _ = _disc_params(np.abs(centers), center_gaps, r)
-        gaps, w = geometry._polar_rule(c, R, g_out)
-        vals = self._weight.density_at_gap(gaps.ravel()).reshape(gaps.shape)
-        return np.einsum("bij,bij->b", vals, np.broadcast_to(w, gaps.shape))
+        """The mass depends on the centre's modulus and gap alone, so the
+        polar rule runs once per distinct (|a|, 1-|a|) pair: once per ring
+        of a lattice whose rings hold several angles."""
+        mods = np.abs(np.atleast_1d(np.asarray(centers, dtype=complex)))
+        gaps = np.atleast_1d(np.asarray(center_gaps, dtype=float))
+        order = np.lexsort((gaps, mods))  # np.unique would load numpy.ma
+        mods, gaps = mods[order], gaps[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (mods[1:] != mods[:-1]) | (gaps[1:] != gaps[:-1])
+        c, R, g_out, _ = _disc_params(mods[first], gaps[first], r)
+        nodes, w = geometry._polar_rule(c, R, g_out)
+        vals = self._weight.density_at_gap(nodes.ravel()).reshape(nodes.shape)
+        masses = np.einsum("bij,bij->b", vals, np.broadcast_to(w, nodes.shape))
+        out = np.empty(len(order))
+        out[order] = masses[np.cumsum(first) - 1]
+        return out
 
 
 _ATOM_COLUMNS = ("re", "im", "mass")
@@ -423,11 +465,11 @@ class AtomicMeasure(DiscMeasure):
 
     def pseudo_disc_masses(self, centers, r, center_gaps):
         """Mass of the atoms in Delta(a, r) for each centre a (gaps 1-|a|):
-        each _NODE_BLOCK block of the support is read once and sorted alone,
+        each _ATOM_BLOCK block of the support is read once and sorted alone,
         and its windows are summed _CENTER_BLOCK centres at a time."""
         centers = np.atleast_1d(np.asarray(centers, dtype=complex))
         out = np.zeros(len(centers))
-        for lo, hi in _node_blocks(self.support_size):
+        for lo, hi in _node_blocks(self.support_size, _ATOM_BLOCK):
             index = _SupportIndex(*self.support_nodes(lo, hi))
             for s in range(0, len(centers), _CENTER_BLOCK):
                 b = slice(s, s + _CENTER_BLOCK)
@@ -435,16 +477,18 @@ class AtomicMeasure(DiscMeasure):
         return out
 
 
-def _node_blocks(count):
-    """(lo, hi) of the blocks of _NODE_BLOCK support nodes that cover count."""
-    return [(lo, min(lo + _NODE_BLOCK, count)) for lo in range(0, count, _NODE_BLOCK)]
+def _node_blocks(count, block=None):
+    """(lo, hi) of the blocks of block (default _NODE_BLOCK) nodes that
+    cover count."""
+    block = _NODE_BLOCK if block is None else block
+    return [(lo, min(lo + block, count)) for lo in range(0, count, block)]
 
 
 class _Pushforward(AtomicMeasure):
     """The atoms (phi(x), h(x) * mass(x)) over mu's support, computed from
     (phi, h, mu) a block at a time whenever they are read.
 
-    support_nodes(lo, hi) evaluates phi and h over the whole _NODE_BLOCK
+    support_nodes(lo, hi) evaluates phi and h over the whole _ATOM_BLOCK
     blocks that hold the range, the blocks of the constructor's checking
     pass, so every read gives the same bits.  points and masses build the
     whole arrays on each read.
@@ -453,7 +497,7 @@ class _Pushforward(AtomicMeasure):
     def __init__(self, phi, h, mu):
         self.name = f"pushforward({mu.name})"
         self._phi, self._h, self._mu = phi, h, mu
-        self._block = _NODE_BLOCK
+        self._block = _ATOM_BLOCK
         worst = None  # (|image|, point, image) of the first largest image off the disc
         negative, min_gap = False, math.inf
         for lo in range(0, self.support_size, self._block):

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import DegenerateBasepointError, DomainError, SelfMapViolationError
+from .measures import _stream_sum
 
 __all__ = [
     "AnalyticFunction",
@@ -252,26 +254,56 @@ def apply_operator(op, f):
 # norms and test functions
 # ---------------------------------------------------------------------------
 
-def bergman_norm(f, p, w, grid):
-    """(int |f|^p w dA)^(1/p) on the grid; f a function or node-value array."""
-    vals = np.abs(f(grid.nodes) if callable(f) else f)
-    return _norm_on_rings(vals, p, w.density_at_gap(grid.ring_gaps), grid)
+def _ring_pass(functions, grid, p=None, ring_dens=(), orders=()):
+    """One pass of a family of functions over the grid's nodes, built a
+    range at a time (grid.node_range, at most measures._NODE_BLOCK nodes)
+    and shared by the family, so no whole-grid array is made and each node
+    is built once.
 
-
-def _norm_on_rings(vals, p, ring_dens, grid):
-    """bergman_norm from |f| at the grid's nodes and the density on its rings."""
-    if p <= 0:
+    Returns (sums, peaks).  sums[i, d] is the sum over the nodes of
+    |f_i|^p times the density ring_dens[d] of the node's ring times the
+    node's weight: the ranges follow numpy's pairwise summation
+    (measures._stream_sum), so it is one np.sum over the whole grid bit for
+    bit.  peaks[i, j, k] is the largest |f_i^(n)| on ring k for n =
+    orders[j] (|f_i| itself for n = 0, so f_i may be any function of z
+    there).
+    """
+    if p is not None and p <= 0:
         raise DomainError("p must be positive")
-    dens = np.repeat(ring_dens, grid.ring_counts)
-    return float(np.sum(vals ** p * dens * grid.weights) ** (1.0 / p))
+    ring_dens = np.reshape(ring_dens, (len(ring_dens), len(grid.ring_gaps)))
+    peaks = np.zeros((len(functions), len(orders), len(grid.ring_gaps)))
+
+    def piece_sum(lo, hi):
+        z = grid.node_range(lo, hi)
+        rings, _, taken = geometry._ring_spans(grid.ring_counts, lo, hi)
+        starts = np.cumsum(taken) - taken
+        node_dens = np.repeat(ring_dens[:, rings], taken, axis=1)
+        node_w = np.repeat(grid.ring_node_weights[rings], taken)
+        sums = np.empty((len(functions), len(ring_dens)))
+        for i, f in enumerate(functions):
+            vals = np.abs(f(z))
+            for j, n in enumerate(orders):
+                d = vals if n == 0 else np.abs(f.eval_deriv(n, z))
+                peaks[i, j, rings] = np.maximum(peaks[i, j, rings], np.maximum.reduceat(d, starts))
+            if len(ring_dens):
+                sums[i] = np.sum(vals ** p * node_dens * node_w, axis=-1)
+        return sums
+
+    return _stream_sum(grid.node_count, piece_sum), peaks
+
+
+def bergman_norm(f, p, w, grid):
+    """(int |f|^p w dA)^(1/p) on the grid, in one pass over its nodes."""
+    sums, _ = _ring_pass([f], grid, p, [w.density_at_gap(grid.ring_gaps)])
+    return float(sums[0, 0] ** (1.0 / p))
 
 
 def norm_against_measure(g, q, mu):
-    """(int |g|^q d(mu))^(1/q) over the measure's discrete support."""
+    """(int |g|^q d(mu))^(1/q) over the measure's discrete support, read a
+    range at a time (DiscMeasure.integrate)."""
     if q <= 0:
         raise DomainError("q must be positive")
-    pts, masses = mu.support_nodes()
-    return float(np.sum(np.abs(g(pts)) ** q * masses) ** (1.0 / q))
+    return float(mu.integrate(lambda z: np.abs(g(z)) ** q) ** (1.0 / q))
 
 
 def test_function(a, gamma, p, w):

@@ -29,7 +29,6 @@ from bergman import (
     RadialWeight,
     Scale,
     berezin_criterion,
-    bergman_norm,
     classify,
     derivative_bound_sup,
     embedding_ls_criterion,
@@ -117,12 +116,14 @@ def test_03_norm_equivalence():
     ratios = {case: {} for case in cases}
     for lvl, g in grids.items():
         gaps = np.repeat(g.ring_gaps, g.ring_counts)
-        dens = {alpha: (w.density_at_gap(gaps) * g.weights,
-                        w.tail_density_at_gap(gaps) * g.weights)
+        node_w = np.repeat(g.ring_node_weights, g.ring_counts)
+        nodes = g.node_range(0, g.node_count)
+        dens = {alpha: (w.density_at_gap(gaps) * node_w,
+                        w.tail_density_at_gap(gaps) * node_w)
                 for alpha, w in weights.items()}
         vals = {case: [] for case in cases}
         for coeffs in polys:  # |f| once per (polynomial, grid), for every (alpha, p)
-            mod = np.abs(np.polynomial.polynomial.polyval(g.nodes, coeffs))
+            mod = np.abs(np.polynomial.polynomial.polyval(nodes, coeffs))
             for alpha, p in cases:
                 fv = mod ** p
                 num = np.sum(fv * dens[alpha][1]) ** (1.0 / p)
@@ -154,10 +155,9 @@ def test_04_derivative_bound():
         family.append(Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)))
     grids = {lvl: QuadratureGrid(lvl) for lvl in (8, 10)}
     worst = {}
+    bounds = {lvl: derivative_bound_sup(family, (0, 1, 2), p, w, g) for lvl, g in grids.items()}
     for n in (0, 1, 2):
-        sups = {lvl: max(derivative_bound_sup(f, n, p, w, g, bergman_norm(f, p, w, g))
-                         for f in family)
-                for lvl, g in grids.items()}
+        sups = {lvl: float(np.max(b[:, n])) for lvl, b in bounds.items()}
         assert np.isfinite(sups[10])
         change = abs(sups[10] - sups[8]) / sups[10]
         assert change < 0.10

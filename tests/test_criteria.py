@@ -486,7 +486,7 @@ class TestHinfBlocks:
             def image_radius(self, s):
                 return 0.5
 
-        grid = QuadratureGrid(9)  # two default blocks
+        grid = QuadratureGrid(9)  # eight default blocks
         op = OperatorSpec(Constant(), ONE, 1)
         for block in (1 << 10, measures._NODE_BLOCK, grid.node_count):
             monkeypatch.setattr(measures, "_NODE_BLOCK", block)
@@ -512,11 +512,12 @@ class TestHinfBlocks:
 
 
 class TestSupportBlocks:
-    """berezin_criterion and op_pushforward_criterion read a density
-    measure's support a block of _NODE_BLOCK nodes at a time, and no
-    whole-grid array is built.  The block size moves no bit of a Berezin
-    report; it moves the pushforward criterion's pseudo-disc sums by ulps,
-    since each atom's mass is added within its own block's sum."""
+    """berezin_criterion reads a density measure's support a block of
+    _NODE_BLOCK nodes at a time, op_pushforward_criterion a block of
+    _ATOM_BLOCK, and no whole-grid array is built.  The block size moves no
+    bit of a Berezin report; it moves the pushforward criterion's
+    pseudo-disc sums by ulps, since each atom's mass is added within its
+    own block's sum."""
 
     U = Polynomial([0.4, -1.1 + 0.3j, 0.7j, 0.25])
     OP = OperatorSpec(Moebius(0.3 - 0.2j), U, 1)

@@ -1,12 +1,13 @@
 """Per-ring evaluation of radial quantities against per-node references.
 
-The grid builds any range of its nodes from its ring arrays (node_range);
-seed_layout, the plain ring-by-ring construction it replaced, is the oracle
-its arrays and every range of its nodes must match bit for bit.  Every
-radial quantity on a QuadratureGrid is evaluated once per ring and repeated
-over the ring's nodes.  The references here evaluate the same quantity on
-every node, with the per-node gaps of seed_layout, and the results must
-agree to 1e-12 relative.  verify_gamma's ring-and-band
+The grid keeps only ring arrays and builds any range of its nodes from them
+(node_range); seed_layout, the plain ring-by-ring construction it replaced,
+is the oracle its arrays and every range of its nodes must match bit for
+bit.  Every radial quantity on a QuadratureGrid is evaluated once per ring
+and repeated over the ring's nodes, and every whole-grid sum streams the
+nodes a range at a time.  The references here evaluate the same quantity on
+every node of seed_layout's whole-grid arrays, and the results must agree to
+1e-12 relative.  verify_gamma's ring-and-band
 summation is checked against the plain per-node kernel loop, and its angular
 template against the closed-form angular mean of the kernel.
 """
@@ -90,9 +91,15 @@ def grid(request):
 
 
 @pytest.fixture(scope="module")
-def gaps(grid):
+def layout(grid):
+    """The grid's whole-grid arrays, from the oracle."""
+    return seed_layout(grid)
+
+
+@pytest.fixture(scope="module")
+def gaps(layout):
     """Per-node gaps of the grid, from the oracle."""
-    return seed_layout(grid)["gaps"]
+    return layout["gaps"]
 
 
 @pytest.fixture(scope="module", params=sorted(WEIGHTS))
@@ -107,16 +114,18 @@ def functions():
     return polys + [ConformalPower(0.9j, 3.0), ConformalPower(0.99, 2.0)]
 
 
-def node_norm(f, p, dens, grid):
-    """bergman_norm from the weight density on every node (dens)."""
-    return float(np.sum(np.abs(f(grid.nodes)) ** p * dens * grid.weights) ** (1.0 / p))
+def node_norm(f, p, dens, layout):
+    """bergman_norm from the weight density on every node (dens) of the
+    oracle's layout."""
+    vals = np.abs(f(layout["nodes"])) ** p
+    return float(np.sum(vals * dens * layout["weights"]) ** (1.0 / p))
 
 
 def assert_close(got, want):
     assert abs(got - want) <= RTOL * abs(want), (got, want)
 
 
-GRID_ARRAYS = ("nodes", "weights", "ring_gaps", "ring_weights", "ring_counts")
+RING_ARRAYS = ("ring_gaps", "ring_weights", "ring_counts", "ring_node_weights")
 
 
 @pytest.mark.parametrize("angular_base", [16, 64])
@@ -124,11 +133,13 @@ GRID_ARRAYS = ("nodes", "weights", "ring_gaps", "ring_weights", "ring_counts")
 def test_grid_matches_seed_layout_bitwise(level, angular_base):
     grid = QuadratureGrid(level, angular_base)
     want = seed_layout(grid)
-    for name in GRID_ARRAYS:
-        got = getattr(grid, name)
-        assert got.dtype == want[name].dtype, name
-        assert np.array_equal(got, want[name]), name
-    assert not hasattr(grid, "gaps")
+    got = {name: getattr(grid, name) for name in RING_ARRAYS[:3]}
+    got["nodes"] = grid.node_range(0, grid.node_count)
+    got["weights"] = np.repeat(grid.ring_node_weights, grid.ring_counts)
+    for name, arr in got.items():
+        assert arr.dtype == want[name].dtype, name
+        assert np.array_equal(arr, want[name]), name
+    assert not any(hasattr(grid, name) for name in ("gaps", "nodes", "weights"))
 
 
 def node_ranges(grid):
@@ -169,8 +180,6 @@ def test_node_range_matches_nodes_bitwise(level, angular_base):
         got = grid.node_range(lo, hi)
         assert got.dtype == nodes.dtype
         assert np.array_equal(got, nodes[lo:hi]), (lo, hi)
-    assert "nodes" not in vars(grid)
-    assert np.array_equal(grid.nodes, nodes)
     # the ring builder behind node_range, on rings whose counts change from
     # ring to ring (an r-lattice's) and to the end of the set (hi = None)
     gaps, counts, points = ring_loop_r_lattice(0.5, level + 2)
@@ -226,53 +235,50 @@ def test_ls_mesh_matches_outer_product(level):
     assert same_bits(got, outer_product_rings(ring_gaps, 32))
 
 
-def test_grid_build_holds_and_peaks_near_its_arrays():
-    """Building a grid and reading its node arrays allocates little beyond
-    the arrays it keeps: 16 B of node and 8 B of weight per node, plus the
-    rings."""
-    small = QuadratureGrid(4)  # first-call allocations stay out of the measurement
-    for name in GRID_ARRAYS:
-        getattr(small, name)
+def traced_peak(run):
+    """Peak tracemalloc bytes of run()."""
     tracemalloc.start()
     try:
-        grid = QuadratureGrid(11)
-        for name in GRID_ARRAYS:
-            getattr(grid, name)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(getattr(grid, name).nbytes for name in GRID_ARRAYS)
-    assert peak <= 1.25 * held, peak / held
-    assert held / grid.node_count < 25.0
 
 
-def test_node_arrays_are_built_on_first_read():
-    """The constructor keeps only ring arrays; what a caller reads right
-    after it (counts, levels, the angular base) builds no node array."""
+def test_grid_build_holds_and_peaks_near_its_arrays():
+    """A grid keeps its ring arrays only, a few bytes per ring whatever its
+    node count, and building it allocates little beyond them."""
+    QuadratureGrid(4)  # first-call allocations stay out of the measurement
+    grids = []
+    peak = traced_peak(lambda: grids.append(QuadratureGrid(11)))
+    grid, = grids
+    held = sum(getattr(grid, name).nbytes for name in RING_ARRAYS)
+    assert held <= 64 * len(grid.ring_gaps), held
+    assert peak < 64e3, peak
+
+
+def test_grid_keeps_no_node_arrays():
+    """What a caller reads of a grid (counts, levels, the angular base, a
+    range of nodes) builds no whole-grid array, and the grid has none."""
     grid = QuadratureGrid(9)
-    node_arrays = ("nodes", "weights")
     assert grid.node_count == int(np.sum(grid.ring_counts))
     assert (grid.levels, grid.angular_base, grid.radial_subcells) == (9, 16, 4)
     assert "nodes=" in repr(grid)
-    assert not any(name in vars(grid) for name in node_arrays)
-    assert len(grid.nodes) == len(grid.weights) == grid.node_count
-    assert all(getattr(grid, name) is getattr(grid, name) for name in node_arrays)
+    assert len(grid.node_range(0, grid.node_count)) == grid.node_count
+    assert not any(hasattr(grid, name) for name in ("nodes", "weights"))
+    assert all(isinstance(v, (int, np.ndarray)) and np.size(v) <= len(grid.ring_gaps)
+               for v in vars(grid).values())
 
 
 def test_verify_gamma_reads_rings_only():
-    """verify_gamma sums ring by ring, so its level-13 grid never builds the
-    2.1 M-node arrays (about 59 MB); the whole call stays under 20 MB."""
+    """verify_gamma sums ring by ring, and each ring's half-circle template a
+    chunk of angles at a time, so at level 13 (2.1 M nodes, 65,536 template
+    angles on the deepest rings) the whole call stays under 4 MB traced."""
     w = RadialWeight.log_power(1.0, 2.0)
     verify_gamma(w, 2.0, 3.0, grid=QuadratureGrid(4))  # first-call allocations stay out
-    tracemalloc.start()
-    try:
-        grid = QuadratureGrid(13)
-        verify_gamma(w, 2.0, 3.0, grid=grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert "nodes" not in vars(grid)
-    assert peak < 20e6, peak
+    grid = QuadratureGrid(13)
+    peak = traced_peak(lambda: verify_gamma(w, 2.0, 3.0, grid=grid))
+    assert peak < 4e6, peak
 
 
 def test_ring_arrays_broadcast_to_nodes(grid, gaps):
@@ -280,40 +286,44 @@ def test_ring_arrays_broadcast_to_nodes(grid, gaps):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
-def test_bergman_norm_matches_node_reference(grid, gaps, weight, p):
+def test_bergman_norm_matches_node_reference(grid, layout, weight, p):
     """bergman_norm, and norm_equivalence_ratios' tail-density norm over it,
     against the norms from the densities on every node."""
+    gaps = layout["gaps"]
     dens = weight.density_at_gap(gaps)
     tail_dens = weight.tail_integral_at_gap(gaps) / gaps
     fs = functions()
     for f, ratio in zip(fs, norm_equivalence_ratios(fs, p, weight, grid)):
-        want = node_norm(f, p, dens, grid)
+        want = node_norm(f, p, dens, layout)
         assert_close(bergman_norm(f, p, weight, grid), want)
-        assert_close(ratio, node_norm(f, p, tail_dens, grid) / want)
+        assert_close(ratio, node_norm(f, p, tail_dens, layout) / want)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_derivative_bound_matches_node_reference(grid, gaps, weight, n):
+def test_derivative_bound_matches_node_reference(grid, layout, weight, n):
     """Each ring's largest |f^(n)| times the ring's factor is the node-wise
     maximum bit for bit (the factor is positive and rounding monotone), for
-    a function and for its node values alike."""
+    a function alone and inside a family read at several orders."""
     p = 2.0
+    gaps = layout["gaps"]
     dens = weight.density_at_gap(gaps)
     ws = weight.carleson_mass_at_gap(gaps) ** (1.0 / p)
-    for f in functions():
-        dvals = np.abs(f.eval_deriv(n, grid.nodes))
+    fs = functions()
+    family = derivative_bound_sup(fs, (2, n), p, weight, grid)
+    for f, row in zip(fs, family):
+        dvals = np.abs(f.eval_deriv(n, layout["nodes"]))
         norm = bergman_norm(f, p, weight, grid)
-        assert_close(norm, node_norm(f, p, dens, grid))
+        assert_close(norm, node_norm(f, p, dens, layout))
         want = float(np.max(dvals * ws * gaps ** n)) / norm
-        assert derivative_bound_sup(f, n, p, weight, grid, norm) == want
-        assert derivative_bound_sup(dvals, n, p, weight, grid, norm) == want
+        assert derivative_bound_sup([f], (n,), p, weight, grid)[0, 0] == want
+        assert row[1] == want
 
 
-def test_support_nodes_match_node_reference(grid, gaps, weight):
+def test_support_nodes_match_node_reference(grid, layout, weight):
     mu = RadialDensityMeasure.from_weight(weight, grid)
     pts, masses = mu.support_nodes()
-    want = weight.density_at_gap(gaps) * grid.weights
-    assert np.array_equal(pts, seed_layout(grid)["nodes"])
+    want = weight.density_at_gap(layout["gaps"]) * layout["weights"]
+    assert np.array_equal(pts, layout["nodes"])
     assert np.array_equal(masses, want)
 
 
@@ -339,14 +349,15 @@ def node_verify_gamma(w, p, gamma, basepoints=None, grid=None):
         a_gaps = 1.0 - np.abs(np.asarray(basepoints, dtype=complex))
         a_gaps = a_gaps[a_gaps > 0]
     a_vals = 1.0 - a_gaps
-    gaps = seed_layout(grid)["gaps"]
-    pre = w.density_at_gap(gaps) * grid.weights
+    layout = seed_layout(grid)
+    gaps = layout["gaps"]
+    pre = w.density_at_gap(gaps) * layout["weights"]
     e = gamma * p
     shallow_mask = gaps >= 2.0 ** -(grid.levels - 1)
     lhs = np.empty(len(a_vals))
     lhs_shallow = np.empty(len(a_vals))
     for i, a in enumerate(a_vals):
-        kern = np.abs(1.0 - a * grid.nodes) ** (-e)
+        kern = np.abs(1.0 - a * layout["nodes"]) ** (-e)
         contrib = pre * kern
         lhs[i] = np.sum(contrib)
         lhs_shallow[i] = np.sum(contrib[shallow_mask])

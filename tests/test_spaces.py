@@ -146,7 +146,7 @@ class TestSelfMaps:
 
     def test_images_stay_inside(self, grid8):
         for phi in (Scale(1.0), PowerMap(4), Moebius(0.6j)):
-            assert np.max(np.abs(phi(grid8.nodes))) < 1.0
+            assert np.max(np.abs(phi(grid8.node_range(0, grid8.node_count)))) < 1.0
 
 
 class TestBergmanNorm:

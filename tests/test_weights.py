@@ -62,6 +62,39 @@ class TestTailIntegral:
         w = RadialWeight.from_table(r, np.ones_like(r))
         assert w.tail_integral_at_gap(1 - 0.25) == pytest.approx(0.75, rel=1e-10)
 
+    @pytest.mark.parametrize("kind", ["hat", "rmom"])
+    def test_value_does_not_depend_on_the_batch(self, kind):
+        """A gap's tail has the same bits alone, in every batch of 1 to 9
+        consecutive gaps and in one batch of all 458: its 16 Gauss-Legendre
+        terms add up in one fixed order, whatever the batch's size."""
+        w = RadialWeight.log_power(1.0, 2.0)
+        gaps = 2.0 ** -np.random.default_rng(21).uniform(0.0, 40.0, 458)
+        alone = np.array([w._tail_at_gap(kind, u) for u in gaps])
+        assert w._tail_at_gap(kind, gaps).tobytes() == alone.tobytes()
+        for size in range(1, 10):
+            for lo in range(0, len(gaps), size):
+                got = w._tail_at_gap(kind, gaps[lo:lo + size])
+                assert got.tobytes() == alone[lo:lo + size].tobytes(), (size, lo)
+
+    def test_fixed_order_sum_matches_fused_multiply_adds(self):
+        """weights._gl_sum adds each column's 16 terms with four accumulators
+        of exactly emulated fused multiply-adds, combined as (a0 + a2) +
+        (a1 + a3): checked against exact rational arithmetic."""
+        from fractions import Fraction
+
+        def fma(x, y, acc):
+            return float(Fraction(x) * Fraction(y) + Fraction(acc))
+
+        rng = np.random.default_rng(4)
+        vals = rng.uniform(0.1, 3.0, (16, 300)) * 10.0 ** rng.uniform(-30, 30, 300)
+        vals[:, :100] = np.exp(-1.0 / rng.uniform(0.01, 1.0, (16, 100)))
+        got = weights._gl_sum(vals)
+        for col, value in zip(vals.T, got):
+            acc = [0.0] * 4
+            for j, (x, wj) in enumerate(zip(col.tolist(), weights._GL_W.tolist())):
+                acc[j % 4] = fma(x, wj, acc[j % 4])
+            assert value == (acc[0] + acc[2]) + (acc[1] + acc[3])
+
 
 class TestTailDensity:
     def test_unit_weight_at_zero(self):
@@ -204,8 +237,9 @@ class TestWeightedArea:
         # grid with a fine angular base
         w = RadialWeight.power(1.0)
         grid = QuadratureGrid(9, angular_base=64)
-        dens = np.repeat(w.density_at_gap(grid.ring_gaps), grid.ring_counts) * grid.weights
-        z = grid.nodes
+        dens = np.repeat(w.density_at_gap(grid.ring_gaps) * grid.ring_node_weights,
+                         grid.ring_counts)
+        z = grid.node_range(0, grid.node_count)
         square = (np.abs(z) >= 0.5) & (np.abs(np.angle(z)) < 0.25)
         assert np.sum(dens[square]) == pytest.approx(w.carleson_mass_at_gap(0.5), rel=0.03)
         d = pseudo_disc(0.4 + 0.2j, 0.4)

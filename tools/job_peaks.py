@@ -1,9 +1,10 @@
 """Peak resident memory, CPU and wall time of every pinned benchmark run of a source tree.
 
-    python tools/job_peaks.py TREE OUT.json
+    python tools/job_peaks.py TREE OUT.json [--workload NAME] [--variants N]
 
 Runs the pinned runs of report_digests.py (every variant of every job of both
-benchmark workloads) as `python -m bergman ... --deterministic` with TREE/src
+benchmark workloads; --workload keeps one workload, --variants the first N
+variants of each job) as `python -m bergman ... --deterministic` with TREE/src
 on the path, each under a bootstrap that runs the CLI entry the way
 `python -m bergman` does and reads the process's VmHWM (its peak resident
 set, from /proc/self/status, so Linux only) at interpreter exit.  VmHWM
@@ -15,9 +16,11 @@ differ most where a job runs threads (the Berezin sweep).  The traced benchmark
 runs call `bergman.cli.main` and bypass the entry, so this tool, not the
 trace, attributes CPU spent at process start-up.  OUT holds each run's
 `vmhwm_mb`, `cpu_s` and `wall_s` keyed "workload/job/variant", and per job
-"workload/job" the median and range of each over its variants.
+"workload/job" the median and range of each over its variants, and it
+prints that summary as a table, one job per row.
 """
 
+import argparse
 import json
 import os
 import statistics
@@ -28,6 +31,7 @@ import time
 
 sys.dont_write_bytecode = True  # read perfbench/, write nothing into it
 from report_digests import pinned_runs  # noqa: E402
+import workloads  # noqa: E402  (perfbench/, put on the path by report_digests)
 
 # python -c BOOTSTRAP PEAK_FILE ARGS...: run `python -m bergman ARGS...` in
 # this process and write its VmHWM in kB to PEAK_FILE at exit
@@ -66,11 +70,11 @@ def _spread(values):
             "range": [round(min(values), 3), round(max(values), 3)]}
 
 
-def main(tree, out_path):
+def main(tree, out_path, only=None, variants=workloads.VARIANTS):
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         peak_file = os.path.join(tmp, "vmhwm")
-        for key, args, workdir, _, env in pinned_runs(tree):
+        for key, args, workdir, _, env in pinned_runs(tree, only, variants):
             mb, cpu, wall = run_peak(args, workdir, env, peak_file)
             runs[key] = {"vmhwm_mb": mb, "cpu_s": cpu, "wall_s": wall}
     per_job = {}
@@ -82,14 +86,24 @@ def main(tree, out_path):
     with open(out_path, "w") as fh:
         json.dump({"per_job": summary, "runs": runs}, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    print(f"{'job':45s} {'VmHWM MB':>8s} {'range':>13s}  {'CPU s':>7s} {'range':>15s}"
+          f"  {'wall s':>7s} {'range':>15s}")
     for job, s in summary.items():
         mb, cpu, wall = s["vmhwm_mb"], s["cpu_s"], s["wall_s"]
-        print(f"{job:45s} {mb['median']:8.1f} MB  [{mb['range'][0]:.1f}, {mb['range'][1]:.1f}]"
-              f"  {cpu['median']:7.3f} s CPU  [{cpu['range'][0]:.3f}, {cpu['range'][1]:.3f}]"
-              f"  {wall['median']:7.3f} s wall  [{wall['range'][0]:.3f}, {wall['range'][1]:.3f}]")
+        print(f"{job:45s} {mb['median']:8.1f} [{mb['range'][0]:5.1f}, {mb['range'][1]:5.1f}]"
+              f"  {cpu['median']:7.3f} [{cpu['range'][0]:6.3f}, {cpu['range'][1]:6.3f}]"
+              f"  {wall['median']:7.3f} [{wall['range'][0]:6.3f}, {wall['range'][1]:6.3f}]")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit("usage: python tools/job_peaks.py TREE OUT.json")
-    main(*sys.argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree")
+    parser.add_argument("out")
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+                        help="run this workload's jobs only (default: both)")
+    parser.add_argument("--variants", type=int, default=workloads.VARIANTS,
+                        choices=range(1, workloads.VARIANTS + 1), metavar="N",
+                        help="run the first N variants of each job (default: all "
+                             f"{workloads.VARIANTS})")
+    opts = parser.parse_args()
+    main(opts.tree, opts.out, opts.workload, opts.variants)

@@ -43,16 +43,20 @@ def run_digest(argv, workdir, out_dir, env):
     return h.hexdigest(), proc
 
 
-def pinned_runs(tree):
+def pinned_runs(tree, only=None, variants=workloads.VARIANTS):
     """Yield (key, args, workdir, out_dir, env) for every pinned run, keyed
     "workload/job/variant": run `python -m bergman *args` in workdir with env
     (TREE/src on the path), and it writes its reports to out_dir.  A
-    workload variant's inputs live until its last run has been yielded."""
+    workload variant's inputs live until its last run has been yielded.
+    only names one workload to run (default: both); variants runs the
+    first variants of each job (default: all)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads.WORKLOADS:
+            if only is not None and workload != only:
+                continue
             keys = workloads.job_keys(workload)
-            for v in range(workloads.VARIANTS):
+            for v in range(variants):
                 workdir = os.path.join(tmp, f"{workload}-{v}")
                 for job in workloads.write_inputs(workload, dict.fromkeys(keys, v), workdir):
                     out_dir = os.path.join("out", job.key)
