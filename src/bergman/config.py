@@ -97,15 +97,10 @@ def parse_function(spec):
             coeffs = _list_of(spec["coeffs"], "function.coeffs")
             return Polynomial([_complex_of(c, "function.coeffs") for c in coeffs])
         if kind == "conformal_power":
-            try:
-                scale = complex(spec.get("scale", 1.0))
-            except (TypeError, ValueError):
-                raise ConfigError("function.scale must be a number",
-                                  field="function.scale")
             return ConformalPower(
                 _complex_of(spec["a"], "function.a"),
                 _number(spec["gamma"], "function.gamma"),
-                scale,
+                _number(spec.get("scale", 1.0), "function.scale"),
             )
     except KeyError as exc:
         raise ConfigError(f"function spec missing {exc}", field="function")

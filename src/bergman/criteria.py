@@ -48,7 +48,7 @@ import numpy as np
 from . import geometry
 from .errors import DomainError, SelfMapViolationError
 from .measures import (AtomicMeasure, RadialDensityMeasure, _node_blocks, _ring_layout,
-                       _stream_sum, pushforward)
+                       pushforward)
 from .spaces import _ring_pass, apply_operator, bergman_norm, norm_against_measure
 
 __all__ = [
@@ -509,9 +509,8 @@ def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
 
     (u_a, u the two gaps), and the template sin^2(theta_j / 2) is shared by
     every ring with n_theta angles.  It is symmetric about theta = pi, so
-    only the first half circle is summed, _TEMPLATE_CHUNK angles at a time
-    along numpy's pairwise order (measures._stream_sum), which gives the
-    bits of one sum over the whole half circle.
+    only the first half circle is summed, _TEMPLATE_CHUNK angles at a time,
+    the chunks' sums added in chunk order.
     """
     half = (n_theta + 1) // 2
     template = np.sin((np.arange(half) + 0.5) * (math.pi / n_theta)) ** 2
@@ -526,8 +525,10 @@ def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
             buf += near_sq
             return np.power(buf, -0.5 * e, out=buf)
 
-        total = 2.0 * _stream_sum(half, lambda lo, hi: np.sum(kernel(lo, hi), axis=1),
-                                  limit=_TEMPLATE_CHUNK)
+        total = np.zeros(len(a))
+        for lo, hi in _node_blocks(half, _TEMPLATE_CHUNK):
+            total += np.sum(kernel(lo, hi), axis=1)
+        total *= 2.0
         if n_theta % 2:  # the midpoint theta = pi has no mirror partner
             total -= kernel(half - 1, half)[:, 0]
         out[:, k] = total / n_theta

@@ -9,10 +9,8 @@ happens once per ring through its boundary gap u = 1-|z|: the grid stores
 ring gaps, masses and node counts, and its flat node order runs ring after
 ring.  Any range of that order is built from the rings alone
 (node_range), and the grid keeps no per-node array: every reader streams
-ranges of _NODE_BLOCK nodes or fewer.  Whole-grid sums (norms, integrals
-against a measure) add those ranges along numpy's own pairwise summation
-tree (_stream_sum), so they equal one np.sum over the whole grid bit for
-bit.
+ranges of _NODE_BLOCK nodes or fewer, and a whole-grid sum (a norm) adds
+the sums of those ranges in range order.
 
 Measures answer one region query, the pseudo-disc masses mu(Delta(a, r))
 that the criteria read, and come in two representations: a radial density
@@ -25,7 +23,8 @@ the query holds one block's sorted copy at a time and makes no
 whole-support copy of the atoms.  ``support_nodes(lo, hi)`` exposes a range
 of the common discrete picture (points, masses) that the pushforward, the
 pseudo-disc query and the criterion integrals consume; grid sweeps read it
-in blocks of _NODE_BLOCK nodes, the atom query in blocks of _ATOM_BLOCK.
+in blocks of _NODE_BLOCK nodes, the atom query and integrate in blocks of
+_ATOM_BLOCK.
 """
 
 from __future__ import annotations
@@ -53,14 +52,14 @@ _TWO_PI = 2.0 * math.pi
 _MAX_GRID_NODES = 100_000_000
 _RADIAL_SUBCELLS = 4
 # Nodes per block where a grid or a support is swept (the Berezin and
-# H-infinity criteria, norms, integrals): per-node temporaries stay well
-# under a MB however fine the grid.  A multiple of the Berezin sweep's slice,
-# so streaming keeps the sweep's summation order.
+# H-infinity criteria, norms): per-node temporaries stay well under a MB
+# however fine the grid.  A multiple of the Berezin sweep's slice, so
+# streaming keeps the sweep's summation order.
 _NODE_BLOCK = 1 << 14
-# Atoms per block of the atomic pseudo-disc query and of the pushforward's
-# atoms.  Larger than _NODE_BLOCK: a query costs about one window search per
-# (centre, support block), so a 369,986-centre query over a 300k cloud takes
-# about three times the CPU at 1 << 14.
+# Atoms per block of the atomic pseudo-disc query, of integrate and of the
+# pushforward's atoms.  Larger than _NODE_BLOCK: a query costs about one
+# window search per (centre, support block), so a 369,986-centre query over
+# a 300k cloud takes about three times the CPU at 1 << 14.
 _ATOM_BLOCK = 1 << 16
 
 # 2-point Gauss-Legendre on [0, 1]
@@ -169,39 +168,13 @@ class DiscMeasure:
 
     def integrate(self, g):
         """int g d(mu) over the discrete representation (g may be complex):
-        np.sum of g times the masses over the support, bit for bit, read a
-        range at a time (_stream_sum)."""
-        def terms(lo, hi):
+        the sums of g times the masses over the support's _ATOM_BLOCK
+        blocks, added in block order."""
+        total = np.float64(0.0)
+        for lo, hi in _node_blocks(self.support_size, _ATOM_BLOCK):
             pts, masses = self.support_nodes(lo, hi)
-            return np.asarray(g(pts)) * masses
-
-        # a complex sum halves its runs unlike a real one: probe the type
-        per = 2 if np.iscomplexobj(terms(0, 1)) else 1
-        return _stream_sum(self.support_size, lambda lo, hi: np.sum(terms(lo, hi)),
-                           per=per).item()
-
-
-def _stream_sum(count, piece_sum, limit=None, per=1):
-    """np.sum(x, axis=-1), bit for bit, for an array x whose last axis runs
-    over count items, from calls piece_sum(lo, hi) = np.sum(x[..., lo:hi],
-    axis=-1) of at most limit (default _NODE_BLOCK) items each.
-
-    numpy sums a long run pairwise: it halves the run at a multiple of 8
-    floats (an item holds per floats, 2 for complex) until the pieces are
-    short.  This recursion halves [0, count) the same way down to limit
-    items, so each piece's np.sum is a subtree of the whole sum and the
-    pieces add up in the same order.
-    """
-    limit = _NODE_BLOCK if limit is None else limit
-
-    def total(lo, hi):
-        if hi - lo <= limit:
-            return piece_sum(lo, hi)
-        half = per * (hi - lo) // 2
-        mid = lo + (half - half % 8) // per
-        return total(lo, mid) + total(mid, hi)
-
-    return total(0, count)
+            total += np.sum(np.asarray(g(pts)) * masses)
+        return total.item()
 
 
 def _disc_params(center_abs, gaps, r):

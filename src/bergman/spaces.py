@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DegenerateBasepointError, DomainError, SelfMapViolationError
-from .measures import _stream_sum
+from .measures import _node_blocks
 
 __all__ = [
     "AnalyticFunction",
@@ -262,34 +262,29 @@ def _ring_pass(functions, grid, p=None, ring_dens=(), orders=()):
 
     Returns (sums, peaks).  sums[i, d] is the sum over the nodes of
     |f_i|^p times the density ring_dens[d] of the node's ring times the
-    node's weight: the ranges follow numpy's pairwise summation
-    (measures._stream_sum), so it is one np.sum over the whole grid bit for
-    bit.  peaks[i, j, k] is the largest |f_i^(n)| on ring k for n =
-    orders[j] (|f_i| itself for n = 0, so f_i may be any function of z
-    there).
+    node's weight, the ranges' sums added in range order.  peaks[i, j, k]
+    is the largest |f_i^(n)| on ring k for n = orders[j] (|f_i| itself for
+    n = 0, so f_i may be any function of z there).
     """
     if p is not None and p <= 0:
         raise DomainError("p must be positive")
     ring_dens = np.reshape(ring_dens, (len(ring_dens), len(grid.ring_gaps)))
     peaks = np.zeros((len(functions), len(orders), len(grid.ring_gaps)))
-
-    def piece_sum(lo, hi):
+    sums = np.zeros((len(functions), len(ring_dens)))
+    for lo, hi in _node_blocks(grid.node_count):
         z = grid.node_range(lo, hi)
         rings, _, taken = geometry._ring_spans(grid.ring_counts, lo, hi)
         starts = np.cumsum(taken) - taken
         node_dens = np.repeat(ring_dens[:, rings], taken, axis=1)
         node_w = np.repeat(grid.ring_node_weights[rings], taken)
-        sums = np.empty((len(functions), len(ring_dens)))
         for i, f in enumerate(functions):
             vals = np.abs(f(z))
             for j, n in enumerate(orders):
                 d = vals if n == 0 else np.abs(f.eval_deriv(n, z))
                 peaks[i, j, rings] = np.maximum(peaks[i, j, rings], np.maximum.reduceat(d, starts))
             if len(ring_dens):
-                sums[i] = np.sum(vals ** p * node_dens * node_w, axis=-1)
-        return sums
-
-    return _stream_sum(grid.node_count, piece_sum), peaks
+                sums[i] += np.sum(vals ** p * node_dens * node_w, axis=-1)
+    return sums, peaks
 
 
 def bergman_norm(f, p, w, grid):

@@ -56,67 +56,15 @@ _MAX_OCTAVES = 600
 # 0.25 MB per block and per temporary.
 _TAIL_CHUNK = 2048
 
-# Veltkamp's splitting constant 2^27 + 1: x * _SPLIT splits a double into two
-# halves of 26 bits, whose products are exact.
-_SPLIT = 134217729.0
-
-
-def _split(x):
-    t = _SPLIT * x
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-# the weights by group of four consecutive nodes: row g holds nodes 4g .. 4g+3
-_GL_W4, _GL_W4_HI, _GL_W4_LO = (a.reshape(4, 4, 1) for a in (_GL_W, *_split(_GL_W)))
-
-
-def _fused_add(acc, x, g):
-    """acc + x * w with one rounding, as a fused multiply-add gives it, for
-    the weights w of group g, from plain double arithmetic: Dekker's exact
-    product prod + err, Knuth's exact sums, and Boldo and Melquiond's
-    rounding to odd of the low part (exact for finite values that neither
-    overflow nor underflow).  Written in place: this is the hot loop of
-    every tail read."""
-    x_hi, x_lo = _split(x)
-    prod = x * _GL_W4[g]
-    err = x_hi * _GL_W4_HI[g]
-    err -= prod
-    t = x_hi * _GL_W4_LO[g]
-    err += t
-    err += np.multiply(x_lo, _GL_W4_HI[g], out=t)
-    err += np.multiply(x_lo, _GL_W4_LO[g], out=t)
-    # acc + prod = high + low exactly
-    high = acc + prod
-    t = high - acc
-    low = acc - (high - t)
-    low += np.subtract(prod, t, out=t)
-    # low + err = rest + rest_err exactly
-    rest = low + err
-    t = rest - low
-    rest_err = low - (rest - t)
-    rest_err += np.subtract(err, t, out=t)
-    # rest rounded to odd: toward zero, then the last bit set when inexact
-    bits = rest.view(np.int64)
-    inexact = rest_err != 0
-    bits -= inexact & ((rest_err < 0) != (rest < 0))
-    bits |= inexact
-    return high + rest
-
 
 def _gl_sum(vals):
     """_GL_W @ vals for the (16, gaps) array vals of each gap's 16
-    Gauss-Legendre terms, each column summed in one fixed order, so a gap's
-    value does not depend on the other gaps: four accumulators take the
-    nodes j = k mod 4 by fused multiply-adds, then add up as (a0 + a2) +
-    (a1 + a3).  That is the order of the x86-64 OpenBLAS kernel that
-    reduced whole groups of four gaps in the matrix product this replaced,
-    so those values keep their bits."""
-    groups = vals.reshape(4, 4, -1)
-    acc = groups[0] * _GL_W4[0]
-    for g in range(1, 4):
-        acc = _fused_add(acc, groups[g], g)
-    return (acc[0] + acc[2]) + (acc[1] + acc[3])
+    Gauss-Legendre terms, each column added in node order, so a gap's value
+    does not depend on the other gaps in the batch."""
+    acc = vals[0] * _GL_W[0]
+    for j in range(1, 16):
+        acc += vals[j] * _GL_W[j]
+    return acc
 
 
 def _segment_integral(f, lo, hi):
@@ -280,8 +228,8 @@ class RadialWeight:
         Each distinct gap is evaluated once (grids and self-map images repeat
         their gaps ring by ring) and the values are scattered back; the
         Gauss-Legendre expansion runs _TAIL_CHUNK gaps at a time, and each
-        gap's 16 terms add up in one fixed order (_gl_sum), so its value
-        does not depend on the batch it came in.
+        gap's 16 terms add up in node order (_gl_sum), so its value does not
+        depend on the batch it came in.
         """
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0

@@ -136,6 +136,9 @@ class TestInputValidation:
         ("weight", {"kind": "table", "r": ["a", 1.0], "w": [1.0, 0.0]}, "weight.r"),
         ("weight", {"kind": "table", "r": 0.5, "w": [1.0, 0.0]}, "weight"),
         ("function", {"kind": "poly", "coeffs": None}, "function.coeffs"),
+        *[("function", {"kind": "conformal_power", "a": [0.5, 0.0], "gamma": 2.0,
+                        "scale": bad}, "function.scale")
+          for bad in (float("nan"), float("inf"), True, "3")],
     ])
     def test_bad_spec_number(self, tmp_path, capsys, section, spec, field):
         err = self.error_of(tmp_path, capsys, {section: spec})

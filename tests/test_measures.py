@@ -421,6 +421,32 @@ class TestPushforward:
         assert np.array_equal(pf.pseudo_disc_masses(centers, 0.3, 1.0 - np.abs(centers)),
                               [0.0, 0.0])
 
+    def test_integrate_reads_each_block_once(self):
+        """integrate reads a pushforward one _ATOM_BLOCK block at a time, so
+        phi and h see each of the 100,000 atoms once, and the sum is that of
+        the whole support up to rounding."""
+        gen = np.random.default_rng(13)
+        n = 100_000
+        pts = 0.99 * np.sqrt(gen.uniform(0, 1, n)) * np.exp(2j * np.pi * gen.uniform(0, 1, n))
+        mu = AtomicMeasure(pts, gen.uniform(0, 1, n))
+        moebius, seen = Moebius(0.3 - 0.2j), {"phi": 0, "h": 0}
+
+        def phi(z):
+            seen["phi"] += np.size(z)
+            return moebius(z)
+
+        def h(z):
+            seen["h"] += np.size(z)
+            return 1.0 + np.abs(z)
+
+        pf = pushforward(phi, h, mu)
+        seen.update(phi=0, h=0)
+        g = lambda z: (z + 0.3) ** 3
+        got = pf.integrate(g)
+        assert seen == {"phi": n, "h": n}
+        want = np.sum(g(moebius(pts)) * (1.0 + np.abs(pts)) * mu.masses)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_self_map_violation(self, rng):
         # the atom at 0.99 leaves the disc under z -> 1.02 z whatever the draws
         drawn = self._atoms(rng, n=100)

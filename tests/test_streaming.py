@@ -4,8 +4,8 @@ A grid keeps no per-node array, so every whole-grid sum (norms, the
 norm-equivalence ratios, the derivative sup bound, integrals against a
 measure) reads its nodes a range at a time.  The references here build the
 whole grid's nodes and weights at once, in the test, and sum them the way
-the code did before it streamed.  The ranges follow numpy's pairwise
-summation, so the streamed sums are expected to agree to the bit; the
+the code did before it streamed.  The streamed sums add their ranges' sums
+in range order, so they agree with the references up to rounding: the
 contract checked on every grid is 1e-13 relative.  tracemalloc guards bound
 what the streamed passes allocate.
 """
@@ -78,37 +78,6 @@ def functions(level):
         fs += [Polynomial(rng.normal(size=9) + 1j * rng.normal(size=9)),
                ConformalPower(0.99, 2.0)]
     return fs
-
-
-# ---------------------------------------------------------------------------
-# the pairwise-order sum
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("count", [1, 7, 129, 16384, 16385, 20008, 65408, 100003])
-@pytest.mark.parametrize("limit", [128, 1000, 16384])
-def test_stream_sum_is_np_sum_bitwise(count, limit):
-    rng = np.random.default_rng(count)
-    real = rng.normal(size=count) * 10.0 ** rng.uniform(-8, 8, size=count)
-    cplx = real + 1j * rng.normal(size=count)
-    rows = np.stack([real, real[::-1].copy(), 3.0 * real])
-    stream_sum = measures._stream_sum
-    assert stream_sum(count, lambda lo, hi: np.sum(real[lo:hi]), limit) == np.sum(real)
-    assert stream_sum(count, lambda lo, hi: np.sum(cplx[lo:hi]), limit, per=2) == np.sum(cplx)
-    got = stream_sum(count, lambda lo, hi: np.sum(rows[:, lo:hi], axis=-1), limit)
-    assert np.array_equal(got, np.sum(rows, axis=-1))
-
-
-def test_stream_sum_reads_each_item_once_in_short_ranges():
-    seen = []
-
-    def piece_sum(lo, hi):
-        seen.append((lo, hi))
-        return float(hi - lo)
-
-    assert measures._stream_sum(100003, piece_sum, limit=1000) == 100003.0
-    assert all(hi - lo <= 1000 for lo, hi in seen)
-    assert [lo for lo, _ in seen[1:]] == [hi for _, hi in seen[:-1]]
-    assert (seen[0][0], seen[-1][1]) == (0, 100003)
 
 
 # ---------------------------------------------------------------------------

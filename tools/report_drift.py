@@ -10,8 +10,9 @@ with perfbench/jobs.py's `outcome`, imported, not changed.  CHANGE's run is
 measured against PARENT's with `jobs.compare`, as the benchmark measures a
 run against its reference.  OUT holds, per job "workload/job": how many of
 its runs wrote byte-identical output (report_digests.py's digest), whether
-every run kept its exit code and its verdict flags, and the largest relative
-drift of any statistic; and the same totals over all runs.
+every run kept its exit code and its verdict flags, the largest relative
+drift of any statistic, and that statistic's key and PARENT value; and the
+same totals over all runs.
 """
 
 import json
@@ -39,14 +40,28 @@ def run_outcome(args, workdir, out_dir, env):
     return jobs.outcome(types.SimpleNamespace(argv=args), res)
 
 
+def _worst_stat(got, ref):
+    """The key of the statistic that drifts most from the parent's run, as
+    jobs.compare measures it (None when none drifts)."""
+    def drift(key):
+        have = got["stats"].get(key)
+        return math.inf if have is None else jobs._rel(have, ref["stats"][key])
+
+    key = max(ref["stats"], key=drift, default=None)
+    return key if key is not None and drift(key) > 0.0 else None
+
+
 def _summary(runs):
-    drift = max(r["max_rel_drift"] for r in runs)
+    worst = max(runs, key=lambda r: r["max_rel_drift"])
+    drift = worst["max_rel_drift"]
     return {"runs": len(runs),
             "digests_equal": sum(r["digest_equal"] for r in runs),
             "exits_equal": all(r["exit_equal"] for r in runs),
             "flags_equal": all(r["flags_equal"] for r in runs),
             # strict JSON: an infinite drift (a statistic lost or leaving 0) as a string
-            "max_rel_drift": drift if math.isfinite(drift) else str(drift)}
+            "max_rel_drift": drift if math.isfinite(drift) else str(drift),
+            "max_drift_stat": worst["max_drift_stat"],
+            "max_drift_parent": worst["max_drift_parent"]}
 
 
 def main(parent, change, out_path):
@@ -57,11 +72,14 @@ def main(parent, change, out_path):
         ref = run_outcome(args, workdir, out_dir, env)
         got = run_outcome(args, workdir2, out_dir, env2)
         _, drift, digest_changed = jobs.compare(got, ref)
+        stat = _worst_stat(got, ref)
         per_job.setdefault(key.rsplit("/", 1)[0], []).append({
             "digest_equal": not digest_changed,
             "exit_equal": got["exit"] == ref["exit"],
             "flags_equal": got["flags"] == ref["flags"] and got.get("line") == ref.get("line"),
-            "max_rel_drift": drift})
+            "max_rel_drift": drift,
+            "max_drift_stat": stat,
+            "max_drift_parent": None if stat is None else ref["stats"][stat]})
     table = {job: _summary(runs) for job, runs in per_job.items()}
     total = _summary([r for runs in per_job.values() for r in runs])
     with open(out_path, "w") as fh:
@@ -70,7 +88,9 @@ def main(parent, change, out_path):
     for job, s in [*table.items(), ("total", total)]:
         print(f"{job:45s} {s['digests_equal']:3d}/{s['runs']} digests equal"
               f"  exits equal {s['exits_equal']}  flags equal {s['flags_equal']}"
-              f"  max drift {s['max_rel_drift']}")
+              f"  max drift {s['max_rel_drift']}"
+              + (f" ({s['max_drift_stat']} = {s['max_drift_parent']!r} at the parent)"
+                 if s["max_drift_stat"] else ""))
 
 
 if __name__ == "__main__":
