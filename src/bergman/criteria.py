@@ -47,8 +47,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, SelfMapViolationError
-from .measures import (AtomicMeasure, RadialDensityMeasure, _node_blocks, _ring_layout,
-                       pushforward)
+from .measures import AtomicMeasure, RadialDensityMeasure, _ring_layout, pushforward
 from .spaces import _ring_pass, apply_operator, bergman_norm, norm_against_measure
 
 __all__ = [
@@ -400,11 +399,11 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
     """Kernel-integral criterion for p <= q.
 
     The kernel integral runs over the discrete support of the measure nu,
-    read in blocks of support nodes; each block is swept into per-basepoint
-    sums that persist across blocks, in the order one sweep over the whole
-    support would add them.  gamma should come from gamma_for/verify_gamma;
-    passing an unvalidated gamma only adds a warning note, the sweep still
-    runs.
+    read in the measure's own blocks (nu.support_blocks); each block is
+    swept into per-basepoint sums that persist across blocks, in the order
+    one sweep over the whole support would add them.  gamma should come
+    from gamma_for/verify_gamma; passing an unvalidated gamma only adds a
+    warning note, the sweep still runs.
 
     The default basepoint lattice stops two dyadic levels above the grid
     that nu's support lives on: deeper basepoints put the kernel peak
@@ -420,8 +419,7 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
     pts, gaps, ws = pts[keep], gaps[keep], ws[keep]
     integral = np.zeros(len(pts))
     with _sweep_pool(len(pts)) as pool:  # one pool for every block
-        for lo, hi in _node_blocks(nu.support_size):
-            pts_nu, masses_nu = nu.support_nodes(lo, hi)
+        for pts_nu, masses_nu in nu.support_blocks():
             uq = np.abs(op.u(pts_nu)) ** q * masses_nu
             phin = np.asarray(op.phi(pts_nu), dtype=complex)
             if np.any(np.abs(phin) >= 1.0):
@@ -446,7 +444,7 @@ def hinf_criterion(op, p, w, grid):
 
     The report keeps one representative per dyadic band of 1-|phi|, the
     band's first largest value.  The grid's nodes are built and swept a block
-    at a time (grid.node_range), so no whole-grid array is made; the blocks'
+    at a time (grid.blocks), so no whole-grid array is made; the blocks'
     band peaks, in block order, take a second first-on-ties pass, so the
     choice is the same as over the whole grid at once.
     """
@@ -454,8 +452,7 @@ def hinf_criterion(op, p, w, grid):
         raise DomainError("p must be positive")
     blocks = []  # per block: value, node, image gap and band of each band peak
     truncated, sup_phi_grid = 0, 0.0
-    for lo, hi in _node_blocks(grid.node_count):
-        z = grid.node_range(lo, hi)
+    for z, _, _ in grid.blocks():
         pgaps = np.abs(np.asarray(op.phi(z), dtype=complex))
         if np.any(pgaps >= 1.0):
             raise SelfMapViolationError("self-map left the open disc on the grid")
@@ -526,8 +523,8 @@ def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
             return np.power(buf, -0.5 * e, out=buf)
 
         total = np.zeros(len(a))
-        for lo, hi in _node_blocks(half, _TEMPLATE_CHUNK):
-            total += np.sum(kernel(lo, hi), axis=1)
+        for lo in range(0, half, _TEMPLATE_CHUNK):
+            total += np.sum(kernel(lo, lo + _TEMPLATE_CHUNK), axis=1)
         total *= 2.0
         if n_theta % 2:  # the midpoint theta = pi has no mirror partner
             total -= kernel(half - 1, half)[:, 0]

@@ -7,30 +7,34 @@ for cubic radial integrands) and an angular midpoint count proportional to
 2^k.  The nodes come in rings of constant |z|, and all radial bookkeeping
 happens once per ring through its boundary gap u = 1-|z|: the grid stores
 ring gaps, masses and node counts, and its flat node order runs ring after
-ring.  Any range of that order is built from the rings alone
-(node_range), and the grid keeps no per-node array: every reader streams
-ranges of _NODE_BLOCK nodes or fewer, and a whole-grid sum (a norm) adds
-the sums of those ranges in range order.
+ring.  The grid keeps no per-node array: it hands out its nodes in blocks
+of _NODE_BLOCK consecutive nodes, each built from the rings alone
+(QuadratureGrid.blocks), and a whole-grid sum (a norm) adds the sums of
+those blocks in block order.
 
 Measures answer one region query, the pseudo-disc masses mu(Delta(a, r))
 that the criteria read, and come in two representations: a radial density
 (a RadialWeight's density) takes them from a disc-centred polar rule, once
 per distinct centre radius, and an atomic cloud sums them one support block
-of _ATOM_BLOCK atoms at a time, over a sorted index of that block alone.  A
-cloud is stored (points and masses) or streamed: the weighted pushforward
-recomputes its atoms from (phi, h, mu) whenever they are read.  Either way
-the query holds one block's sorted copy at a time and makes no
-whole-support copy of the atoms.  ``support_nodes(lo, hi)`` exposes a range
-of the common discrete picture (points, masses) that the pushforward, the
-pseudo-disc query and the criterion integrals consume; grid sweeps read it
-in blocks of _NODE_BLOCK nodes, the atom query and integrate in blocks of
-_ATOM_BLOCK.
+at a time, over a sorted index of that block alone.  A cloud is stored
+(points and masses) or streamed: the weighted pushforward recomputes its
+atoms from (phi, h, mu) whenever they are read.  Either way the query holds
+one block's sorted copy at a time and makes no whole-support copy of the
+atoms.
+
+Every measure streams its discrete picture (points, masses) itself, in
+blocks whose size it alone chooses (support_blocks): a radial density
+measure in its grid's blocks of _NODE_BLOCK nodes, a stored cloud in views
+of _ATOM_BLOCK atoms, and a pushforward in the blocks of the measure it
+pushes forward.  The pushforward, the pseudo-disc query and the criterion
+integrals read a support only through that stream.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import warnings
 
@@ -51,15 +55,15 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _MAX_GRID_NODES = 100_000_000
 _RADIAL_SUBCELLS = 4
-# Nodes per block where a grid or a support is swept (the Berezin and
-# H-infinity criteria, norms): per-node temporaries stay well under a MB
-# however fine the grid.  A multiple of the Berezin sweep's slice, so
-# streaming keeps the sweep's summation order.
+# Nodes per block of a grid (QuadratureGrid.blocks), so of every grid sweep
+# and of a radial density measure's support: per-node temporaries stay well
+# under a MB however fine the grid.  A multiple of the Berezin sweep's
+# slice, so streaming keeps the sweep's summation order.
 _NODE_BLOCK = 1 << 14
-# Atoms per block of the atomic pseudo-disc query, of integrate and of the
-# pushforward's atoms.  Larger than _NODE_BLOCK: a query costs about one
-# window search per (centre, support block), so a 369,986-centre query over
-# a 300k cloud takes about three times the CPU at 1 << 14.
+# Atoms per block of a stored cloud's support.  Larger than _NODE_BLOCK: a
+# pseudo-disc query costs about one window search per (centre, support
+# block), so a 369,986-centre query over a 300k cloud takes about three
+# times the CPU at 1 << 14.  Also a multiple of the Berezin sweep's slice.
 _ATOM_BLOCK = 1 << 16
 
 # 2-point Gauss-Legendre on [0, 1]
@@ -107,8 +111,8 @@ class QuadratureGrid:
     The grid keeps only these ring arrays.  The flat per-node order runs
     ring after ring (so np.repeat(ring_gaps, ring_counts) are the nodes'
     gaps and np.repeat(ring_node_weights, ring_counts) their weights);
-    node_range(lo, hi) builds any range of its nodes, and node_count reads
-    the ring counts.  Instances are immutable and shared freely.
+    blocks() builds its nodes a block at a time, and node_count reads the
+    ring counts.  Instances are immutable and shared freely.
     """
 
     radial_subcells = _RADIAL_SUBCELLS
@@ -133,10 +137,15 @@ class QuadratureGrid:
         self.ring_node_weights = masses * (_TWO_PI / counts) / math.pi
         self.node_count = int(counts.sum())
 
-    def node_range(self, lo, hi):
-        """Nodes lo to hi of the flat order (clipped to the grid), built from
-        the rings by geometry._ring_points."""
-        return geometry._ring_points(self.ring_gaps, self.ring_counts, lo, hi)
+    def blocks(self):
+        """Yield (nodes, rings, taken) for each block of _NODE_BLOCK nodes of
+        the flat order, in order: the block's nodes, built from the rings by
+        geometry._ring_points, the rings they lie on, and how many of each
+        ring's nodes the block holds."""
+        for lo in range(0, self.node_count, _NODE_BLOCK):
+            hi = lo + _NODE_BLOCK
+            rings, _, taken = geometry._ring_spans(self.ring_counts, lo, hi)
+            yield geometry._ring_points(self.ring_gaps, self.ring_counts, lo, hi), rings, taken
 
     def __repr__(self):
         return (
@@ -156,9 +165,9 @@ class DiscMeasure:
         """The number of points in the discrete picture."""
         raise NotImplementedError
 
-    def support_nodes(self, lo=0, hi=None):
-        """Points lo to hi (default: to the end) of the measure's discrete
-        picture and their masses, as two arrays."""
+    def support_blocks(self):
+        """Yield the measure's discrete picture as (points, masses) blocks
+        that cover it in order, in a block size the measure chooses."""
         raise NotImplementedError
 
     def pseudo_disc_masses(self, centers, r, center_gaps):
@@ -168,11 +177,10 @@ class DiscMeasure:
 
     def integrate(self, g):
         """int g d(mu) over the discrete representation (g may be complex):
-        the sums of g times the masses over the support's _ATOM_BLOCK
-        blocks, added in block order."""
+        the sums of g times the masses over the support's blocks, added in
+        block order."""
         total = np.float64(0.0)
-        for lo, hi in _node_blocks(self.support_size, _ATOM_BLOCK):
-            pts, masses = self.support_nodes(lo, hi)
+        for pts, masses in self.support_blocks():
             total += np.sum(np.asarray(g(pts)) * masses)
         return total.item()
 
@@ -202,8 +210,8 @@ class _SupportIndex:
     """One support block's points with their masses, sorted by (dyadic band
     of the gap, angle), for pseudo-disc sums that visit only the points that
     can lie in each disc.  The band is geometry._band: band k holds the gaps
-    in (2^-(k+1), 2^-k].  AtomicMeasure.pseudo_disc_masses sorts each
-    _ATOM_BLOCK block of the support alone, so no index spans the whole
+    in (2^-(k+1), 2^-k].  AtomicMeasure.pseudo_disc_masses sorts each block
+    of the support (support_blocks) alone, so no index spans the whole
     support and none outlives its block.
 
     The pseudo-disc Delta(a, r) is the Euclidean disc D(ce, R), a window in
@@ -326,13 +334,11 @@ class RadialDensityMeasure(DiscMeasure):
         """Mass of one node of each grid ring: the density read once per ring."""
         return self._weight.density_at_gap(self.grid.ring_gaps) * self.grid.ring_node_weights
 
-    def support_nodes(self, lo=0, hi=None):
-        """Grid nodes lo to hi and their masses, built from the rings for
-        that range alone; no node-sized array is kept."""
-        grid = self.grid
-        hi = grid.node_count if hi is None else hi
-        rings, _, counts = geometry._ring_spans(grid.ring_counts, lo, hi)
-        return grid.node_range(lo, hi), np.repeat(self._ring_masses[rings], counts)
+    def support_blocks(self):
+        """The grid's blocks of nodes with their masses, built from the rings
+        for each block alone; no node-sized array is kept."""
+        for nodes, rings, taken in self.grid.blocks():
+            yield nodes, np.repeat(self._ring_masses[rings], taken)
 
     def pseudo_disc_masses(self, centers, r, center_gaps):
         """The mass depends on the centre's modulus and gap alone, so the
@@ -432,49 +438,39 @@ class AtomicMeasure(DiscMeasure):
     def support_size(self):
         return len(self.points)
 
-    def support_nodes(self, lo=0, hi=None):
-        """Views of the atoms lo to hi and their masses."""
-        return self.points[lo:hi], self.masses[lo:hi]
+    def support_blocks(self):
+        """Views of _ATOM_BLOCK atoms at a time and of their masses."""
+        for lo in range(0, self.support_size, _ATOM_BLOCK):
+            yield self.points[lo:lo + _ATOM_BLOCK], self.masses[lo:lo + _ATOM_BLOCK]
 
     def pseudo_disc_masses(self, centers, r, center_gaps):
         """Mass of the atoms in Delta(a, r) for each centre a (gaps 1-|a|):
-        each _ATOM_BLOCK block of the support is read once and sorted alone,
-        and its windows are summed _CENTER_BLOCK centres at a time."""
+        each block of the support is read once and sorted alone, and its
+        windows are summed _CENTER_BLOCK centres at a time."""
         centers = np.atleast_1d(np.asarray(centers, dtype=complex))
         out = np.zeros(len(centers))
-        for lo, hi in _node_blocks(self.support_size, _ATOM_BLOCK):
-            index = _SupportIndex(*self.support_nodes(lo, hi))
+        # starmap keeps no block alive once its index is built
+        for index in itertools.starmap(_SupportIndex, self.support_blocks()):
             for s in range(0, len(centers), _CENTER_BLOCK):
                 b = slice(s, s + _CENTER_BLOCK)
                 index._sum_windows(out[b], *index._disc_windows(centers[b], center_gaps[b], r))
         return out
 
 
-def _node_blocks(count, block=None):
-    """(lo, hi) of the blocks of block (default _NODE_BLOCK) nodes that
-    cover count."""
-    block = _NODE_BLOCK if block is None else block
-    return [(lo, min(lo + block, count)) for lo in range(0, count, block)]
-
-
 class _Pushforward(AtomicMeasure):
     """The atoms (phi(x), h(x) * mass(x)) over mu's support, computed from
-    (phi, h, mu) a block at a time whenever they are read.
-
-    support_nodes(lo, hi) evaluates phi and h over the whole _ATOM_BLOCK
-    blocks that hold the range, the blocks of the constructor's checking
-    pass, so every read gives the same bits.  points and masses build the
-    whole arrays on each read.
+    (phi, h, mu) one block of mu's support at a time whenever they are read,
+    in the blocks of the constructor's checking pass, so every read gives
+    the same bits.  points and masses build the whole arrays on each read.
     """
 
     def __init__(self, phi, h, mu):
         self.name = f"pushforward({mu.name})"
         self._phi, self._h, self._mu = phi, h, mu
-        self._block = _ATOM_BLOCK
         worst = None  # (|image|, point, image) of the first largest image off the disc
         negative, min_gap = False, math.inf
-        for lo in range(0, self.support_size, self._block):
-            pts, images, masses = self._atoms(lo)
+        for pts, masses in mu.support_blocks():
+            images, masses = self._image_block(pts, masses)
             mods = np.abs(images)
             off = mods >= 1.0
             if np.any(off):
@@ -490,40 +486,30 @@ class _Pushforward(AtomicMeasure):
             raise DomainError("pushforward density h must be nonnegative")
         self.min_gap = float(min_gap)
 
-    def _atoms(self, lo):
-        """(support points, images, masses) of the block starting at lo."""
-        pts, masses = self._mu.support_nodes(lo, min(lo + self._block, self.support_size))
+    def _image_block(self, pts, masses):
+        """The images of a block of mu's support and their masses."""
         images = np.empty(len(pts), dtype=complex)
         images[:] = self._phi(pts)
         if self._h is not None:
             masses = np.multiply(np.asarray(self._h(pts), dtype=float), masses)
-        return pts, images, masses
+        return images, masses
 
     @property
     def support_size(self):
         return self._mu.support_size
 
-    def support_nodes(self, lo=0, hi=None):
-        """Atoms lo to hi (default: to the end) and their masses."""
-        hi = self.support_size if hi is None else min(hi, self.support_size)
-        parts = []
-        for start in range(lo - lo % self._block, hi, self._block):
-            _, images, masses = self._atoms(start)
-            cut = slice(max(lo - start, 0), hi - start)
-            parts.append((images[cut], masses[cut]))
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return np.empty(0, dtype=complex), np.empty(0)
-        return np.concatenate([p for p, _ in parts]), np.concatenate([m for _, m in parts])
+    def support_blocks(self):
+        """The atoms and their masses over the blocks of mu's support; the
+        stream keeps no block alive once it has handed it out."""
+        return itertools.starmap(self._image_block, self._mu.support_blocks())
 
     @property
     def points(self):
-        return self.support_nodes()[0]
+        return np.concatenate([np.empty(0, dtype=complex), *(p for p, _ in self.support_blocks())])
 
     @property
     def masses(self):
-        return self.support_nodes()[1]
+        return np.concatenate([np.empty(0), *(m for _, m in self.support_blocks())])
 
 
 def pushforward(phi, h, mu):

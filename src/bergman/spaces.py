@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .errors import DegenerateBasepointError, DomainError, SelfMapViolationError
-from .measures import _node_blocks
 
 __all__ = [
     "AnalyticFunction",
@@ -255,14 +253,13 @@ def apply_operator(op, f):
 # ---------------------------------------------------------------------------
 
 def _ring_pass(functions, grid, p=None, ring_dens=(), orders=()):
-    """One pass of a family of functions over the grid's nodes, built a
-    range at a time (grid.node_range, at most measures._NODE_BLOCK nodes)
-    and shared by the family, so no whole-grid array is made and each node
-    is built once.
+    """One pass of a family of functions over the grid's nodes, read a
+    block at a time (grid.blocks) and shared by the family, so no whole-grid
+    array is made and each node is built once.
 
     Returns (sums, peaks).  sums[i, d] is the sum over the nodes of
     |f_i|^p times the density ring_dens[d] of the node's ring times the
-    node's weight, the ranges' sums added in range order.  peaks[i, j, k]
+    node's weight, the blocks' sums added in block order.  peaks[i, j, k]
     is the largest |f_i^(n)| on ring k for n = orders[j] (|f_i| itself for
     n = 0, so f_i may be any function of z there).
     """
@@ -271,9 +268,7 @@ def _ring_pass(functions, grid, p=None, ring_dens=(), orders=()):
     ring_dens = np.reshape(ring_dens, (len(ring_dens), len(grid.ring_gaps)))
     peaks = np.zeros((len(functions), len(orders), len(grid.ring_gaps)))
     sums = np.zeros((len(functions), len(ring_dens)))
-    for lo, hi in _node_blocks(grid.node_count):
-        z = grid.node_range(lo, hi)
-        rings, _, taken = geometry._ring_spans(grid.ring_counts, lo, hi)
+    for z, rings, taken in grid.blocks():
         starts = np.cumsum(taken) - taken
         node_dens = np.repeat(ring_dens[:, rings], taken, axis=1)
         node_w = np.repeat(grid.ring_node_weights[rings], taken)
@@ -295,7 +290,7 @@ def bergman_norm(f, p, w, grid):
 
 def norm_against_measure(g, q, mu):
     """(int |g|^q d(mu))^(1/q) over the measure's discrete support, read a
-    range at a time (DiscMeasure.integrate)."""
+    block at a time (DiscMeasure.integrate)."""
     if q <= 0:
         raise DomainError("q must be positive")
     return float(mu.integrate(lambda z: np.abs(g(z)) ** q) ** (1.0 / q))

@@ -497,10 +497,12 @@ class GammaResult:
 
 
 def gamma_exponent(w, p):
-    """Berezin kernel exponent 2*(beta+2)/p from the fitted upper decay rate."""
+    """Berezin kernel exponent 2*(beta+2)/p, beta the upper decay rate that
+    classify(w, mesh=128) fits: the largest log2 of the D-hat ratios."""
     if p <= 0:
         raise DomainError("p must be positive")
-    return 2.0 * (classify(w, mesh=128).exponents[1] + 2.0) / p
+    beta = float(np.max(np.log2(_dyadic_ratio_stats(w, 128)[2][2])))
+    return 2.0 * (beta + 2.0) / p
 
 
 # gamma_for escalates gamma by 1.5 at most this many times.

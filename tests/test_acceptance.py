@@ -117,7 +117,7 @@ def test_03_norm_equivalence():
     for lvl, g in grids.items():
         gaps = np.repeat(g.ring_gaps, g.ring_counts)
         node_w = np.repeat(g.ring_node_weights, g.ring_counts)
-        nodes = g.node_range(0, g.node_count)
+        nodes = np.concatenate([z for z, _, _ in g.blocks()])
         dens = {alpha: (w.density_at_gap(gaps) * node_w,
                         w.tail_density_at_gap(gaps) * node_w)
                 for alpha, w in weights.items()}

@@ -491,7 +491,7 @@ class TestHinfBlocks:
         for block in (1 << 10, measures._NODE_BLOCK, grid.node_count):
             monkeypatch.setattr(measures, "_NODE_BLOCK", block)
             report = hinf_criterion(op, 2.0, RadialWeight.power(1.0), grid=grid)
-            assert [z for z, _ in report.samples] == [grid.node_range(0, 1)[0]], block
+            assert [z for z, _ in report.samples] == [next(grid.blocks())[0][0]], block
 
     def test_temporaries_stay_in_blocks(self):
         """At grid 11 (524 k nodes) the sweep's per-node temporaries would
@@ -512,10 +512,10 @@ class TestHinfBlocks:
 
 
 class TestSupportBlocks:
-    """berezin_criterion reads a density measure's support a block of
-    _NODE_BLOCK nodes at a time, op_pushforward_criterion a block of
-    _ATOM_BLOCK, and no whole-grid array is built.  The block size moves no
-    bit of a Berezin report; it moves the pushforward criterion's
+    """berezin_criterion reads a density measure's support in the grid's
+    blocks of _NODE_BLOCK nodes, op_pushforward_criterion its pushforward in
+    the same blocks, and no whole-grid array is built.  The block size moves
+    no bit of a Berezin report; it moves the pushforward criterion's
     pseudo-disc sums by ulps, since each atom's mass is added within its
     own block's sum."""
 
@@ -534,7 +534,7 @@ class TestSupportBlocks:
         assert blobs[0] == blobs[1] == blobs[2]
         # and the values are the kernel sums over the whole support:
         # gap^(gamma q) int |u|^q |1 - conj(a) phi|^(-(gamma + n) q) d(nu) / wS(a)
-        pts_nu, masses = nu.support_nodes()
+        pts_nu, masses = (np.concatenate(a) for a in zip(*nu.support_blocks()))
         uq = np.abs(self.U(pts_nu)) ** 2 * masses
         phin = self.OP.phi(pts_nu)
         for re, im, value in report.to_json()["samples"]:

@@ -34,7 +34,13 @@ from bergman.errors import SelfMapViolationError
 def grid_sum(grid, f):
     """The grid's quadrature of f: node values against the area weights."""
     weights = np.repeat(grid.ring_node_weights, grid.ring_counts)
-    return float(np.sum(f(grid.node_range(0, grid.node_count)) * weights))
+    return float(np.sum(f(geometry._ring_points(grid.ring_gaps, grid.ring_counts)) * weights))
+
+
+def support_arrays(mu):
+    """The measure's whole support, its blocks concatenated."""
+    pts, masses = zip(*mu.support_blocks())
+    return np.concatenate(pts), np.concatenate(masses)
 
 
 def in_square(a, pts):
@@ -55,7 +61,7 @@ class TestGrid:
         assert abs(np.repeat(grid.ring_node_weights, grid.ring_counts).sum() - 1.0) < 1e-10
 
     def test_nodes_inside_disc(self, grid8):
-        assert np.all(np.abs(grid8.node_range(0, grid8.node_count)) < 1.0)
+        assert all(np.all(np.abs(z) < 1.0) for z, _, _ in grid8.blocks())
         assert np.all(np.repeat(grid8.ring_gaps, grid8.ring_counts) > 0.0)
 
     def test_constant_integral(self, grid8):
@@ -220,7 +226,7 @@ class TestMeasureOf:
         """A block of a grid support repeats each band's angles on every ring
         of the band, so most keys tie; the tied nodes keep argsort's order."""
         density = RadialWeight(lambda u: 1.0 + u * u, allow_zero=True)
-        pts, masses = RadialDensityMeasure(density, grid8).support_nodes(1 << 12, 3 << 12)
+        _, (pts, masses), *_ = RadialDensityMeasure(density, grid8).support_blocks()
         assert len(np.unique(np.angle(pts))) < len(pts) // 4
         self.assert_index_is_plain_sort(pts, masses)
 
@@ -228,8 +234,8 @@ class TestMeasureOf:
         # grid-shaped support: evenly spaced rings, many tied keys
         rng = np.random.default_rng(5)
         density = RadialWeight(lambda u: 1.0 + u * u, allow_zero=True)
-        mu = AtomicMeasure(*RadialDensityMeasure(density, grid8).support_nodes())
-        pts, masses = mu.support_nodes()
+        mu = AtomicMeasure(*support_arrays(RadialDensityMeasure(density, grid8)))
+        pts, masses = mu.points, mu.masses
         centers = np.concatenate([
             [0.0, -0.6 + 1e-9j, 0.2j, 0.97],
             rng.uniform(-0.7, 0.7, 8) + 1j * rng.uniform(-0.7, 0.7, 8),
@@ -264,7 +270,7 @@ class TestMeasureOf:
                       lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
             mu = RadialDensityMeasure.from_weight(w, grid8)
         assert built == []
-        for got, want in zip(mu.support_nodes(), rebuilt.support_nodes()):
+        for got, want in zip(support_arrays(mu), support_arrays(rebuilt)):
             assert np.array_equal(got, want)
         centers = np.array([0.0, 0.3 - 0.2j, -0.9j, 0.999, 1 - 2.0 ** -20])
         gaps = 1.0 - np.abs(centers)
@@ -273,12 +279,12 @@ class TestMeasureOf:
                                   rebuilt.pseudo_disc_masses(centers, r, gaps))
 
     def test_density_support_keeps_no_node_masses(self, grid8):
-        # support_nodes computes the masses on each call; the measure holds
-        # no node-sized array between calls
+        # support_blocks computes the masses on each pass; the measure holds
+        # no node-sized array between passes
         mu = RadialDensityMeasure.from_power(1.0, grid8)
-        pts, first = mu.support_nodes()
+        pts, first = support_arrays(mu)
         assert not any(np.size(v) >= grid8.node_count for v in vars(mu).values())
-        _, second = mu.support_nodes()
+        _, second = support_arrays(mu)
         assert len(first) == len(pts) == grid8.node_count
         assert np.array_equal(first, second)
 
@@ -312,7 +318,7 @@ class TestPushforward:
         nu = RadialDensityMeasure.from_power(1.0, grid8)
         u_sq = lambda z: np.abs(z) ** 2
         pf = pushforward(PowerMap(2), u_sq, nu)
-        pts, masses = nu.support_nodes()
+        pts, masses = support_arrays(nu)
         assert np.array_equal(pf.points, pts ** 2)
         assert np.allclose(pf.masses, u_sq(pts) * masses, rtol=1e-15)
 
@@ -328,7 +334,7 @@ class TestPushforward:
     def whole_support(phi, h, nu):
         """The pushforward's arrays and self-map message from the whole
         support at once, the way it was computed before blocks."""
-        pts, masses = nu.support_nodes()
+        pts, masses = support_arrays(nu)
         images = np.asarray(phi(pts), dtype=complex)
         worst = int(np.argmax(np.abs(images)))
         message = (f"map sent {pts[worst]} to {images[worst]} "
@@ -337,6 +343,9 @@ class TestPushforward:
 
     @pytest.mark.parametrize("kind", ["density", "atoms"])
     def test_independent_of_block_size(self, monkeypatch, grid8, kind):
+        """The whole points and masses, the self-map message and min_gap, the
+        images' deepest gap, are those of the whole support at once, bit
+        for bit, whatever the size of the source's blocks."""
         if kind == "density":
             nu = RadialDensityMeasure.from_power(1.0, grid8)
         else:
@@ -347,46 +356,23 @@ class TestPushforward:
         moebius, outward = Moebius(0.3 - 0.2j), lambda z: 1.5 * z
         images, masses, _ = self.whole_support(moebius, h, nu)
         _, _, message = self.whole_support(outward, h, nu)
-        for block in (1 << 10, measures._ATOM_BLOCK, nu.support_size):
-            monkeypatch.setattr(measures, "_ATOM_BLOCK", block)
+        for nodes, atoms in [(1 << 10, 1 << 10), (measures._NODE_BLOCK, measures._ATOM_BLOCK),
+                             (nu.support_size, nu.support_size)]:
+            monkeypatch.setattr(measures, "_NODE_BLOCK", nodes)
+            monkeypatch.setattr(measures, "_ATOM_BLOCK", atoms)
             pf = pushforward(moebius, h, nu)
-            assert np.array_equal(pf.points, images)
+            assert np.array_equal(pf.points.view(float), images.view(float))
             assert np.array_equal(pf.masses, masses)
+            assert pf.min_gap == float(np.min(1.0 - np.abs(images)))
             with pytest.raises(SelfMapViolationError) as exc:
                 pushforward(outward, h, nu)
             assert str(exc.value) == message
-
-    @pytest.mark.parametrize("kind", ["density", "atoms"])
-    def test_support_nodes_match_whole_support(self, monkeypatch, grid8, kind):
-        """Every range of the streamed atoms, those that straddle blocks
-        included, is bit for bit the slice of the whole-support arrays; so
-        are the whole points and masses, and min_gap is the images' deepest
-        gap."""
-        monkeypatch.setattr(measures, "_ATOM_BLOCK", 1000)
-        if kind == "density":
-            nu = RadialDensityMeasure.from_power(1.0, grid8)
-        else:
-            gen = np.random.default_rng(12)
-            pts = 0.99 * np.sqrt(gen.uniform(0, 1, 4321)) * np.exp(2j * np.pi * gen.uniform(0, 1, 4321))
-            nu = AtomicMeasure(pts, gen.uniform(0, 1, 4321))
-        phi, h = Moebius(0.3 - 0.2j), lambda z: np.abs(1.0 + 0.5 * z) ** 1.5
-        images, masses, _ = self.whole_support(phi, h, nu)
-        pf = pushforward(phi, h, nu)
-        n = pf.support_size
-        assert n == nu.support_size
-        for lo, hi in [(0, None), (0, 1000), (999, 1001), (1000, 2000), (500, 3700),
-                       (1234, 1300), (n - 5, n), (n - 5, n + 100), (n, n), (3000, 3000)]:
-            got_pts, got_masses = pf.support_nodes(lo, hi)
-            assert np.array_equal(got_pts.view(float), images[lo:hi].view(float)), (lo, hi)
-            assert np.array_equal(got_masses, masses[lo:hi]), (lo, hi)
-        assert np.array_equal(pf.points, images) and np.array_equal(pf.masses, masses)
-        assert pf.min_gap == float(np.min(1.0 - np.abs(images)))
 
     def test_violation_in_later_block_names_the_same_point(self, monkeypatch, grid8):
         """Only the grid's deep rings, the last blocks of its node order, leave
         the disc; the message names the first point of largest image modulus
         over the whole support."""
-        monkeypatch.setattr(measures, "_ATOM_BLOCK", 1 << 12)
+        monkeypatch.setattr(measures, "_NODE_BLOCK", 1 << 12)
         nu = RadialDensityMeasure.from_power(1.0, grid8)
         outward = Moebius(0.3 - 0.2j)
         stretch = lambda z: 1.003 * outward(z)
@@ -413,9 +399,9 @@ class TestPushforward:
         pf = pushforward(Moebius(0.3), lambda z: np.abs(z), mu)
         assert isinstance(pf, AtomicMeasure)
         assert pf.support_size == 0 and pf.min_gap == math.inf
-        pts, masses = pf.support_nodes()
-        assert pts.dtype == complex and len(pts) == 0 and len(masses) == 0
-        assert len(pf.points) == 0 and len(pf.masses) == 0
+        assert list(pf.support_blocks()) == []
+        assert pf.points.dtype == complex and len(pf.points) == 0
+        assert pf.masses.dtype == float and len(pf.masses) == 0
         assert pf.integrate(lambda z: z + 1.0) == 0.0
         centers = np.array([0.0, 0.5j])
         assert np.array_equal(pf.pseudo_disc_masses(centers, 0.3, 1.0 - np.abs(centers)),
@@ -446,6 +432,43 @@ class TestPushforward:
         assert seen == {"phi": n, "h": n}
         want = np.sum(g(moebius(pts)) * (1.0 + np.abs(pts)) * mu.masses)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("kind", ["grid", "cloud", "empty"])
+    def test_reads_phi_in_the_source_blocks(self, grid8, kind):
+        """phi sees the source's own blocks, each once per pass, in the
+        checking pass and again in one pseudo-disc query: a grid measure's
+        blocks of _NODE_BLOCK nodes, a stored cloud's views of _ATOM_BLOCK
+        atoms, and nothing for an empty cloud, whose points are complex."""
+        if kind == "grid":
+            nu, block = RadialDensityMeasure.from_power(1.0, grid8), measures._NODE_BLOCK
+            source = [z for z, _, _ in grid8.blocks()]
+        else:
+            gen = np.random.default_rng(14)
+            n = 100_000 if kind == "cloud" else 0
+            pts = 0.99 * np.sqrt(gen.uniform(0, 1, n)) * np.exp(2j * np.pi * gen.uniform(0, 1, n))
+            nu, block = AtomicMeasure(pts, gen.uniform(0, 1, n)), measures._ATOM_BLOCK
+            source = [pts[lo:lo + block] for lo in range(0, n, block)]
+        sizes = [min(block, nu.support_size - lo) for lo in range(0, nu.support_size, block)]
+        assert [len(z) for z in source] == sizes and len(sizes) != 1
+        moebius, seen = Moebius(0.3 - 0.2j), []
+
+        def phi(z):
+            seen.append(z)
+            return moebius(z)
+
+        def assert_read_source_blocks():
+            assert [len(z) for z in seen] == sizes
+            assert all(np.array_equal(z, s) for z, s in zip(seen, source))
+            if kind == "cloud":
+                assert all(np.shares_memory(z, nu.points) for z in seen)
+            seen.clear()
+
+        pf = pushforward(phi, lambda z: 1.0 + np.abs(z), nu)
+        assert_read_source_blocks()
+        centers = np.array([0.0, 0.5j, -0.9])
+        pf.pseudo_disc_masses(centers, 0.3, 1.0 - np.abs(centers))
+        assert_read_source_blocks()
+        assert pf.points.dtype == complex and len(pf.points) == nu.support_size
 
     def test_self_map_violation(self, rng):
         # the atom at 0.99 leaves the disc under z -> 1.02 z whatever the draws
@@ -515,8 +538,8 @@ class TestSupportMemory:
         """On stored clouds of 131 k and 524 k atoms (grid-9 and grid-11
         pushforwards) the query peaks within 0.5 MB of each other and under
         8 MB, less than 16 B per atom of the larger cloud."""
-        peaks = [self.query_peak(AtomicMeasure(*self.pushforward_on(level)[0].support_nodes()))
-                 for level in (9, 11)]
+        clouds = [self.pushforward_on(level)[0] for level in (9, 11)]
+        peaks = [self.query_peak(AtomicMeasure(pf.points, pf.masses)) for pf in clouds]
         assert abs(peaks[1] - peaks[0]) < 0.5e6 and peaks[1] < 8e6, peaks
 
     def test_query_from_pushforward(self):

@@ -1,11 +1,11 @@
 """Per-ring evaluation of radial quantities against per-node references.
 
-The grid keeps only ring arrays and builds any range of its nodes from them
-(node_range); seed_layout, the plain ring-by-ring construction it replaced,
-is the oracle its arrays and every range of its nodes must match bit for
+The grid keeps only ring arrays and builds its nodes from them a block at a
+time (blocks); seed_layout, the plain ring-by-ring construction it replaced,
+is the oracle its arrays and every block of its nodes must match bit for
 bit.  Every radial quantity on a QuadratureGrid is evaluated once per ring
 and repeated over the ring's nodes, and every whole-grid sum streams the
-nodes a range at a time.  The references here evaluate the same quantity on
+nodes a block at a time.  The references here evaluate the same quantity on
 every node of seed_layout's whole-grid arrays, and the results must agree to
 1e-12 relative.  verify_gamma's ring-and-band
 summation is checked against the plain per-node kernel loop, and its angular
@@ -134,7 +134,7 @@ def test_grid_matches_seed_layout_bitwise(level, angular_base):
     grid = QuadratureGrid(level, angular_base)
     want = seed_layout(grid)
     got = {name: getattr(grid, name) for name in RING_ARRAYS[:3]}
-    got["nodes"] = grid.node_range(0, grid.node_count)
+    got["nodes"] = np.concatenate([z for z, _, _ in grid.blocks()])
     got["weights"] = np.repeat(grid.ring_node_weights, grid.ring_counts)
     for name, arr in got.items():
         assert arr.dtype == want[name].dtype, name
@@ -142,9 +142,10 @@ def test_grid_matches_seed_layout_bitwise(level, angular_base):
     assert not any(hasattr(grid, name) for name in ("gaps", "nodes", "weights"))
 
 
-def node_ranges(grid):
-    """(lo, hi) ranges of the grid's nodes of every kind (ring_ranges)."""
-    return ring_ranges(grid.ring_counts, 2 * grid.radial_subcells)
+def block_sizes(grid):
+    """Block sizes to stream a grid's nodes in: small, the default, and one
+    block of the whole grid."""
+    return (1 << 10, measures._NODE_BLOCK, grid.node_count)
 
 
 def ring_ranges(counts, per_band):
@@ -173,15 +174,30 @@ def ring_ranges(counts, per_band):
 
 @pytest.mark.parametrize("angular_base", [1, 3, 16])
 @pytest.mark.parametrize("level", range(1, 13))
-def test_node_range_matches_nodes_bitwise(level, angular_base):
+def test_node_range_matches_nodes_bitwise(monkeypatch, level, angular_base):
+    """Each of the grid's blocks is the next _NODE_BLOCK nodes of the
+    oracle's order, bit for bit, with the rings they lie on and their
+    counts; so is every range of points the ring builder behind the blocks
+    makes."""
     grid = QuadratureGrid(level, angular_base)
-    nodes = seed_layout(grid)["nodes"]
-    for lo, hi in node_ranges(grid):
-        got = grid.node_range(lo, hi)
-        assert got.dtype == nodes.dtype
-        assert np.array_equal(got, nodes[lo:hi]), (lo, hi)
-    # the ring builder behind node_range, on rings whose counts change from
-    # ring to ring (an r-lattice's) and to the end of the set (hi = None)
+    layout = seed_layout(grid)
+    nodes, gaps = layout["nodes"], layout["gaps"]
+    for block in block_sizes(grid):
+        monkeypatch.setattr(measures, "_NODE_BLOCK", block)
+        lo = 0
+        for got, rings, taken in grid.blocks():
+            hi = min(lo + block, grid.node_count)
+            assert got.dtype == nodes.dtype
+            assert np.array_equal(got, nodes[lo:hi]), (block, lo)
+            assert np.array_equal(np.repeat(grid.ring_gaps[rings], taken), gaps[lo:hi])
+            assert np.all(taken > 0)
+            lo = hi
+        assert lo == grid.node_count, block
+    for lo, hi in ring_ranges(grid.ring_counts, 2 * grid.radial_subcells):
+        assert np.array_equal(geometry._ring_points(grid.ring_gaps, grid.ring_counts, lo, hi),
+                              nodes[lo:hi]), (lo, hi)
+    # the ring builder on rings whose counts change from ring to ring (an
+    # r-lattice's) and to the end of the set (hi = None)
     gaps, counts, points = ring_loop_r_lattice(0.5, level + 2)
     for lo, hi in ring_ranges(counts, 2):
         assert np.array_equal(geometry._ring_points(gaps, counts, lo, hi),
@@ -258,13 +274,13 @@ def test_grid_build_holds_and_peaks_near_its_arrays():
 
 
 def test_grid_keeps_no_node_arrays():
-    """What a caller reads of a grid (counts, levels, the angular base, a
-    range of nodes) builds no whole-grid array, and the grid has none."""
+    """What a caller reads of a grid (counts, levels, the angular base, its
+    blocks of nodes) builds no whole-grid array, and the grid has none."""
     grid = QuadratureGrid(9)
     assert grid.node_count == int(np.sum(grid.ring_counts))
     assert (grid.levels, grid.angular_base, grid.radial_subcells) == (9, 16, 4)
     assert "nodes=" in repr(grid)
-    assert len(grid.node_range(0, grid.node_count)) == grid.node_count
+    assert sum(len(z) for z, _, _ in grid.blocks()) == grid.node_count
     assert not any(hasattr(grid, name) for name in ("nodes", "weights"))
     assert all(isinstance(v, (int, np.ndarray)) and np.size(v) <= len(grid.ring_gaps)
                for v in vars(grid).values())
@@ -319,22 +335,38 @@ def test_derivative_bound_matches_node_reference(grid, layout, weight, n):
         assert row[1] == want
 
 
+def support_arrays(mu):
+    """The measure's whole support, its blocks concatenated."""
+    pts, masses = zip(*mu.support_blocks())
+    return np.concatenate(pts), np.concatenate(masses)
+
+
 def test_support_nodes_match_node_reference(grid, layout, weight):
     mu = RadialDensityMeasure.from_weight(weight, grid)
-    pts, masses = mu.support_nodes()
+    pts, masses = support_arrays(mu)
     want = weight.density_at_gap(layout["gaps"]) * layout["weights"]
     assert np.array_equal(pts, layout["nodes"])
     assert np.array_equal(masses, want)
 
 
-def test_ranged_support_matches_whole_support(grid, weight):
+def test_ranged_support_matches_whole_support(monkeypatch, grid, layout, weight):
+    """A radial density measure streams its support in the grid's blocks:
+    block by block, the grid's nodes with their masses, each block the
+    slice of the whole support at its offset."""
     mu = RadialDensityMeasure.from_weight(weight, grid)
-    pts, masses = mu.support_nodes()
-    assert mu.support_size == grid.node_count == len(pts)
-    for lo, hi in node_ranges(grid):
-        got_pts, got_masses = mu.support_nodes(lo, hi)
-        assert np.array_equal(got_pts, pts[lo:hi]), (lo, hi)
-        assert np.array_equal(got_masses, masses[lo:hi]), (lo, hi)
+    masses = weight.density_at_gap(layout["gaps"]) * layout["weights"]
+    assert mu.support_size == grid.node_count
+    for block in block_sizes(grid):
+        monkeypatch.setattr(measures, "_NODE_BLOCK", block)
+        lo = 0
+        for (got_pts, got_masses), (z, _, _) in zip(mu.support_blocks(), grid.blocks(),
+                                                    strict=True):
+            hi = lo + len(got_pts)
+            assert len(got_pts) == min(block, grid.node_count - lo)
+            assert np.array_equal(got_pts, z)
+            assert np.array_equal(got_masses, masses[lo:hi]), (block, lo)
+            lo = hi
+        assert lo == grid.node_count, block
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Whole-grid sums streamed a range at a time, against whole-grid references.
+"""Whole-grid sums streamed a block at a time, against whole-grid references.
 
 A grid keeps no per-node array, so every whole-grid sum (norms, the
 norm-equivalence ratios, the derivative sup bound, integrals against a
-measure) reads its nodes a range at a time.  The references here build the
+measure) reads its nodes a block at a time.  The references here build the
 whole grid's nodes and weights at once, in the test, and sum them the way
-the code did before it streamed.  The streamed sums add their ranges' sums
-in range order, so they agree with the references up to rounding: the
+the code did before it streamed.  The streamed sums add their blocks' sums
+in block order, so they agree with the references up to rounding: the
 contract checked on every grid is 1e-13 relative.  tracemalloc guards bound
 what the streamed passes allocate.
 """
@@ -42,7 +42,7 @@ RTOL = 1e-13
 
 def whole_grid(grid):
     """(nodes, gaps, weights) of every node of the grid at once."""
-    return (grid.node_range(0, grid.node_count),
+    return (geometry._ring_points(grid.ring_gaps, grid.ring_counts),
             np.repeat(grid.ring_gaps, grid.ring_counts),
             np.repeat(grid.ring_node_weights, grid.ring_counts))
 
@@ -148,7 +148,7 @@ def lemma21_config(level):
 
 def test_lemma21_pass_stays_small():
     """verify lemma21 at grid level 6 sweeps grids 6 and 8 with 25 functions
-    at three orders; one pass per function, a range of nodes at a time,
+    at three orders; one pass per function, a block of nodes at a time,
     keeps it under 4 MB traced (it held the 65,408-node arrays before)."""
     cli._verify_lemma21(lemma21_config(2))  # first-call allocations stay out
     cfg = lemma21_config(6)

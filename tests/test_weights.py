@@ -237,7 +237,7 @@ class TestWeightedArea:
         grid = QuadratureGrid(9, angular_base=64)
         dens = np.repeat(w.density_at_gap(grid.ring_gaps) * grid.ring_node_weights,
                          grid.ring_counts)
-        z = grid.node_range(0, grid.node_count)
+        z = np.concatenate([nodes for nodes, _, _ in grid.blocks()])
         square = (np.abs(z) >= 0.5) & (np.abs(np.angle(z)) < 0.25)
         assert np.sum(dens[square]) == pytest.approx(w.carleson_mass_at_gap(0.5), rel=0.03)
         d = pseudo_disc(0.4 + 0.2j, 0.4)
@@ -258,3 +258,18 @@ class TestGammaExponent:
         g1 = gamma_exponent(w, 1.0)
         g2 = gamma_exponent(w, 2.0)
         assert g2 == pytest.approx(g1 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("w", [
+        RadialWeight.power(-0.5), RadialWeight.power(0.0), RadialWeight.power(2.5),
+        RadialWeight.log_power(1.0, 2.0), RadialWeight.log_power(1.0, -1.0),
+        RadialWeight.from_table(np.linspace(0.0, 0.99, 40), 1.0 + np.linspace(0.0, 0.99, 40) ** 2),
+        RadialWeight.exp_inverse(),  # its tail underflows: a truncated mesh
+    ], ids=["power-0.5", "power0", "power2.5", "log_power1,2", "log_power1,-1", "table",
+            "exp_inverse"])
+    def test_is_the_classified_upper_exponent(self, w):
+        """gamma_exponent reads the D-hat ratios alone, and its value is the
+        one from the upper exponent of the whole classify(w, 128), bit for
+        bit."""
+        beta = classify(w, 128).exponents[1]
+        for p in (0.5, 2.0, 3.0):
+            assert gamma_exponent(w, p) == 2.0 * (beta + 2.0) / p
