@@ -21,8 +21,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "PseudoDisc", "probe_lattice", "pseudo_disc", "r_lattice", "rho"), "geometry"),
     **dict.fromkeys((
-        "GammaResult", "RadialWeight", "WeightClassReport", "classify",
-        "gamma_exponent", "gamma_for"), "weights"),
+        "RadialWeight", "WeightClassReport", "classify", "gamma_exponent"), "weights"),
     **dict.fromkeys((
         "AtomicMeasure", "DiscMeasure", "QuadratureGrid", "RadialDensityMeasure",
         "pushforward"), "measures"),

@@ -139,13 +139,7 @@ def cmd_criterion(args):
         op = cfg.operator()
         grid = cfg.grid()
         nu = measures.RadialDensityMeasure.from_weight(cfg.target_weight(), grid)
-        if cfg.gamma is not None:
-            gamma, validated = cfg.gamma, None
-        else:
-            res = weights.gamma_for(w, cfg.p, grid)
-            gamma, validated = res.gamma, res.verified
-        report = criteria.berezin_criterion(
-            op, cfg.p, cfg.q, w, nu, gamma, grid=grid, gamma_validated=validated)
+        report = criteria.berezin_criterion(op, cfg.p, cfg.q, w, nu, cfg.gamma, grid=grid)
     elif which == "hinf":
         op = cfg.operator()
         report = criteria.hinf_criterion(

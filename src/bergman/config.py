@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .measures import AtomicMeasure, QuadratureGrid, RadialDensityMeasure
 from .spaces import (
     ConformalPower,
@@ -108,23 +108,36 @@ def parse_function(spec):
 
 
 def parse_selfmap(spec):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("self-map spec must be an object with a 'kind'", field="phi")
-    kind = spec["kind"]
+    """The self-map of a spec.  Compositions are read from a stack of specs,
+    not with a call per nesting level, and flattened: nested compositions
+    become one MapComposition of all their maps in order.  It applies the
+    same maps in the same order, so its images are the same bits, and
+    neither its repr nor its calls recurse."""
+    top, maps, todo = spec, [], [spec]  # todo: the specs still to read, next one last
     try:
-        if kind == "identity":
-            return Identity()
-        if kind == "scale":
-            return Scale(_number(spec["r"], "phi.r"))
-        if kind == "power":
-            return PowerMap(_integer(spec["k"], "phi.k"))
-        if kind == "moebius":
-            return Moebius(_complex_of(spec["c"], "phi.c"))
-        if kind == "composition":
-            return MapComposition([parse_selfmap(m) for m in _list_of(spec["maps"], "phi")])
+        while todo:
+            spec = todo.pop()
+            if not isinstance(spec, dict) or "kind" not in spec:
+                raise ConfigError("self-map spec must be an object with a 'kind'", field="phi")
+            kind = spec["kind"]
+            if kind == "composition":
+                members = _list_of(spec["maps"], "phi")
+                if not members:
+                    raise DomainError("composition needs at least one map")
+                todo += reversed(members)
+            elif kind == "identity":
+                maps.append(Identity())
+            elif kind == "scale":
+                maps.append(Scale(_number(spec["r"], "phi.r")))
+            elif kind == "power":
+                maps.append(PowerMap(_integer(spec["k"], "phi.k")))
+            elif kind == "moebius":
+                maps.append(Moebius(_complex_of(spec["c"], "phi.c")))
+            else:
+                raise ConfigError(f"unknown self-map kind {kind!r}", field="phi")
     except KeyError as exc:
         raise ConfigError(f"self-map spec missing {exc}", field="phi")
-    raise ConfigError(f"unknown self-map kind {kind!r}", field="phi")
+    return MapComposition(maps) if top["kind"] == "composition" else maps[0]
 
 
 def parse_measure(spec, make_grid):
@@ -224,6 +237,8 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
+        except RecursionError:
+            raise ConfigError("config is nested too deeply to decode") from None
         return cls.from_dict(raw)
 
     def grid(self, level=None):

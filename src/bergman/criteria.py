@@ -49,6 +49,7 @@ from . import geometry
 from .errors import DomainError, SelfMapViolationError
 from .measures import AtomicMeasure, RadialDensityMeasure, _ring_layout, pushforward
 from .spaces import _ring_pass, apply_operator, bergman_norm, norm_against_measure
+from .weights import gamma_exponent
 
 __all__ = [
     "CriterionReport",
@@ -394,16 +395,17 @@ def _kernel_sweep(pts, phin, uq, e, out=None, pool=None):
     return out
 
 
-def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
-                      gamma_validated=None):
+def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid):
     """Kernel-integral criterion for p <= q.
 
     The kernel integral runs over the discrete support of the measure nu,
     read in the measure's own blocks (nu.support_blocks); each block is
     swept into per-basepoint sums that persist across blocks, in the order
-    one sweep over the whole support would add them.  gamma should come
-    from gamma_for/verify_gamma; passing an unvalidated gamma only adds a
-    warning note, the sweep still runs.
+    one sweep over the whole support would add them.  gamma=None takes the
+    kernel exponent from w (_validated_gamma), with a warning note when no
+    escalation step passes the kernel-domination test on the grid; a gamma
+    given by the caller is used as is, with a note that it is not
+    validated.  Either way the sweep runs.
 
     The default basepoint lattice stops two dyadic levels above the grid
     that nu's support lives on: deeper basepoints put the kernel peak
@@ -412,6 +414,13 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
     """
     if not (0 < p <= q):
         raise DomainError("the Berezin criterion needs 0 < p <= q")
+    notes = []
+    if gamma is None:
+        gamma, validated = _validated_gamma(w, p, grid)
+        if not validated:
+            notes.append("warning: gamma failed the kernel-domination test")
+    else:
+        notes.append("gamma not validated against the kernel-domination test")
     if gamma <= 0:
         raise DomainError("gamma must be positive")
     pts, gaps = _basepoints(basepoints, max(4, grid.levels - 2))
@@ -426,11 +435,6 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid,
                 raise SelfMapViolationError("self-map left the open disc on the support")
             _kernel_sweep(pts, phin, uq, (gamma + op.n) * q, out=integral, pool=pool)
     vals = gaps ** (gamma * q) * integral / ws
-    notes = []
-    if gamma_validated is None:
-        notes.append("gamma not validated against the kernel-domination test")
-    elif not gamma_validated:
-        notes.append("warning: gamma failed the kernel-domination test")
     params = {"p": p, "q": q, "n": op.n, "gamma": gamma, "weight": w.name,
               "measure": getattr(nu, "name", "measure"), "phi": repr(op.phi),
               "u": repr(op.u), "convention": "standard"}
@@ -579,6 +583,22 @@ def verify_gamma(w, p, gamma, basepoints=None, *, grid):
     slope = float(np.polyfit(x, y, 1)[0])
     passed = bool(drift < 0.10 and slope <= 0.05 and np.isfinite(worst))
     return passed, worst
+
+
+# _validated_gamma multiplies gamma by 1.5 at most this many times.
+_GAMMA_RETRIES = 3
+
+
+def _validated_gamma(w, p, grid):
+    """(gamma, passed): gamma_exponent(w, p), multiplied by 1.5 until
+    verify_gamma passes on the grid, at most _GAMMA_RETRIES times; the last
+    gamma tried, with passed False, when no step passes."""
+    gamma = gamma_exponent(w, p)
+    for _ in range(_GAMMA_RETRIES):
+        if verify_gamma(w, p, gamma, grid=grid)[0]:
+            return gamma, True
+        gamma *= 1.5
+    return gamma, verify_gamma(w, p, gamma, grid=grid)[0]
 
 
 def operator_norm_lower_bound(op, p, q, w, nu, family, grid, target="lq"):

@@ -14,13 +14,13 @@ those blocks in block order.
 
 Measures answer one region query, the pseudo-disc masses mu(Delta(a, r))
 that the criteria read, and come in two representations: a radial density
-(a RadialWeight's density) takes them from a disc-centred polar rule, once
-per distinct centre radius, and an atomic cloud sums them one support block
-at a time, over a sorted index of that block alone.  A cloud is stored
-(points and masses) or streamed: the weighted pushforward recomputes its
-atoms from (phi, h, mu) whenever they are read.  Either way the query holds
-one block's sorted copy at a time and makes no whole-support copy of the
-atoms.
+(a callable u -> w(1-u) on a grid) takes them from a disc-centred polar
+rule, once per distinct centre radius, and an atomic cloud sums them one
+support block at a time, over a sorted index of that block alone.  A
+cloud is stored (points and masses) or streamed: the weighted pushforward
+recomputes its atoms from (phi, h, mu) whenever they are read.  Either way
+the query holds one block's sorted copy at a time and makes no
+whole-support copy of the atoms.
 
 Every measure streams its discrete picture (points, masses) itself, in
 blocks whose size it alone chooses (support_blocks): a radial density
@@ -42,7 +42,6 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, ResourceLimitError, SelfMapViolationError
-from .weights import RadialWeight
 
 __all__ = [
     "QuadratureGrid",
@@ -301,29 +300,30 @@ class _SupportIndex:
 
 
 class RadialDensityMeasure(DiscMeasure):
-    """d(mu) = w(|z|) dA for a RadialWeight w, on a grid.
+    """d(mu) = w(|z|) dA for a radial density w, on a grid.
 
-    Pseudo-disc masses come from a disc-centred polar rule, so they are
-    accurate independently of any grid.  The grid defines the discrete
-    support for pushforwards.
+    density_at_gap is the vectorized callable u -> w(1-u), u = 1-|z|; the
+    measure reads nothing else of w.  Pseudo-disc masses come from a
+    disc-centred polar rule, so they are accurate independently of any
+    grid.  The grid defines the discrete support for pushforwards.
     """
 
-    def __init__(self, weight, grid, name="radial_density"):
-        self._weight = weight
+    def __init__(self, density_at_gap, grid, name="radial_density"):
+        self.density_at_gap = density_at_gap
         self.grid = grid
         self.name = name
 
     @classmethod
     def from_power(cls, beta, grid):
+        """The density (1-|z|)^beta, a finite measure for beta > -1."""
         if beta <= -1.0:
             raise DomainError("power density needs beta > -1")
-        name = f"power_density({beta:g})"
-        return cls(RadialWeight(lambda u: u ** beta, name=name, allow_zero=True), grid, name)
+        return cls(lambda u: u ** beta, grid, f"power_density({beta:g})")
 
     @classmethod
     def from_weight(cls, w, grid):
-        """The measure w dA; it shares w and its tail caches."""
-        return cls(w, grid, name=f"density({w.name})")
+        """The measure w dA of a RadialWeight w; it reads w's density alone."""
+        return cls(w.density_at_gap, grid, name=f"density({w.name})")
 
     @property
     def support_size(self):
@@ -332,7 +332,7 @@ class RadialDensityMeasure(DiscMeasure):
     @functools.cached_property
     def _ring_masses(self):
         """Mass of one node of each grid ring: the density read once per ring."""
-        return self._weight.density_at_gap(self.grid.ring_gaps) * self.grid.ring_node_weights
+        return self.density_at_gap(self.grid.ring_gaps) * self.grid.ring_node_weights
 
     def support_blocks(self):
         """The grid's blocks of nodes with their masses, built from the rings
@@ -352,7 +352,7 @@ class RadialDensityMeasure(DiscMeasure):
         first[1:] = (mods[1:] != mods[:-1]) | (gaps[1:] != gaps[:-1])
         c, R, g_out, _ = _disc_params(mods[first], gaps[first], r)
         nodes, w = geometry._polar_rule(c, R, g_out)
-        vals = self._weight.density_at_gap(nodes.ravel()).reshape(nodes.shape)
+        vals = self.density_at_gap(nodes.ravel()).reshape(nodes.shape)
         masses = np.einsum("bij,bij->b", vals, np.broadcast_to(w, nodes.shape))
         out = np.empty(len(order))
         out[order] = masses[np.cumsum(first) - 1]

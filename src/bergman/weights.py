@@ -34,8 +34,6 @@ __all__ = [
     "WeightClassReport",
     "classify",
     "gamma_exponent",
-    "gamma_for",
-    "GammaResult",
 ]
 
 # 16-point Gauss-Legendre rule on [0, 1].
@@ -134,7 +132,7 @@ class RadialWeight:
     j = 0 .. 8*48.  Instances are immutable after construction.
     """
 
-    def __init__(self, gap_density, name="custom", allow_zero=False):
+    def __init__(self, gap_density, name="custom"):
         self._gap_density = gap_density
         self.name = name
         j = np.arange(_PER_OCTAVE * _MESH_OCTAVES + 1)
@@ -148,7 +146,7 @@ class RadialWeight:
         }
         self._tails = {kind: self._build_tail(kind) for kind in self._integrands}
         total = self.tail_integral_at_gap(1.0)
-        if not np.isfinite(total) or total < 0.0 or (total == 0.0 and not allow_zero):
+        if not np.isfinite(total) or total <= 0.0:
             raise IntegrabilityError("tail_integral_at_gap(1) must be finite and positive")
 
     # -- construction helpers -------------------------------------------------
@@ -488,14 +486,6 @@ def classify(w, mesh=256):
 # the Berezin exponent
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GammaResult:
-    gamma: float
-    verified: bool
-    worst_constant: float
-    attempts: int
-
-
 def gamma_exponent(w, p):
     """Berezin kernel exponent 2*(beta+2)/p, beta the upper decay rate that
     classify(w, mesh=128) fits: the largest log2 of the D-hat ratios."""
@@ -503,27 +493,3 @@ def gamma_exponent(w, p):
         raise DomainError("p must be positive")
     beta = float(np.max(np.log2(_dyadic_ratio_stats(w, 128)[2][2])))
     return 2.0 * (beta + 2.0) / p
-
-
-# gamma_for escalates gamma by 1.5 at most this many times.
-_GAMMA_RETRIES = 3
-
-
-def gamma_for(w, p, grid):
-    """gamma_exponent escalated by 1.5 until the kernel-domination test on
-    the grid passes.
-
-    Returns a GammaResult; gamma is usable either way, with verified=False
-    when every retry failed (the Berezin report then carries a note).
-    """
-    from . import criteria  # local import: criteria depends on this module
-
-    gamma = gamma_exponent(w, p)
-    result = None
-    for attempt in range(_GAMMA_RETRIES + 1):
-        passed, worst = criteria.verify_gamma(w, p, gamma, grid=grid)
-        result = GammaResult(gamma, passed, worst, attempt + 1)
-        if passed:
-            return result
-        gamma *= 1.5
-    return result

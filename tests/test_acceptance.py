@@ -289,8 +289,7 @@ def test_08_berezin_crosscheck(grid10):
             verdicts = []
             for gamma in (gamma0, 1.5 * gamma0):
                 report = berezin_criterion(op, p, q, w, nu, gamma,
-                                           basepoints=basepoints, grid=grid10,
-                                           gamma_validated=True)
+                                           basepoints=basepoints, grid=grid10)
                 verdicts.append(report.verdict)
             assert verdicts[0] == verdicts[1] == expected
     elapsed = time.monotonic() - t0

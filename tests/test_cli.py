@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from bergman import RadialWeight, config, criteria
 from bergman.cli import main
 from bergman.config import ExperimentConfig
-from bergman.errors import ConfigError
+from bergman.errors import ConfigError, DomainError
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -149,6 +149,48 @@ class TestInputValidation:
                             {"operator": {"phi": {"kind": "composition", "maps": 5}}},
                             argv=("criterion", "hinf"))
         assert err["type"] == "config" and err["field"] == "phi"
+
+    def test_config_nested_too_deeply_to_decode(self, tmp_path, capsys):
+        # json.load raises RecursionError, not JSONDecodeError, on this file
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"schema": 1, "weight": ' + "[" * depth + "]" * depth + "}")
+        code = run(["classify-weight", "--config", path, "--out", tmp_path / "o"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
+
+    def test_deeply_nested_composition_runs(self, tmp_path):
+        # 250 compositions nested in one another around one map are parsed
+        # without a call per level and flattened: the report is the one of
+        # the composition of that map alone, values and repr alike
+        moebius = {"kind": "moebius", "c": [0.3, 0.1]}
+        nested = moebius
+        for _ in range(250):
+            nested = {"kind": "composition", "maps": [nested]}
+        outputs = []
+        for name, phi in (("nested", nested),
+                          ("flat", {"kind": "composition", "maps": [moebius]})):
+            cfg = write_config(tmp_path, {"grid_level": 4, "operator": {"phi": phi}},
+                               name=f"{name}.json")
+            out = tmp_path / name
+            assert run(["criterion", "hinf", "--config", cfg, "--out", out,
+                        "--deterministic"]) == 0
+            outputs.append((json.loads((out / "report.json").read_text())["result"],
+                            (out / "samples.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_nested_compositions_flatten_in_order(self):
+        phi = config.parse_selfmap({"kind": "composition", "maps": [
+            {"kind": "scale", "r": 0.5},
+            {"kind": "composition", "maps": [{"kind": "power", "k": 2},
+                                             {"kind": "composition",
+                                              "maps": [{"kind": "identity"}]}]},
+            {"kind": "moebius", "c": [0.3, 0.0]}]})
+        assert repr(phi) == ("MapComposition([Scale(0.5), PowerMap(2), Identity(), "
+                             "Moebius((0.3+0j))])")
+        with pytest.raises(DomainError, match="at least one map"):
+            config.parse_selfmap({"kind": "composition", "maps": [
+                {"kind": "identity"}, {"kind": "composition", "maps": []}]})
 
     def test_bad_operator_order(self, tmp_path, capsys):
         err = self.error_of(tmp_path, capsys, {"operator": {"n": "x"}})
@@ -300,7 +342,7 @@ class TestCommands:
         assert len(built) == 1
 
     def test_unverified_gamma_is_a_note_not_a_warning(self, tmp_path):
-        # at grid 4 gamma_for finds no verified exponent: the report says so
+        # at grid 4 no escalation step verifies gamma: the report says so
         # in its notes, and nothing is written to stderr
         cfg = write_config(tmp_path, {
             "grid_level": 4, "carleson_convention": "standard",
@@ -320,6 +362,25 @@ class TestCommands:
         result = json.loads((out / "report.json").read_text())["result"]
         assert "warning: gamma failed the kernel-domination test" in result["notes"]
         assert result["params"]["convention"] == "standard"
+
+    @pytest.mark.parametrize("beta, code", [(-0.9995, 0), (-1.0, 2)])
+    def test_power_density_near_minus_one(self, tmp_path, capsys, beta, code):
+        # (1-|z|)^beta dA is a finite measure for every beta > -1, however
+        # close to -1.  Against power(1) its pseudo-disc masses ~ gap^(beta+2)
+        # outgrow omega(S) ~ gap^3, so the embedding A^2 -> L^2(mu) is
+        # unbounded; beta = -1 is not a finite measure and is refused
+        cfg = write_config(tmp_path, {"grid_level": 8,
+                                      "weight": {"kind": "power", "alpha": 1.0},
+                                      "measure": {"kind": "power_density", "beta": beta}})
+        out = tmp_path / "o"
+        assert run(["criterion", "embedding-sup", "--config", cfg, "--out", out,
+                    "--deterministic"]) == code
+        if code == 0:
+            assert json.loads((out / "report.json").read_text())["result"]["verdict"] \
+                == "divergent"
+        else:
+            err = json.loads(capsys.readouterr().out)["error"]
+            assert err == {"type": "DomainError", "message": "power density needs beta > -1"}
 
     def test_verify_gamma_failure_exit(self, tmp_path):
         cfg = write_config(tmp_path, {"gamma": 0.5, "grid_level": 11})

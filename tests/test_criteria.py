@@ -27,7 +27,7 @@ from bergman import (
     berezin_criterion,
     embedding_ls_criterion,
     embedding_sup_criterion,
-    gamma_for,
+    gamma_exponent,
     hinf_criterion,
     norm_equivalence_ratios,
     op_pushforward_criterion,
@@ -87,8 +87,7 @@ class TestEmbeddingSup:
 
     def test_monotone_in_measure(self, grid8, unit_weight):
         mu_small = RadialDensityMeasure.from_power(2.0, grid8)
-        bigger = RadialWeight(lambda u: u ** 2.0 + 0.5 * u ** 2.5, allow_zero=True)
-        mu_big = RadialDensityMeasure(bigger, grid8, name="bigger")
+        mu_big = RadialDensityMeasure(lambda u: u ** 2.0 + 0.5 * u ** 2.5, grid8, name="bigger")
         small = embedding_sup_criterion(1.0, 1.0, 0, unit_weight, mu_small)
         big = embedding_sup_criterion(1.0, 1.0, 0, unit_weight, mu_big)
         for (_, v1), (_, v2) in zip(small.samples, big.samples):
@@ -245,16 +244,14 @@ class TestBerezin:
         nu = RadialDensityMeasure.from_weight(RadialWeight.power(beta), grid10)
         gamma = 2.0 * (alpha + 3.0) / p
         op = OperatorSpec(Identity(), ONE, n)
-        report = berezin_criterion(op, p, q, w, nu, gamma, grid=grid10,
-                                   gamma_validated=True)
+        report = berezin_criterion(op, p, q, w, nu, gamma, grid=grid10)
         expected = "bounded-consistent" if margin > 0 else "divergent"
         assert report.verdict == expected
 
     def test_contractive_image_compact(self, unit_weight, grid8):
         op = OperatorSpec(Scale(0.5), ONE, 0)
         nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
-        report = berezin_criterion(op, 2.0, 2.0, unit_weight, nu, 3.0, grid=grid8,
-                                   gamma_validated=True)
+        report = berezin_criterion(op, 2.0, 2.0, unit_weight, nu, 3.0, grid=grid8)
         assert report.verdict == "bounded-consistent"
         assert report.compact_verdict == "vanishing-tail"
 
@@ -263,10 +260,8 @@ class TestBerezin:
         base = OperatorSpec(Identity(), ONE, 0)
         scaled = OperatorSpec(Identity(), Polynomial([3.0]), 0)
         nu = RadialDensityMeasure.from_weight(unit_weight, grid8)
-        r1 = berezin_criterion(base, 2.0, q, unit_weight, nu, 3.0,
-                               grid=grid8, gamma_validated=True)
-        r2 = berezin_criterion(scaled, 2.0, q, unit_weight, nu, 3.0,
-                               grid=grid8, gamma_validated=True)
+        r1 = berezin_criterion(base, 2.0, q, unit_weight, nu, 3.0, grid=grid8)
+        r2 = berezin_criterion(scaled, 2.0, q, unit_weight, nu, 3.0, grid=grid8)
         assert r2.statistic == pytest.approx(3.0 ** q * r1.statistic, rel=1e-12)
 
     def test_unvalidated_gamma_noted(self, unit_weight, grid8):
@@ -275,20 +270,41 @@ class TestBerezin:
         report = berezin_criterion(op, 2.0, 2.0, unit_weight, nu, 3.0, grid=grid8)
         assert any("gamma" in note for note in report.notes)
 
+    @pytest.mark.parametrize("level, steps, passed", [(4, 4, False), (6, 1, True)])
+    def test_gamma_escalates_until_verified(self, unit_weight, monkeypatch,
+                                            level, steps, passed):
+        # gamma=None: gamma_exponent, times 1.5 after each failed
+        # kernel-domination test, at most three times; when no step passes
+        # the last one is used, with a warning note
+        grid = QuadratureGrid(level)
+        calls = []
+        verify = criteria.verify_gamma
+        monkeypatch.setattr(criteria, "verify_gamma",
+                            lambda *a, **kw: calls.append(a[2]) or verify(*a, **kw))
+        op = OperatorSpec(Identity(), ONE, 0)
+        nu = RadialDensityMeasure.from_weight(unit_weight, grid)
+        report = berezin_criterion(op, 2.0, 2.0, unit_weight, nu, None, grid=grid)
+        gamma0 = gamma_exponent(unit_weight, 2.0)
+        assert calls == [gamma0, gamma0 * 1.5, gamma0 * 1.5 * 1.5,
+                         gamma0 * 1.5 * 1.5 * 1.5][:steps]
+        assert report.params["gamma"] == calls[-1]
+        warned = "warning: gamma failed the kernel-domination test" in report.notes
+        assert warned != passed
+        assert not any("not validated" in note for note in report.notes)
+
     def test_embedding_crosscheck(self, grid8, unit_weight):
         # q >= p: with phi the identity and u = 1 the kernel integral tests
         # the embedding itself, so on both sides of the exponent boundary
         # the Berezin verdict matches the supremum criterion's
+        # (gamma=None: the criterion validates its own exponent, and it passes)
         p, q, n = 1.0, 2.0, 0
-        gamma = gamma_for(unit_weight, p, grid8)
-        assert gamma.verified
         op = OperatorSpec(Identity(), ONE, n)
         for margin, expected in ((0.4, "bounded-consistent"), (-0.4, "divergent")):
             beta = beta_for_sup_margin(0.0, p, q, n, margin)
             mu = RadialDensityMeasure.from_power(beta, grid8)
             sup = embedding_sup_criterion(p, q, n, unit_weight, mu)
-            berezin = berezin_criterion(op, p, q, unit_weight, mu, gamma.gamma,
-                                        grid=grid8, gamma_validated=True)
+            berezin = berezin_criterion(op, p, q, unit_weight, mu, None, grid=grid8)
+            assert not any("gamma" in note for note in berezin.notes)
             assert (sup.verdict, berezin.verdict) == (expected, expected), margin
 
     def test_self_map_leaving_the_disc(self, unit_weight, grid8):

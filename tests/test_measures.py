@@ -225,16 +225,16 @@ class TestMeasureOf:
     def test_block_index_of_grid_support(self, grid8):
         """A block of a grid support repeats each band's angles on every ring
         of the band, so most keys tie; the tied nodes keep argsort's order."""
-        density = RadialWeight(lambda u: 1.0 + u * u, allow_zero=True)
-        _, (pts, masses), *_ = RadialDensityMeasure(density, grid8).support_blocks()
+        density = RadialDensityMeasure(lambda u: 1.0 + u * u, grid8)
+        _, (pts, masses), *_ = density.support_blocks()
         assert len(np.unique(np.angle(pts))) < len(pts) // 4
         self.assert_index_is_plain_sort(pts, masses)
 
     def test_grid_support_disc_masses_vs_bruteforce(self, grid8):
         # grid-shaped support: evenly spaced rings, many tied keys
         rng = np.random.default_rng(5)
-        density = RadialWeight(lambda u: 1.0 + u * u, allow_zero=True)
-        mu = AtomicMeasure(*support_arrays(RadialDensityMeasure(density, grid8)))
+        density = RadialDensityMeasure(lambda u: 1.0 + u * u, grid8)
+        mu = AtomicMeasure(*support_arrays(density))
         pts, masses = mu.points, mu.masses
         centers = np.concatenate([
             [0.0, -0.6 + 1e-9j, 0.2j, 0.97],
@@ -254,15 +254,25 @@ class TestMeasureOf:
         assert AtomicMeasure(np.array([], dtype=complex), np.array([])).min_gap == math.inf
 
     def test_zero_density_measure(self, grid8):
-        zero = RadialWeight(lambda u: np.zeros_like(u), allow_zero=True)
-        mu = RadialDensityMeasure(zero, grid8, name="zero")
+        mu = RadialDensityMeasure(np.zeros_like, grid8, name="zero")
         assert mu.pseudo_disc_masses(np.array([0.5 + 0j]), 0.3, np.array([0.5]))[0] == 0.0
+
+    def test_power_measure_builds_no_weight(self, grid8, monkeypatch):
+        # from_power holds u -> u^beta alone: no tails, no integrability probe
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_power built a RadialWeight")
+
+        monkeypatch.setattr(RadialWeight, "__init__", refuse)
+        mu = RadialDensityMeasure.from_power(1.5, grid8)
+        gaps = grid8.ring_gaps
+        assert np.array_equal(mu.density_at_gap(gaps), gaps ** 1.5)
+        assert mu.pseudo_disc_masses(np.array([0.5 + 0j]), 0.3, np.array([0.5]))[0] > 0.0
 
     def test_weight_measure_shares_its_weight(self, grid8, monkeypatch):
         # from_weight builds no RadialWeight of its own; its masses equal, bit
-        # for bit, those of a measure on a second weight built from w's density
+        # for bit, those of a measure on w's density
         w = RadialWeight.log_power(1.0, 2.0)
-        rebuilt = RadialDensityMeasure(RadialWeight(w.density_at_gap, allow_zero=True), grid8)
+        rebuilt = RadialDensityMeasure(w.density_at_gap, grid8)
         built = []
         init = RadialWeight.__init__
         with monkeypatch.context() as m:

@@ -57,6 +57,11 @@ class TestTailIntegral:
         with pytest.raises(IntegrabilityError):
             RadialWeight(lambda u: 1.0 / u, name="1/(1-r)")
 
+    def test_zero_weight_rejected(self):
+        # a weight's total mass must be positive (a zero density is a measure)
+        with pytest.raises(IntegrabilityError):
+            RadialWeight(np.zeros_like, name="zero")
+
     def test_table_weight_interpolates(self):
         r = np.linspace(0.0, 1.0, 11)
         w = RadialWeight.from_table(r, np.ones_like(r))

@@ -30,7 +30,7 @@ import tempfile
 import time
 
 sys.dont_write_bytecode = True  # read perfbench/, write nothing into it
-from report_digests import pinned_runs  # noqa: E402
+from report_digests import add_run_filters, pinned_runs  # noqa: E402
 import workloads  # noqa: E402  (perfbench/, put on the path by report_digests)
 
 # python -c BOOTSTRAP PEAK_FILE ARGS...: run `python -m bergman ARGS...` in
@@ -99,11 +99,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree")
     parser.add_argument("out")
-    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
-                        help="run this workload's jobs only (default: both)")
-    parser.add_argument("--variants", type=int, default=workloads.VARIANTS,
-                        choices=range(1, workloads.VARIANTS + 1), metavar="N",
-                        help="run the first N variants of each job (default: all "
-                             f"{workloads.VARIANTS})")
+    add_run_filters(parser)
     opts = parser.parse_args()
     main(opts.tree, opts.out, opts.workload, opts.variants)

@@ -1,9 +1,10 @@
 """Digest every pinned benchmark run of a source tree, to check that two trees
 write the same reports byte for byte.
 
-    python tools/report_digests.py TREE OUT.json
+    python tools/report_digests.py TREE OUT.json [--workload NAME] [--variants N]
 
 Writes the inputs of every variant of every job of both benchmark workloads
+(--workload keeps one workload, --variants the first N variants of each job)
 with perfbench/workloads.py (imported, not changed), runs each as
 `python -m bergman ... --deterministic` with TREE/src on the path, and stores
 one SHA-256 per run over its exit code, stdout, stderr, report.json and
@@ -11,6 +12,7 @@ samples.csv, keyed "workload/job/variant".  Two trees ran the same when
 their OUT files are equal (`diff A.json B.json`).
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -66,9 +68,19 @@ def pinned_runs(tree, only=None, variants=workloads.VARIANTS):
                 shutil.rmtree(workdir)  # the cloud CSV alone is about 17 MB
 
 
-def main(tree, out_path):
+def add_run_filters(parser):
+    """The --workload and --variants options, which pinned_runs takes."""
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+                        help="run this workload's jobs only (default: both)")
+    parser.add_argument("--variants", type=int, default=workloads.VARIANTS,
+                        choices=range(1, workloads.VARIANTS + 1), metavar="N",
+                        help="run the first N variants of each job (default: all "
+                             f"{workloads.VARIANTS})")
+
+
+def main(tree, out_path, only=None, variants=workloads.VARIANTS):
     digests = {}
-    for key, args, workdir, out_dir, env in pinned_runs(tree):
+    for key, args, workdir, out_dir, env in pinned_runs(tree, only, variants):
         argv = [sys.executable, "-m", "bergman", *args]
         digests[key], _ = run_digest(argv, workdir, out_dir, env)
     with open(out_path, "w") as fh:
@@ -78,6 +90,9 @@ def main(tree, out_path):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit("usage: python tools/report_digests.py TREE OUT.json")
-    main(*sys.argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree")
+    parser.add_argument("out")
+    add_run_filters(parser)
+    opts = parser.parse_args()
+    main(opts.tree, opts.out, opts.workload, opts.variants)

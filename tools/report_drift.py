@@ -1,10 +1,11 @@
 """Compare what two source trees decide on every pinned benchmark run.
 
-    python tools/report_drift.py PARENT CHANGE OUT.json
+    python tools/report_drift.py PARENT CHANGE OUT.json [--workload NAME] [--variants N]
 
 Runs every pinned run of report_digests.py (every variant of every job of
-both benchmark workloads) as `python -m bergman ... --deterministic`, once
-with PARENT/src and once with CHANGE/src on the path, and reads each run's
+both benchmark workloads; --workload keeps one workload, --variants the
+first N variants of each job) as `python -m bergman ... --deterministic`,
+once with PARENT/src and once with CHANGE/src on the path, and reads each run's
 outcome (exit code, verify PASS/FAIL line, verdict flags and statistics)
 with perfbench/jobs.py's `outcome`, imported, not changed.  CHANGE's run is
 measured against PARENT's with `jobs.compare`, as the benchmark measures a
@@ -15,6 +16,7 @@ drift of any statistic, and that statistic's key and PARENT value; and the
 same totals over all runs.
 """
 
+import argparse
 import json
 import math
 import os
@@ -24,7 +26,8 @@ import types
 sys.dont_write_bytecode = True  # read perfbench/, write nothing into it
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import jobs  # noqa: E402
-from report_digests import pinned_runs, run_digest  # noqa: E402
+import workloads  # noqa: E402
+from report_digests import add_run_filters, pinned_runs, run_digest  # noqa: E402
 
 
 def run_outcome(args, workdir, out_dir, env):
@@ -64,10 +67,11 @@ def _summary(runs):
             "max_drift_parent": worst["max_drift_parent"]}
 
 
-def main(parent, change, out_path):
+def main(parent, change, out_path, only=None, variants=workloads.VARIANTS):
     per_job = {}
     for (key, args, workdir, out_dir, env), (key2, _, workdir2, _, env2) in zip(
-            pinned_runs(parent), pinned_runs(change), strict=True):
+            pinned_runs(parent, only, variants), pinned_runs(change, only, variants),
+            strict=True):
         assert key == key2, (key, key2)
         ref = run_outcome(args, workdir, out_dir, env)
         got = run_outcome(args, workdir2, out_dir, env2)
@@ -94,6 +98,10 @@ def main(parent, change, out_path):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 4:
-        sys.exit("usage: python tools/report_drift.py PARENT CHANGE OUT.json")
-    main(*sys.argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("out")
+    add_run_filters(parser)
+    opts = parser.parse_args()
+    main(opts.parent, opts.change, opts.out, opts.workload, opts.variants)
