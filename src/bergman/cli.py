@@ -84,7 +84,7 @@ def cmd_classify(args):
     _write_report(args, "classify-weight", report.to_json())
     print(
         f"{w.name}: doubling={report.doubling} "
-        f"exponents=({report.exponents[0]:.4f}, {report.exponents[1]:.4f}) "
+        f"exponents=({report.exponent_lower:.4f}, {report.exponent_upper:.4f}) "
         f"dhat={report.dhat_constant:.4g}"
     )
     return EXIT_OK
@@ -150,7 +150,7 @@ def cmd_criterion(args):
     _write_report(args, f"criterion {which}", result)
     _write_samples(args, result["samples"])
     print(
-        f"{report.criterion_id}: statistic={report.statistic:.6g} "
+        f"{report.criterion}: statistic={report.statistic:.6g} "
         f"verdict={report.verdict} compact={report.compact_verdict}"
     )
     return EXIT_OK

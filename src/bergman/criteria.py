@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,9 +75,11 @@ TAIL_FLAT = 0.90
 
 @dataclass
 class CriterionReport:
-    """Evaluated criterion functional with refinement and tail diagnostics."""
+    """Evaluated criterion functional with refinement and tail diagnostics;
+    the fields are the keys of its JSON form (to_json), where each sample's
+    basepoint splits into its real and imaginary parts."""
 
-    criterion_id: str
+    criterion: str
     params: dict
     samples: list  # (basepoint complex, value)
     statistic: float
@@ -86,23 +88,13 @@ class CriterionReport:
     refinement: dict  # shallow/deep statistics and their growth
     verdict: str
     compact_verdict: str
-    truncated: int = 0
-    notes: list = field(default_factory=list)
+    truncated: int
+    notes: list
 
     def to_json(self):
-        return {
-            "criterion": self.criterion_id,
-            "params": self.params,
-            "statistic": self.statistic,
-            "statistic_kind": self.statistic_kind,
-            "verdict": self.verdict,
-            "compact_verdict": self.compact_verdict,
-            "refinement": self.refinement,
-            "tail": [[d, v] for d, v in self.tail],
-            "truncated": self.truncated,
-            "notes": self.notes,
-            "samples": [[z.real, z.imag, v] for z, v in self.samples],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["samples"] = [[z.real, z.imag, v] for z, v in self.samples]
+        return out
 
 
 def _growth_verdict(full, shallow):
@@ -152,7 +144,7 @@ def _band_peaks(bands, vals):
     return peaks
 
 
-def _sup_report(criterion_id, params, pts, gaps, vals, truncated=0, notes=None):
+def _sup_report(criterion, params, pts, gaps, vals, truncated=0, notes=None):
     order = np.lexsort((np.angle(pts), -gaps))  # shallow to deep, deterministic
     pts, gaps, vals = pts[order], gaps[order], vals[order]
     sup_full = float(np.max(vals)) if len(vals) else 0.0
@@ -174,7 +166,7 @@ def _sup_report(criterion_id, params, pts, gaps, vals, truncated=0, notes=None):
         growth, verdict = 1.0, "bounded-consistent"
     tail = _tail(bands, vals, np.max)
     return CriterionReport(
-        criterion_id=criterion_id,
+        criterion=criterion,
         params=params,
         samples=list(zip(pts.tolist(), vals.tolist())),
         statistic=sup_full,
@@ -281,7 +273,7 @@ def embedding_ls_criterion(p, q, n, w, mu, r=0.3, level=16):
               "measure": getattr(mu, "name", "measure"), "level": level,
               "convention": "standard"}
     return CriterionReport(
-        criterion_id="EMB_LS",
+        criterion="EMB_LS",
         params=params,
         samples=list(zip(centers[order].tolist(), bvals[order].tolist())),
         statistic=total ** (1.0 / s) if total > 0 else 0.0,
@@ -309,7 +301,7 @@ def op_pushforward_criterion(op, p, q, w, nu, r=0.3, level=12):
         raise DomainError("the operator pushforward criterion needs 0 < q < p")
     pf = pushforward(op.phi, lambda z: np.abs(op.u(z)) ** q, nu)
     report = embedding_ls_criterion(p, q, op.n, w, pf, r=r, level=level)
-    report.criterion_id = "OP_PUSHFORWARD_LS"
+    report.criterion = "OP_PUSHFORWARD_LS"
     report.params.update({"phi": repr(op.phi), "u": repr(op.u), "n": op.n,
                           "pushforward_atoms": pf.support_size})
     return report

@@ -23,7 +23,7 @@ tail (non-integrable weight) is detected from the octave-term ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -313,18 +313,22 @@ class RadialWeight:
 
 @dataclass
 class WeightClassReport:
-    """Empirical doubling-class diagnostics for a radial weight.
+    """Empirical doubling-class diagnostics for a radial weight; the fields
+    are the keys of its JSON form (to_json).
 
-    dhat_constant is the mesh supremum of tail(r)/tail((1+r)/2); exponents
-    are the envelope of the local dyadic decay rates of the tail integral
-    (for (1-r)^a both equal a+1); flags record the threshold decisions, with
-    stability measured under mesh doubling.
+    dhat_constant is the mesh supremum of tail(r)/tail((1+r)/2), dcheck_C
+    the largest mesh infimum of tail(r)/tail(1-(1-r)/K), at K = dcheck_K;
+    exponent_lower <= exponent_upper envelope the local dyadic decay rates
+    of the tail integral (for (1-r)^a both equal a+1); flags record the
+    threshold decisions, with stability measured under mesh doubling.
     """
 
-    name: str
+    weight: str
     dhat_constant: float
-    dcheck_pair: tuple  # (K, C)
-    exponents: tuple  # (alpha, beta), alpha <= beta
+    dcheck_K: int
+    dcheck_C: float
+    exponent_lower: float
+    exponent_upper: float
     upper_doubling: bool
     lower_doubling: bool
     doubling: bool
@@ -334,29 +338,11 @@ class WeightClassReport:
     fitted_slope: float
     dhat_stability: float
     dcheck_stability: float
-    truncated_at: float | None = None
-    notes: list = field(default_factory=list)
+    truncated_at: float | None
+    notes: list
 
     def to_json(self):
-        return {
-            "weight": self.name,
-            "dhat_constant": self.dhat_constant,
-            "dcheck_K": self.dcheck_pair[0],
-            "dcheck_C": self.dcheck_pair[1],
-            "exponent_lower": self.exponents[0],
-            "exponent_upper": self.exponents[1],
-            "upper_doubling": self.upper_doubling,
-            "lower_doubling": self.lower_doubling,
-            "doubling": self.doubling,
-            "moment_class": self.moment_class,
-            "mesh_resolution": self.mesh_resolution,
-            "sandwich_constant": self.sandwich_constant,
-            "fitted_slope": self.fitted_slope,
-            "dhat_stability": self.dhat_stability,
-            "dcheck_stability": self.dcheck_stability,
-            "truncated_at": self.truncated_at,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 # Relative-change threshold for "the empirical sup is stable under mesh
@@ -378,7 +364,10 @@ def _dyadic_ratio_stats(w, points):
             n_ok = j
             break
     truncated_at = None if n_ok == points else float(1.0 - u[n_ok])
-    n_ok = max(n_ok, 2)
+    if n_ok < 2:
+        dead = float(1.0 - u[np.argmin(alive)])
+        raise DomainError(f"tail integral is extinct from r = {dead:.6g} on: fewer "
+                          "than two mesh points keep a live tail at the K = 16 shift")
     ratios = {}
     for octaves, K in enumerate((2, 4, 8, 16), start=1):
         shift = octaves * _PER_OCTAVE
@@ -464,10 +453,12 @@ def classify(w, mesh=256):
         )
 
     return WeightClassReport(
-        name=w.name,
+        weight=w.name,
         dhat_constant=dhat,
-        dcheck_pair=(best_K, best_C),
-        exponents=(min(alpha_hat, beta_hat), max(alpha_hat, beta_hat)),
+        dcheck_K=best_K,
+        dcheck_C=best_C,
+        exponent_lower=alpha_hat,
+        exponent_upper=beta_hat,
         upper_doubling=upper,
         lower_doubling=lower,
         doubling=upper and lower,

@@ -92,8 +92,8 @@ def test_02_weight_classification():
     t0 = time.monotonic()
     for alpha in (-0.5, 0.0, 1.0, 3.0):
         report = classify(RadialWeight.power(alpha), mesh=128)
-        assert report.exponents[0] == pytest.approx(alpha + 1.0, abs=0.05)
-        assert report.exponents[1] == pytest.approx(alpha + 1.0, abs=0.05)
+        assert report.exponent_lower == pytest.approx(alpha + 1.0, abs=0.05)
+        assert report.exponent_upper == pytest.approx(alpha + 1.0, abs=0.05)
         assert report.dhat_constant == pytest.approx(2.0 ** (alpha + 1.0), rel=0.05)
         assert report.doubling
     rejected = classify(RadialWeight.exp_inverse(), mesh=128)

@@ -506,6 +506,77 @@ class TestClassifyMesh:
         self.assert_rejected(tmp_path, self.classify(tmp_path, 1_000_000_000))
 
 
+class TestExtinctTail:
+    """A weight whose tail integral dies within the first mesh octaves has
+    no dyadic ratios to classify: every command that reads them exits 2
+    with a JSON DomainError naming the first mesh radius whose tail is
+    extinct, and writes nothing to stderr."""
+
+    @pytest.mark.parametrize("argv", [["classify-weight"], ["verify", "gamma"],
+                                      ["verify", "lemma21"], ["criterion", "berezin"]])
+    def test_extinct_tail_is_a_domain_error(self, tmp_path, argv):
+        cfg = write_config(tmp_path, {
+            "grid_level": 8,
+            "weight": {"kind": "table", "r": [0, 0.5, 0.51, 1], "w": [1, 1, 0, 0]},
+            "target_weight": {"kind": "power", "alpha": 1.0},
+            "operator": {"phi": {"kind": "moebius", "c": [0.3, 0.0]},
+                         "u": {"kind": "poly", "coeffs": [[1, 0]]}, "n": 0}})
+        src = os.path.dirname(os.path.dirname(criteria.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "bergman", *argv, "--config", cfg,
+                               "--out", str(tmp_path / "o"), "--deterministic"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stderr == ""
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "DomainError"
+        # the mesh gaps are 2^(-j/8); j = 9 is the first past r = 0.51
+        assert f"extinct from r = {1.0 - 2.0 ** (-9 / 8):.6g}" in err["message"]
+
+
+_CRITERION_KEYS = {"criterion", "params", "samples", "statistic", "statistic_kind", "tail",
+                   "refinement", "verdict", "compact_verdict", "truncated", "notes"}
+_OPERATOR = {"phi": {"kind": "scale", "r": 0.5},
+             "u": {"kind": "poly", "coeffs": [[1, 0]]}, "n": 0}
+
+
+class TestReportKeys:
+    """The full key set of each command's report result, on small grids."""
+
+    def test_classify_weight_keys(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["classify-weight", "--config", write_config(tmp_path), "--out", out,
+                    "--deterministic", "--mesh", "64"]) == 0
+        result = json.loads((out / "report.json").read_text())["result"]
+        assert set(result) == {
+            "weight", "dhat_constant", "dcheck_K", "dcheck_C", "exponent_lower",
+            "exponent_upper", "upper_doubling", "lower_doubling", "doubling",
+            "moment_class", "mesh_resolution", "sandwich_constant", "fitted_slope",
+            "dhat_stability", "dcheck_stability", "truncated_at", "notes"}
+
+    @pytest.mark.parametrize("which,criterion,extra", [
+        ("embedding-sup", "EMB_SUP", {"p": 1.0, "q": 2.0,
+                                      "measure": {"kind": "power_density", "beta": 4.5}}),
+        ("embedding-ls", "EMB_LS", {"p": 2.0, "q": 1.0,
+                                    "measure": {"kind": "power_density", "beta": 1.0}}),
+        ("carleson", "OP_PUSHFORWARD_LS", {"p": 2.0, "q": 1.0, "operator": _OPERATOR,
+                                           "measure": {"kind": "power_density",
+                                                       "beta": 0.5}}),
+        ("berezin", "BEREZIN_SUP", {"gamma": 3.0, "operator": _OPERATOR,
+                                    "target_weight": {"kind": "power", "alpha": 1.0}}),
+        ("hinf", "HINF_SUP", {"operator": _OPERATOR}),
+    ])
+    def test_criterion_keys(self, tmp_path, which, criterion, extra):
+        cfg = write_config(tmp_path, {"grid_level": 5, **extra})
+        out = tmp_path / "o"
+        assert run(["criterion", which, "--config", cfg, "--out", out,
+                    "--deterministic"]) == 0
+        result = json.loads((out / "report.json").read_text())["result"]
+        assert set(result) == _CRITERION_KEYS
+        assert result["criterion"] == criterion
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -1,5 +1,6 @@
 """Criterion functionals: verdicts against closed-form exponent oracles."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -448,6 +449,15 @@ class TestHinf:
         assert report.verdict == "bounded-consistent"
         assert report.compact_verdict == "vanishing-tail"
         assert report.params["sup_phi_structural"] == pytest.approx(0.5)
+
+    def test_json_keys_are_the_fields(self, unit_weight, grid8):
+        # the JSON form renames nothing; only the samples' basepoints split
+        report = hinf_criterion(OperatorSpec(Scale(0.5), ONE, 0), 2.0, unit_weight,
+                                grid=grid8)
+        result = report.to_json()
+        assert list(result) == [f.name for f in dataclasses.fields(report)]
+        assert result["samples"] == [[z.real, z.imag, v] for z, v in report.samples]
+        assert all(isinstance(z, complex) for z, _ in report.samples)
 
     def test_zero_symbol(self, unit_weight, grid8):
         op = OperatorSpec(Scale(0.5), Polynomial([0.0]), 0)

@@ -87,7 +87,7 @@ class TestPseudoDisc:
         with pytest.raises(DomainError):
             pseudo_disc(0.5, 1.0)
 
-    def test_polar_sample_mass(self):
+    def test_polar_rule_mass(self):
         d = pseudo_disc(0.6 + 0.1j, 0.35)
         a = np.array([abs(d.center)])
         _, _, gap_outer, _ = _disc_params(a, 1.0 - a, d.radius)

@@ -342,6 +342,8 @@ def support_arrays(mu):
 
 
 def test_support_nodes_match_node_reference(grid, layout, weight):
+    """The measure's streamed support (support_blocks), joined, is the
+    grid's nodes with density times node weight, bit for bit."""
     mu = RadialDensityMeasure.from_weight(weight, grid)
     pts, masses = support_arrays(mu)
     want = weight.density_at_gap(layout["gaps"]) * layout["weights"]

@@ -1,5 +1,6 @@
 """Radial weight machinery: tail integrals, moments, classification, masses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -139,11 +140,25 @@ class TestClassify:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 3.0])
     def test_power_weights_are_doubling(self, alpha):
         report = classify(power_weight(alpha), mesh=128)
-        lo, hi = report.exponents
+        lo, hi = report.exponent_lower, report.exponent_upper
         assert lo == pytest.approx(alpha + 1.0, abs=0.05)
         assert hi == pytest.approx(alpha + 1.0, abs=0.05)
         assert report.dhat_constant == pytest.approx(2.0 ** (alpha + 1.0), rel=0.05)
         assert report.upper_doubling and report.lower_doubling and report.doubling
+
+    def test_json_keys_are_the_fields(self):
+        report = classify(power_weight(0.0), mesh=64)
+        assert list(report.to_json()) == [f.name for f in dataclasses.fields(report)]
+
+    def test_extinct_tail_rejected(self):
+        # the tail is 0 from r = 0.51 on, so even the first mesh point's
+        # K = 16 shift, r = 1 - 2^-4, is extinct; of the mesh gaps 2^(-j/8),
+        # j = 9 is the first past r = 0.51
+        w = RadialWeight.from_table([0.0, 0.5, 0.51, 1.0], [1.0, 1.0, 0.0, 0.0])
+        dead = f"extinct from r = {1.0 - 2.0 ** (-9 / 8):.6g} "
+        for read in (lambda: classify(w, mesh=64), lambda: gamma_exponent(w, 2.0)):
+            with pytest.raises(DomainError, match=dead):
+                read()
 
     def test_exponential_weight_not_upper_doubling(self):
         report = classify(RadialWeight.exp_inverse(), mesh=128)
@@ -158,13 +173,13 @@ class TestClassify:
 
     def test_exponent_order_invariant(self):
         report = classify(RadialWeight.log_power(0.5, 1.5), mesh=128)
-        assert report.exponents[0] <= report.exponents[1]
+        assert report.exponent_lower <= report.exponent_upper
 
     def test_sandwich_inequality_on_mesh(self):
         # the fitted (alpha, beta, C) must bracket all tail ratios
         w = RadialWeight.log_power(1.0, 1.0)
         report = classify(w, mesh=96)
-        lo, hi = report.exponents
+        lo, hi = report.exponent_lower, report.exponent_upper
         C = report.sandwich_constant * (1.0 + 1e-9)
         u = 2.0 ** (-np.arange(60) / 8.0)
         hat = w.tail_integral_at_gap(u)
@@ -275,6 +290,6 @@ class TestGammaExponent:
         """gamma_exponent reads the D-hat ratios alone, and its value is the
         one from the upper exponent of the whole classify(w, 128), bit for
         bit."""
-        beta = classify(w, 128).exponents[1]
+        beta = classify(w, 128).exponent_upper
         for p in (0.5, 2.0, 3.0):
             assert gamma_exponent(w, p) == 2.0 * (beta + 2.0) / p

@@ -14,6 +14,9 @@ its runs wrote byte-identical output (report_digests.py's digest), whether
 every run kept its exit code and its verdict flags, the largest relative
 drift of any statistic, and that statistic's key and PARENT value; and the
 same totals over all runs.
+
+Exits 1 when any run changes its exit code, its verify line or a verdict
+flag, or drifts past jobs.STAT_RTOL; otherwise 0.
 """
 
 import argparse
@@ -75,9 +78,10 @@ def main(parent, change, out_path, only=None, variants=workloads.VARIANTS):
         assert key == key2, (key, key2)
         ref = run_outcome(args, workdir, out_dir, env)
         got = run_outcome(args, workdir2, out_dir, env2)
-        _, drift, digest_changed = jobs.compare(got, ref)
+        ok, drift, digest_changed = jobs.compare(got, ref)
         stat = _worst_stat(got, ref)
         per_job.setdefault(key.rsplit("/", 1)[0], []).append({
+            "ok": ok,
             "digest_equal": not digest_changed,
             "exit_equal": got["exit"] == ref["exit"],
             "flags_equal": got["flags"] == ref["flags"] and got.get("line") == ref.get("line"),
@@ -95,6 +99,7 @@ def main(parent, change, out_path, only=None, variants=workloads.VARIANTS):
               f"  max drift {s['max_rel_drift']}"
               + (f" ({s['max_drift_stat']} = {s['max_drift_parent']!r} at the parent)"
                  if s["max_drift_stat"] else ""))
+    return 0 if all(r["ok"] for runs in per_job.values() for r in runs) else 1
 
 
 if __name__ == "__main__":
@@ -104,4 +109,4 @@ if __name__ == "__main__":
     parser.add_argument("out")
     add_run_filters(parser)
     opts = parser.parse_args()
-    main(opts.parent, opts.change, opts.out, opts.workload, opts.variants)
+    sys.exit(main(opts.parent, opts.change, opts.out, opts.workload, opts.variants))
