@@ -342,7 +342,8 @@ def _kernel_sweep(pts, phin, uq, e, out=None, pool=None):
     The arithmetic is real.  For a chunk of R basepoints a = ax + i ay, one
     matmul of the rows [ax, ay] and [-ay, ax] against [Re phin; Im phin]
     gives Re(conj(a) phin) and Im(conj(a) phin) for a whole slice; then
-    s = (1 - Re)^2 + Im^2 and the kernel is exp(-e/2 log s).
+    s = (1 - Re)^2 + Im^2 and the kernel is exp(-e/2 log s), in place, as in
+    _ring_kernel_means.
 
     Each chunk of _SWEEP_ROWS basepoints accumulates its sums over support
     slices of _SWEEP_SLICE nodes in a fixed order, inside one thread, so the
@@ -503,12 +504,14 @@ def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
     (u_a, u the two gaps), and the template sin^2(theta_j / 2) is shared by
     every ring with n_theta angles.  It is symmetric about theta = pi, so
     only the first half circle is summed, _TEMPLATE_CHUNK angles at a time,
-    the chunks' sums added in chunk order.
+    the chunks' sums added in chunk order.  With s that squared distance,
+    the kernel is exp(-e/2 log s), taken in place, as in _kernel_sweep.
     """
     half = (n_theta + 1) // 2
     template = np.sin((np.arange(half) + 0.5) * (math.pi / n_theta)) ** 2
     near = a_gaps[:, None] + ring_gaps[None, :] - a_gaps[:, None] * ring_gaps[None, :]
     spread = 4.0 * a[:, None] * (1.0 - ring_gaps)[None, :]
+    neg_half_e = -0.5 * e
     out = np.empty(near.shape)
     for k in range(len(ring_gaps)):
         near_sq = (near[:, k] ** 2)[:, None]
@@ -516,7 +519,9 @@ def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
         def kernel(lo, hi):
             buf = np.multiply(spread[:, k, None], template[None, lo:hi])
             buf += near_sq
-            return np.power(buf, -0.5 * e, out=buf)
+            np.log(buf, out=buf)
+            buf *= neg_half_e
+            return np.exp(buf, out=buf)
 
         total = np.zeros(len(a))
         for lo in range(0, half, _TEMPLATE_CHUNK):

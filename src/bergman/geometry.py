@@ -85,27 +85,38 @@ def _ring_spans(counts, lo, hi):
     return rings, np.maximum(lo - starts[rings], 0), taken[rings]
 
 
-def _ring_points(gaps, counts, lo=0, hi=None):
+def _angles(n_theta):
+    """exp(i theta_j) for the n_theta angles theta_j = (j + 1/2) 2 pi / n_theta,
+    built in one complex buffer: the bits of exp(1j * theta), whose input
+    is 0 + i theta, without its temporaries."""
+    theta = np.arange(n_theta, dtype=float)
+    theta += 0.5
+    theta *= _TWO_PI / n_theta
+    out = np.zeros(n_theta, dtype=complex)
+    out.imag = theta
+    return np.exp(out, out=out)
+
+
+def _ring_points(gaps, counts, lo=0, hi=None, held=None):
     """Points lo to hi (default: to the end) of rings laid one after another,
     ring i holding the counts[i] points (1 - gaps[i]) exp(i theta_j),
     theta_j = (j + 1/2) 2 pi / counts[i].  Each ring's share of the range is
-    its radius times its angles e^{i theta_j}: a template built once per run
-    of whole rings with equal counts, or, for a ring the range cuts, the
-    range's own angles."""
+    its radius times its slice of the full-ring template of its count
+    (_angles), so a ring cut by the range gets the bits it gets whole.  One
+    template is held at a time, built when the count changes.  held, a dict
+    that a caller reading consecutive ranges keeps across its calls, carries
+    it from one range to the next; by default it lives for one call."""
     hi = int(np.sum(counts)) if hi is None else hi
     rings, first, taken = _ring_spans(counts, lo, hi)
     out = np.empty(int(taken.sum()), dtype=complex)
-    pos, n_theta, template = 0, None, None
+    held = {} if held is None else held
+    pos = 0
     for ring, j, n in zip(rings, first, taken):
-        if counts[ring] != n_theta:
-            n_theta, template = counts[ring], None
-        if n < n_theta:
-            angles = np.exp(1j * ((np.arange(j, j + n) + 0.5) * (_TWO_PI / n_theta)))
-        else:
-            if template is None:
-                template = np.exp(1j * ((np.arange(n_theta) + 0.5) * (_TWO_PI / n_theta)))
-            angles = template
-        np.multiply(1.0 - gaps[ring], angles, out=out[pos:pos + n])
+        n_theta = int(counts[ring])
+        if n_theta not in held:
+            held.clear()
+            held[n_theta] = _angles(n_theta)
+        np.multiply(1.0 - gaps[ring], held[n_theta][j:j + n], out=out[pos:pos + n])
         pos += n
     return out
 

@@ -43,6 +43,11 @@ class AnalyticFunction:
     def eval_deriv(self, n, z):
         raise NotImplementedError
 
+    def abs_deriv(self, n, z):
+        """|f^(n)(z)|; a subclass with a closed form for the modulus may
+        override it."""
+        return np.abs(self.eval_deriv(n, z))
+
 
 class Polynomial(AnalyticFunction):
     """Finite Taylor polynomial with complex coefficients (ascending order)."""
@@ -79,8 +84,10 @@ class Polynomial(AnalyticFunction):
 class ConformalPower(AnalyticFunction):
     """scale * ((1-|a|) / (1 - conj(a) z))^gamma.
 
-    The n-th derivative is scale (1-|a|)^gamma conj(a)^n gamma (gamma+1)
-    ... (gamma+n-1) (1 - conj(a) z)^(-gamma-n).
+    The n-th derivative is c_n (1 - conj(a) z)^(-gamma-n), with c_n =
+    scale (1-|a|)^gamma conj(a)^n gamma (gamma+1) ... (gamma+n-1); its
+    modulus |c_n| exp(-(gamma+n) log|1 - conj(a) z|) depends on z through
+    one real number, so abs_deriv takes it without a complex power.
     """
 
     def __init__(self, base, gamma, scale=1.0):
@@ -93,20 +100,36 @@ class ConformalPower(AnalyticFunction):
         self.gamma = float(gamma)
         self.scale = complex(scale)
 
-    def eval_deriv(self, n, z):
+    def _coef(self, n):
+        """c_n, the factor of the n-th derivative before the power."""
         if n < 0:
             raise DomainError("derivative order must be nonnegative")
-        z = np.asarray(z, dtype=complex)
         rising = 1.0
         for i in range(n):
             rising *= self.gamma + i
-        coef = (
+        return (
             self.scale
             * (1.0 - abs(self.base)) ** self.gamma
             * np.conj(self.base) ** n
             * rising
         )
+
+    def eval_deriv(self, n, z):
+        coef = self._coef(n)
+        z = np.asarray(z, dtype=complex)
         return coef * (1.0 - np.conj(self.base) * z) ** (-(self.gamma + n))
+
+    def abs_deriv(self, n, z):
+        coef = abs(self._coef(n))  # 0 for n >= 1 at a = 0, where |1 - conj(a) z| = 1
+        z = np.asarray(z, dtype=complex)
+        w = np.conj(self.base) * z.reshape(-1)  # in-place steps need an array, also 0-d
+        np.subtract(1.0, w, out=w)
+        out = np.abs(w)
+        np.log(out, out=out)
+        out *= -(self.gamma + n)
+        np.exp(out, out=out)
+        out *= coef
+        return out.reshape(z.shape)[()]
 
     def __repr__(self):
         return f"ConformalPower(a={self.base}, gamma={self.gamma}, scale={self.scale})"
@@ -261,7 +284,9 @@ def _ring_pass(functions, grid, p=None, ring_dens=(), orders=()):
     |f_i|^p times the density ring_dens[d] of the node's ring times the
     node's weight, the blocks' sums added in block order.  peaks[i, j, k]
     is the largest |f_i^(n)| on ring k for n = orders[j] (|f_i| itself for
-    n = 0, so f_i may be any function of z there).
+    n = 0, so f_i may be any function of z there).  The moduli come from
+    f_i.abs_deriv, one order at a time, and from |f_i(z)| for a function
+    that is not an AnalyticFunction.
     """
     if p is not None and p <= 0:
         raise DomainError("p must be positive")
@@ -273,10 +298,10 @@ def _ring_pass(functions, grid, p=None, ring_dens=(), orders=()):
         node_dens = np.repeat(ring_dens[:, rings], taken, axis=1)
         node_w = np.repeat(grid.ring_node_weights[rings], taken)
         for i, f in enumerate(functions):
-            vals = np.abs(f(z))
-            for j, n in enumerate(orders):
-                d = vals if n == 0 else np.abs(f.eval_deriv(n, z))
-                peaks[i, j, rings] = np.maximum(peaks[i, j, rings], np.maximum.reduceat(d, starts))
+            vals = f.abs_deriv(0, z) if isinstance(f, AnalyticFunction) else np.abs(f(z))
+            for j, n in enumerate(orders):  # one order's moduli alive at a time
+                ring_max = np.maximum.reduceat(vals if n == 0 else f.abs_deriv(n, z), starts)
+                peaks[i, j, rings] = np.maximum(peaks[i, j, rings], ring_max)
             if len(ring_dens):
                 sums[i] += np.sum(vals ** p * node_dens * node_w, axis=-1)
     return sums, peaks

@@ -286,6 +286,24 @@ def test_grid_keeps_no_node_arrays():
                for v in vars(grid).values())
 
 
+def test_blocks_hold_one_angle_template():
+    """blocks() keeps the angle template of the ring count it is reading and
+    drops it when the count changes: a grid-11 sweep peaks below two blocks
+    (the one handed out and the one being built) plus twice the deepest
+    template (the one held and the buffers that build the next), where a
+    template kept for every count would add the shallower ones."""
+    grid = QuadratureGrid(11)
+    for _ in grid.blocks():  # first-call allocations stay out of the measurement
+        pass
+
+    def sweep():
+        for _ in grid.blocks():
+            pass
+
+    peak = traced_peak(sweep)
+    assert peak < 16 * (2 * measures._NODE_BLOCK + 2 * int(grid.ring_counts[-1])), peak
+
+
 def test_verify_gamma_reads_rings_only():
     """verify_gamma sums ring by ring, and each ring's half-circle template a
     chunk of angles at a time, so at level 13 (2.1 M nodes, 65,536 template
@@ -319,7 +337,10 @@ def test_bergman_norm_matches_node_reference(grid, layout, weight, p):
 def test_derivative_bound_matches_node_reference(grid, layout, weight, n):
     """Each ring's largest |f^(n)| times the ring's factor is the node-wise
     maximum bit for bit (the factor is positive and rounding monotone), for
-    a function alone and inside a family read at several orders."""
+    a function alone and inside a family read at several orders.  The node
+    reference reads the modulus the pass reads, f.abs_deriv; for a conformal
+    power its closed form differs from |eval_deriv| by a few ulps
+    (test_spaces.py bounds that)."""
     p = 2.0
     gaps = layout["gaps"]
     dens = weight.density_at_gap(gaps)
@@ -327,12 +348,26 @@ def test_derivative_bound_matches_node_reference(grid, layout, weight, n):
     fs = functions()
     family = derivative_bound_sup(fs, (2, n), p, weight, grid)
     for f, row in zip(fs, family):
-        dvals = np.abs(f.eval_deriv(n, layout["nodes"]))
+        dvals = f.abs_deriv(n, layout["nodes"])
         norm = bergman_norm(f, p, weight, grid)
         assert_close(norm, node_norm(f, p, dens, layout))
         want = float(np.max(dvals * ws * gaps ** n)) / norm
         assert derivative_bound_sup([f], (n,), p, weight, grid)[0, 0] == want
         assert row[1] == want
+
+
+def test_derivative_orders_stream_one_at_a_time():
+    """The pass keeps one order's moduli alive at a time: reading orders
+    (0, 1, 2) of a conformal-power family peaks within a quarter of one
+    block's float array of reading order 0 alone, where holding every
+    order's moduli at once would add two whole arrays per block."""
+    w = RadialWeight.power(1.0)
+    family = [ConformalPower(a, 3.0) for a in (0.0, 0.5, 0.9j)]
+    derivative_bound_sup(family, (0, 1, 2), 2.0, w, QuadratureGrid(4))  # first-call allocations
+    grid = QuadratureGrid(9)
+    alone, streamed = (traced_peak(lambda: derivative_bound_sup(family, orders, 2.0, w, grid))
+                       for orders in ((0,), (0, 1, 2)))
+    assert streamed - alone < measures._NODE_BLOCK * 8 / 4, (alone, streamed)
 
 
 def support_arrays(mu):
@@ -341,7 +376,7 @@ def support_arrays(mu):
     return np.concatenate(pts), np.concatenate(masses)
 
 
-def test_support_nodes_match_node_reference(grid, layout, weight):
+def test_support_blocks_match_node_reference(grid, layout, weight):
     """The measure's streamed support (support_blocks), joined, is the
     grid's nodes with density times node weight, bit for bit."""
     mu = RadialDensityMeasure.from_weight(weight, grid)

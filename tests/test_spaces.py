@@ -133,6 +133,55 @@ class TestInPlaceKernels:
         assert np.array_equal(z, before)
 
 
+def _boundary_points(base):
+    """Points of the disc out to |z| = 1 - 2^-20: a spread of radii and
+    angles, with the rays through base and -base, where |1 - conj(a) z|
+    is smallest and largest."""
+    rng = np.random.default_rng(303)
+    radii = 1.0 - 2.0 ** -np.arange(0.0, 20.5, 0.5)
+    rays = [1.0, -1.0] if base == 0 else [base / abs(base), -base / abs(base)]
+    spread = (1.0 - 2.0 ** -rng.uniform(0.0, 20.0, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500))
+    return np.concatenate([np.outer(radii, rays).ravel(), spread, _sample_points(rng, (200,)), [0.0]])
+
+
+class TestAbsDeriv:
+    """abs_deriv is |eval_deriv|: byte for byte for a polynomial, to a few
+    ulps for a conformal power, whose closed form takes the power of the
+    real modulus |1 - conj(a) z| instead of the complex power."""
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    @pytest.mark.parametrize("base", [0.0, 0.3 + 0.2j, 0.99, 0.999j])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_conformal_power_matches_modulus_of_derivative(self, n, base, gamma):
+        f = ConformalPower(base, gamma, scale=1.5 - 0.5j)
+        z = _boundary_points(base)
+        with np.errstate(all="raise"):
+            got = f.abs_deriv(n, z)
+            want = np.abs(f.eval_deriv(n, z))
+        assert got.dtype == want.dtype == float and got.shape == z.shape
+        if base == 0 and n >= 1:
+            assert not np.any(got) and not np.any(want)
+        else:
+            assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("f", [ConformalPower(0.6j, 2.0, scale=3.0), Polynomial([1, 2j, 3])])
+    def test_shapes_follow_the_input(self, f):
+        for z in (0.25 - 0.5j, np.asarray(0.1j), np.full(1, 0.5), _sample_points(
+                np.random.default_rng(304), (5, 9))):
+            got, want = f.abs_deriv(1, z), np.abs(f.eval_deriv(1, z))
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    def test_polynomial_is_bytewise_modulus(self, n):
+        rng = np.random.default_rng(305 + n)
+        z = _sample_points(rng, (333,))
+        for degree in (0, 4, 12):
+            f = Polynomial(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+            got, want = f.abs_deriv(n, z), np.abs(f.eval_deriv(n, z))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestSelfMaps:
     @pytest.mark.parametrize("phi,expected", [
         (Identity(), 1.0),

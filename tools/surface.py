@@ -5,7 +5,8 @@ parameters.
 
 Prints the line count of TREE/src/bergman (every .py file), then the
 number of settable parameters of TREE's public surface, then each of them
-on a line of its own.
+on a line of its own.  A reader that closes the pipe early (`| head -2`)
+ends the run quietly, with exit code 0.
 
 A settable parameter is one with a default value, in the signature of a
 public function or method (or __init__, dataclass fields included) that
@@ -73,4 +74,10 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as `| head -1` does): stop quietly, and
+        # point stdout at devnull so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
