@@ -335,9 +335,9 @@ def _sweep_pool(n_pts):
     return ThreadPoolExecutor(max_workers=max(1, min(cpus, -(-n_pts // _SWEEP_ROWS))))
 
 
-def _kernel_sweep(pts, phin, uq, e, out=None, pool=None):
-    """Add sum_j |1 - conj(a) phin_j|^(-e) uq_j to out (default zeros) for
-    every basepoint a in pts, and return out.
+def _kernel_sweep(pts, phin, uq, e, out, pool):
+    """Add sum_j |1 - conj(a) phin_j|^(-e) uq_j to out[i] for every basepoint
+    a = pts[i], running the chunks of basepoints on pool.
 
     The arithmetic is real.  For a chunk of R basepoints a = ax + i ay, one
     matmul of the rows [ax, ay] and [-ay, ax] against [Re phin; Im phin]
@@ -349,11 +349,10 @@ def _kernel_sweep(pts, phin, uq, e, out=None, pool=None):
     slices of _SWEEP_SLICE nodes in a fixed order, inside one thread, so the
     result does not depend on how many workers share the chunks.  A support
     swept in several calls, in blocks that are multiples of _SWEEP_SLICE,
-    adds the same slices in the same order as one call over all of it.  The
-    chunks run on pool, which a caller sweeping many blocks opens once
-    (default: a _sweep_pool for this call).
+    adds the same slices in the same order as one call over all of it, so
+    the caller opens the pool (_sweep_pool) and the accumulator once for
+    every block it sweeps.
     """
-    out = np.zeros(len(pts)) if out is None else out
     xy = np.stack([phin.real, phin.imag])
     neg_half_e = -0.5 * e
 
@@ -379,13 +378,7 @@ def _kernel_sweep(pts, phin, uq, e, out=None, pool=None):
             np.exp(s, out=s)
             acc += s @ uq[lo:hi]
 
-    starts = range(0, len(pts), _SWEEP_ROWS)
-    if pool is None:
-        with _sweep_pool(len(pts)) as own:
-            list(own.map(sweep, starts))
-    else:
-        list(pool.map(sweep, starts))
-    return out
+    list(pool.map(sweep, range(0, len(pts), _SWEEP_ROWS)))
 
 
 def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid):
@@ -426,7 +419,7 @@ def berezin_criterion(op, p, q, w, nu, gamma, basepoints=None, *, grid):
             phin = np.asarray(op.phi(pts_nu), dtype=complex)
             if np.any(np.abs(phin) >= 1.0):
                 raise SelfMapViolationError("self-map left the open disc on the support")
-            _kernel_sweep(pts, phin, uq, (gamma + op.n) * q, out=integral, pool=pool)
+            _kernel_sweep(pts, phin, uq, (gamma + op.n) * q, integral, pool)
     vals = gaps ** (gamma * q) * integral / ws
     params = {"p": p, "q": q, "n": op.n, "gamma": gamma, "weight": w.name,
               "measure": getattr(nu, "name", "measure"), "phi": repr(op.phi),
@@ -490,30 +483,35 @@ def hinf_criterion(op, p, w, grid):
 _TEMPLATE_CHUNK = 4096
 
 
-def _ring_kernel_means(a, a_gaps, ring_gaps, n_theta, e):
+def _ring_kernel_means(a, a_gaps, ring_gaps, ring_counts, e):
     """Angular means of the kernel |1 - a rho e^{i theta}|^{-e} on rings.
 
-    For each basepoint radius a (with gap a_gaps = 1 - a) and each ring
-    radius rho (with gap ring_gaps = 1 - rho), the mean over the n_theta
-    midpoint angles theta_j = (j + 1/2) 2 pi / n_theta of a grid ring;
-    shape (len(a), len(ring_gaps)).  The distance is taken in the
-    cancellation-free form
+    For each basepoint radius a (with gap a_gaps = 1 - a) and each ring k of
+    radius rho (with gap ring_gaps[k] = 1 - rho), the mean over the
+    ring_counts[k] midpoint angles theta_j = (j + 1/2) 2 pi / ring_counts[k]
+    of a grid ring; shape (len(a), len(ring_gaps)).  The distance is taken
+    in the cancellation-free form
 
         |1 - a rho e^{i theta}|^2 = (u_a + u - u_a u)^2 + 4 a rho sin^2(theta/2)
 
-    (u_a, u the two gaps), and the template sin^2(theta_j / 2) is shared by
-    every ring with n_theta angles.  It is symmetric about theta = pi, so
-    only the first half circle is summed, _TEMPLATE_CHUNK angles at a time,
-    the chunks' sums added in chunk order.  With s that squared distance,
-    the kernel is exp(-e/2 log s), taken in place, as in _kernel_sweep.
+    (u_a, u the two gaps).  The rings are walked in order, and the template
+    sin^2(theta_j / 2) is built again only when the count changes, so every
+    ring of a dyadic band (one count) reads the same template.  It is
+    symmetric about theta = pi, so only the first half circle is summed,
+    _TEMPLATE_CHUNK angles at a time, the chunks' sums added in chunk order.
+    With s that squared distance, the kernel is exp(-e/2 log s), taken in
+    place, as in _kernel_sweep.
     """
-    half = (n_theta + 1) // 2
-    template = np.sin((np.arange(half) + 0.5) * (math.pi / n_theta)) ** 2
     near = a_gaps[:, None] + ring_gaps[None, :] - a_gaps[:, None] * ring_gaps[None, :]
     spread = 4.0 * a[:, None] * (1.0 - ring_gaps)[None, :]
     neg_half_e = -0.5 * e
     out = np.empty(near.shape)
-    for k in range(len(ring_gaps)):
+    n_theta = 0
+    for k, count in enumerate(ring_counts):
+        if count != n_theta:
+            n_theta = int(count)
+            half = (n_theta + 1) // 2
+            template = np.sin((np.arange(half) + 0.5) * (math.pi / n_theta)) ** 2
         near_sq = (near[:, k] ** 2)[:, None]
 
         def kernel(lo, hi):
@@ -543,11 +541,9 @@ def verify_gamma(w, p, gamma, basepoints=None, *, grid):
 
     The integrand is radial in z up to the kernel, so the grid integral is
     summed ring by ring: each ring contributes its density times its
-    full-circle mass times the angular mean of the kernel over its nodes.
-    The angular nodes of a ring depend only on its dyadic band, so one
-    template of sin^2(theta/2) values per band (half circle, by symmetry)
-    serves every ring and basepoint of that band, with the distance in the
-    cancellation-free form of _ring_kernel_means.
+    full-circle mass times the angular mean of the kernel over its nodes
+    (_ring_kernel_means, one walk over the rings, which serves every ring
+    and basepoint of a dyadic band from one template of sin^2(theta/2)).
     """
     if gamma <= 0 or p <= 0:
         raise DomainError("gamma and p must be positive")
@@ -559,11 +555,8 @@ def verify_gamma(w, p, gamma, basepoints=None, *, grid):
     a_vals = 1.0 - a_gaps
     e = gamma * p
     ring_mass = w.density_at_gap(grid.ring_gaps) * grid.ring_weights
-    contrib = np.empty((len(a_vals), len(grid.ring_gaps)))
-    for n_theta in sorted(set(grid.ring_counts.tolist())):  # np.unique would load numpy.ma
-        rings = np.nonzero(grid.ring_counts == n_theta)[0]
-        means = _ring_kernel_means(a_vals, a_gaps, grid.ring_gaps[rings], n_theta, e)
-        contrib[:, rings] = ring_mass[rings] * means
+    contrib = ring_mass * _ring_kernel_means(a_vals, a_gaps, grid.ring_gaps,
+                                             grid.ring_counts, e)
     shallow_mask = geometry._band(grid.ring_gaps) <= grid.levels - 2
     lhs = np.sum(contrib, axis=1)
     lhs_shallow = np.sum(contrib[:, shallow_mask], axis=1)
@@ -618,7 +611,7 @@ def operator_norm_lower_bound(op, p, q, w, nu, family, grid, target="lq"):
         if target == "lq":
             num = norm_against_measure(g, q, nu)
         elif target == "hinf":
-            num = float(np.max(_ring_pass([g], grid, orders=(0,))[1]))
+            num = float(np.max([np.max(np.abs(g(z))) for z, _, _ in grid.blocks()]))
         else:
             raise DomainError(f"unknown target {target!r}")
         best = max(best, num / den)
@@ -645,11 +638,14 @@ def derivative_bound_sup(functions, orders, p, w, grid):
     every largest |f^(n)|; the factor after |f^(n)| depends on the ring
     alone and is positive, so the supremum is taken over the ring peaks
     (rounding keeps the product monotone, so this is the node-wise maximum
-    bit for bit), and the Carleson factor is read once per grid."""
+    bit for bit), and the Carleson factor is read once per grid.  The first
+    family member whose norm is not finite (|f|^p overflows) raises."""
     sums, peaks = _ring_pass(functions, grid, p, [w.density_at_gap(grid.ring_gaps)], orders)
     ws = w.carleson_mass_at_gap(grid.ring_gaps) ** (1.0 / p)
     out = np.empty((len(functions), len(orders)))
-    for i, (f_sums, f_peaks) in enumerate(zip(sums, peaks)):
+    for i, (f, f_sums, f_peaks) in enumerate(zip(functions, sums, peaks)):
         norm = float(f_sums[0] ** (1.0 / p))
+        if not math.isfinite(norm):
+            raise DomainError(f"the norm of family member {i} ({f!r}) is not finite")
         out[i] = [np.max(pk * ws * grid.ring_gaps ** n) / norm for pk, n in zip(f_peaks, orders)]
     return out

@@ -4,8 +4,8 @@ Points are plain complex numbers (vectorized as complex ndarrays).  A
 pseudohyperbolic disc knows its exact Euclidean parameters, and _polar_rule
 gives quadrature nodes for integrals of radial densities over such discs.
 The two dyadic rules every layer shares live here: _band, the band of a gap,
-and _ring_points, the points of rings laid one after another (grids,
-lattices and evaluation meshes all build through it).
+and _ring_blocks, the one walk over points of rings laid one after another
+(grids stream their nodes through it, lattices and meshes take it whole).
 """
 
 from __future__ import annotations
@@ -75,16 +75,6 @@ def _band(u):
     return (mant == 0.5) - exp
 
 
-def _ring_spans(counts, lo, hi):
-    """(ring, first angle index, point count) of each ring with points in the
-    flat range [lo, hi) of rings holding counts points each, in ring order."""
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    taken = np.minimum(ends, hi) - np.maximum(starts, lo)
-    rings = np.nonzero(taken > 0)[0]
-    return rings, np.maximum(lo - starts[rings], 0), taken[rings]
-
-
 def _angles(n_theta):
     """exp(i theta_j) for the n_theta angles theta_j = (j + 1/2) 2 pi / n_theta,
     built in one complex buffer: the bits of exp(1j * theta), whose input
@@ -97,28 +87,42 @@ def _angles(n_theta):
     return np.exp(out, out=out)
 
 
-def _ring_points(gaps, counts, lo=0, hi=None, held=None):
-    """Points lo to hi (default: to the end) of rings laid one after another,
-    ring i holding the counts[i] points (1 - gaps[i]) exp(i theta_j),
-    theta_j = (j + 1/2) 2 pi / counts[i].  Each ring's share of the range is
-    its radius times its slice of the full-ring template of its count
-    (_angles), so a ring cut by the range gets the bits it gets whole.  One
-    template is held at a time, built when the count changes.  held, a dict
-    that a caller reading consecutive ranges keeps across its calls, carries
-    it from one range to the next; by default it lives for one call."""
-    hi = int(np.sum(counts)) if hi is None else hi
-    rings, first, taken = _ring_spans(counts, lo, hi)
-    out = np.empty(int(taken.sum()), dtype=complex)
-    held = {} if held is None else held
-    pos = 0
-    for ring, j, n in zip(rings, first, taken):
-        n_theta = int(counts[ring])
-        if n_theta not in held:
-            held.clear()
-            held[n_theta] = _angles(n_theta)
-        np.multiply(1.0 - gaps[ring], held[n_theta][j:j + n], out=out[pos:pos + n])
-        pos += n
-    return out
+def _ring_blocks(gaps, counts, size):
+    """Yield (points, rings, taken) for each block of size consecutive points
+    of rings laid one after another, in order: ring i holds the counts[i]
+    points (1 - gaps[i]) exp(i theta_j), theta_j = (j + 1/2) 2 pi / counts[i],
+    and a block holds the points, the rings they lie on and how many of each
+    ring's points it takes.  Each ring's share of a block is its radius times
+    its slice of the full-ring template of its count (_angles), so a ring
+    that blocks cut gets the bits it gets whole.  One template is held at a
+    time, from block to block; the old one is dropped before the next count's
+    is built."""
+    total = int(np.sum(counts))
+    template = np.empty(0, dtype=complex)
+    ring = j = 0  # the ring being read and its first angle not yet taken
+    for lo in range(0, total, size):
+        out = np.empty(min(size, total - lo), dtype=complex)
+        spans = []  # (ring, points taken) in ring order
+        pos = 0
+        while pos < len(out):
+            n_theta = int(counts[ring])
+            if len(template) != n_theta:
+                template = None  # let the old template go before the next is built
+                template = _angles(n_theta)
+            n = min(n_theta - j, len(out) - pos)
+            np.multiply(1.0 - gaps[ring], template[j:j + n], out=out[pos:pos + n])
+            spans.append((ring, n))
+            pos, j = pos + n, j + n
+            if j == n_theta:
+                ring, j = ring + 1, 0
+        yield (out, *np.array(spans).T)
+
+
+def _ring_points(gaps, counts):
+    """All the points of rings laid one after another: the one block of
+    _ring_blocks (an empty array for rings without points)."""
+    blocks = _ring_blocks(gaps, counts, max(int(np.sum(counts)), 1))
+    return next(blocks, (np.empty(0, dtype=complex),))[0]
 
 
 def rho(a, b):

@@ -138,17 +138,10 @@ class QuadratureGrid:
 
     def blocks(self):
         """Yield (nodes, rings, taken) for each block of _NODE_BLOCK nodes of
-        the flat order, in order: the block's nodes, built from the rings by
-        geometry._ring_points, the rings they lie on, and how many of each
-        ring's nodes the block holds.  The angle template of the ring count
-        being read is kept from one block to the next, so a ring that blocks
-        cut reads it too, and is dropped when the count changes."""
-        held = {}
-        for lo in range(0, self.node_count, _NODE_BLOCK):
-            hi = lo + _NODE_BLOCK
-            rings, _, taken = geometry._ring_spans(self.ring_counts, lo, hi)
-            yield (geometry._ring_points(self.ring_gaps, self.ring_counts, lo, hi, held),
-                   rings, taken)
+        the flat order, in order: the walk of geometry._ring_blocks, which
+        holds the angle template of the count it is reading from block to
+        block, so a ring that blocks cut reads it too."""
+        return geometry._ring_blocks(self.ring_gaps, self.ring_counts, _NODE_BLOCK)
 
     def __repr__(self):
         return (

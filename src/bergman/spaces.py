@@ -275,20 +275,19 @@ def apply_operator(op, f):
 # norms and test functions
 # ---------------------------------------------------------------------------
 
-def _ring_pass(functions, grid, p=None, ring_dens=(), orders=()):
-    """One pass of a family of functions over the grid's nodes, read a
-    block at a time (grid.blocks) and shared by the family, so no whole-grid
-    array is made and each node is built once.
+def _ring_pass(functions, grid, p, ring_dens, orders=()):
+    """One pass of a family of analytic functions over the grid's nodes,
+    read a block at a time (grid.blocks) and shared by the family, so no
+    whole-grid array is made and each node is built once.
 
     Returns (sums, peaks).  sums[i, d] is the sum over the nodes of
     |f_i|^p times the density ring_dens[d] of the node's ring times the
     node's weight, the blocks' sums added in block order.  peaks[i, j, k]
-    is the largest |f_i^(n)| on ring k for n = orders[j] (|f_i| itself for
-    n = 0, so f_i may be any function of z there).  The moduli come from
-    f_i.abs_deriv, one order at a time, and from |f_i(z)| for a function
-    that is not an AnalyticFunction.
+    is the largest |f_i^(n)| on ring k for n = orders[j].  The moduli come
+    from f_i.abs_deriv, one order at a time.  |f_i|^p overflows to inf
+    quietly: the caller reads a norm that is not finite.
     """
-    if p is not None and p <= 0:
+    if p <= 0:
         raise DomainError("p must be positive")
     ring_dens = np.reshape(ring_dens, (len(ring_dens), len(grid.ring_gaps)))
     peaks = np.zeros((len(functions), len(orders), len(grid.ring_gaps)))
@@ -298,11 +297,11 @@ def _ring_pass(functions, grid, p=None, ring_dens=(), orders=()):
         node_dens = np.repeat(ring_dens[:, rings], taken, axis=1)
         node_w = np.repeat(grid.ring_node_weights[rings], taken)
         for i, f in enumerate(functions):
-            vals = f.abs_deriv(0, z) if isinstance(f, AnalyticFunction) else np.abs(f(z))
+            vals = f.abs_deriv(0, z)
             for j, n in enumerate(orders):  # one order's moduli alive at a time
                 ring_max = np.maximum.reduceat(vals if n == 0 else f.abs_deriv(n, z), starts)
                 peaks[i, j, rings] = np.maximum(peaks[i, j, rings], ring_max)
-            if len(ring_dens):
+            with np.errstate(over="ignore"):
                 sums[i] += np.sum(vals ** p * node_dens * node_w, axis=-1)
     return sums, peaks
 

@@ -535,6 +535,34 @@ class TestExtinctTail:
         assert f"extinct from r = {1.0 - 2.0 ** (-9 / 8):.6g}" in err["message"]
 
 
+class TestOverflowingNorms:
+    """At p = 2000 |f|^p overflows for every random polynomial of the
+    lemma21 family and for the norm's own function, so no norm is finite:
+    each command exits 2 with a JSON error and writes nothing to stderr
+    (no overflow warning), and lemma21 names the first family member whose
+    norm is not finite instead of passing on the five test functions."""
+
+    @pytest.mark.parametrize("argv", [["verify", "lemma21"], ["norm"],
+                                      ["verify", "norm-equiv"]])
+    def test_overflowing_norm_exits_2_quietly(self, tmp_path, argv):
+        cfg = write_config(tmp_path, {
+            "p": 2000, "grid_level": 5,
+            "function": {"kind": "poly", "coeffs": [[0, 0], [2, 0]]}})
+        src = os.path.dirname(os.path.dirname(criteria.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "bergman", *argv, "--config", cfg,
+                               "--out", str(tmp_path / "o"), "--deterministic"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stdout[-2000:]
+        assert proc.stderr == ""
+        err = json.loads(proc.stdout)["error"]
+        assert "not finite" in err["message"]
+        if argv == ["verify", "lemma21"]:
+            assert err["type"] == "DomainError"
+            assert "family member 5 " in err["message"]
+
+
 _CRITERION_KEYS = {"criterion", "params", "samples", "statistic", "statistic_kind", "tail",
                    "refinement", "verdict", "compact_verdict", "truncated", "notes"}
 _OPERATOR = {"phi": {"kind": "scale", "r": 0.5},

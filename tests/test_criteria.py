@@ -343,6 +343,14 @@ class TestKernelSweep:
         return pts, phin, gen.uniform(0.0, 1.0, n_support)
 
     @staticmethod
+    def sweep(pts, phin, uq, e):
+        """One _kernel_sweep call into zeros, on its own pool."""
+        out = np.zeros(len(pts))
+        with criteria._sweep_pool(len(pts)) as pool:
+            criteria._kernel_sweep(pts, phin, uq, e, out, pool)
+        return out
+
+    @staticmethod
     def direct(pts, phin, uq, e):
         return np.abs(1.0 - np.conj(pts)[:, None] * phin[None, :]) ** (-e) @ uq
 
@@ -351,7 +359,7 @@ class TestKernelSweep:
     def test_matches_full_block(self, n_pts):
         # 3,195 support nodes: three full slices and a partial one
         pts, phin, uq = self.problem(n_pts, 3 * criteria._SWEEP_SLICE + 123, n_pts)
-        got = criteria._kernel_sweep(pts, phin, uq, 5.3)
+        got = self.sweep(pts, phin, uq, 5.3)
         want = self.direct(pts, phin, uq, 5.3)
         assert got.shape == (n_pts,)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -363,7 +371,7 @@ class TestKernelSweep:
         for cpus in (1, 64):
             monkeypatch.setattr(criteria.os, "sched_getaffinity",
                                 lambda pid, n=cpus: set(range(n)))
-            runs.append(criteria._kernel_sweep(pts, phin, uq, 4.0))
+            runs.append(self.sweep(pts, phin, uq, 4.0))
         assert np.array_equal(runs[0], runs[1])
         np.testing.assert_allclose(runs[0], self.direct(pts, phin, uq, 4.0),
                                    rtol=1e-13, atol=0.0)
@@ -384,7 +392,7 @@ class TestKernelSweep:
         images = dirs[:, None] * (1.0 - depth) * np.exp(1j * turn)
         uqs = gen.uniform(0.5, 1.0, (20, 20))
         for i, a in enumerate(pts):
-            got = criteria._kernel_sweep(pts, images[i], uqs[i], float(e))[i]
+            got = self.sweep(pts, images[i], uqs[i], float(e))[i]
             ax, ay = Fraction(a.real), Fraction(a.imag)
             want = Fraction(0)
             for w, u in zip(images[i], uqs[i]):
@@ -401,8 +409,8 @@ class TestKernelSweep:
                                    basepoints=[0.999, 0.999j], grid=grid8)
         assert report.truncated == 2
         assert report.samples == [] and report.statistic == 0.0
-        assert len(criteria._kernel_sweep(np.zeros(0, complex), np.zeros(5, complex),
-                                          np.ones(5), 3.0)) == 0
+        assert len(self.sweep(np.zeros(0, complex), np.zeros(5, complex),
+                                  np.ones(5), 3.0)) == 0
 
     @pytest.mark.skipif(shutil.which("taskset") is None
                         or not hasattr(os, "sched_getaffinity"), reason="needs taskset")

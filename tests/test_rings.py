@@ -148,37 +148,14 @@ def block_sizes(grid):
     return (1 << 10, measures._NODE_BLOCK, grid.node_count)
 
 
-def ring_ranges(counts, per_band):
-    """(lo, hi) ranges of the points of rings holding counts points each, of
-    every kind: inside one ring, across rings, across the boundary before
-    ring per_band and across several rings, the whole set, past its end,
-    empty."""
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    last = len(starts) - 1
-    count = int(ends[-1])
-    mid = lambda ring: int(starts[ring] + counts[ring] // 2)
-    return [
-        (int(starts[last]) + int(counts[last]) // 3,
-         int(starts[last]) + 2 * int(counts[last]) // 3),
-        (int(starts[3]), int(ends[3])),
-        (mid(1), mid(3)),
-        (int(starts[per_band]) - 1, int(starts[per_band]) + 1),
-        (mid(per_band - 2), mid(last - 1)),
-        (0, count),
-        (count - 3, count + 100),
-        (7, 7),
-        (count, count + 10),
-    ]
-
-
 @pytest.mark.parametrize("angular_base", [1, 3, 16])
 @pytest.mark.parametrize("level", range(1, 13))
 def test_node_range_matches_nodes_bitwise(monkeypatch, level, angular_base):
     """Each of the grid's blocks is the next _NODE_BLOCK nodes of the
     oracle's order, bit for bit, with the rings they lie on and their
-    counts; so is every range of points the ring builder behind the blocks
-    makes."""
+    counts; so is every block of any size that the ring walker behind the
+    blocks makes of rings whose counts change from ring to ring (an
+    r-lattice's, odd on the first ring)."""
     grid = QuadratureGrid(level, angular_base)
     layout = seed_layout(grid)
     nodes, gaps = layout["nodes"], layout["gaps"]
@@ -193,16 +170,17 @@ def test_node_range_matches_nodes_bitwise(monkeypatch, level, angular_base):
             assert np.all(taken > 0)
             lo = hi
         assert lo == grid.node_count, block
-    for lo, hi in ring_ranges(grid.ring_counts, 2 * grid.radial_subcells):
-        assert np.array_equal(geometry._ring_points(grid.ring_gaps, grid.ring_counts, lo, hi),
-                              nodes[lo:hi]), (lo, hi)
-    # the ring builder on rings whose counts change from ring to ring (an
-    # r-lattice's) and to the end of the set (hi = None)
-    gaps, counts, points = ring_loop_r_lattice(0.5, level + 2)
-    for lo, hi in ring_ranges(counts, 2):
-        assert np.array_equal(geometry._ring_points(gaps, counts, lo, hi),
-                              points[lo:hi]), (lo, hi)
-        assert np.array_equal(geometry._ring_points(gaps, counts, lo), points[lo:])
+    # depth capped so that one-point blocks stay cheap
+    gaps, counts, points = ring_loop_r_lattice(0.5, min(level, 4) + 2)
+    ring_of = np.repeat(np.arange(len(counts)), counts)
+    total = len(points)
+    for size in (1, 7, int(counts[0]), total - 1, total):
+        got, rings, taken = zip(*geometry._ring_blocks(gaps, counts, size))
+        assert [len(z) for z in got[:-1]] == [size] * (len(got) - 1), size
+        assert same_bits(np.concatenate(got), points), size
+        assert np.array_equal(np.repeat(np.concatenate(rings), np.concatenate(taken)),
+                              ring_of), size
+        assert all(np.all(np.diff(r) == 1) and np.all(t > 0) for r, t in zip(rings, taken))
 
 
 def ring_loop_r_lattice(r, depth):
@@ -492,18 +470,13 @@ def test_band_template_matches_hypergeometric_mean(c):
     grid = QuadratureGrid(9)
     a_gaps = 2.0 ** (-np.arange(21) / 2.0)
     a_vals = 1.0 - a_gaps
-    checked = 0
-    for n_theta in np.unique(grid.ring_counts):
-        rings = grid.ring_counts == n_theta
-        gaps = grid.ring_gaps[rings]
-        means = _ring_kernel_means(a_vals, a_gaps, gaps, int(n_theta), 2.0 * c)
-        x = a_vals[:, None] * (1.0 - gaps)[None, :]
-        with np.errstate(under="ignore"):
-            resolved = x ** int(n_theta) <= 1e-14
-        exact = hyp2f1(c, c, 1.0, x[resolved] ** 2)
-        np.testing.assert_allclose(means[resolved], exact, rtol=1e-10, atol=0.0)
-        checked += int(np.sum(resolved))
-    assert checked > 500
+    means = _ring_kernel_means(a_vals, a_gaps, grid.ring_gaps, grid.ring_counts, 2.0 * c)
+    x = a_vals[:, None] * (1.0 - grid.ring_gaps)[None, :]
+    with np.errstate(under="ignore"):
+        resolved = x ** grid.ring_counts <= 1e-14
+    exact = hyp2f1(c, c, 1.0, x[resolved] ** 2)
+    np.testing.assert_allclose(means[resolved], exact, rtol=1e-10, atol=0.0)
+    assert np.sum(resolved) > 500
 
 
 def test_band_template_odd_count_matches_full_circle():
@@ -513,5 +486,5 @@ def test_band_template_odd_count_matches_full_circle():
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     z = (1.0 - gaps)[:, None] * np.exp(1j * theta)[None, :]
     want = np.mean(np.abs(1.0 - a[:, None, None] * z[None]) ** -3.0, axis=2)
-    got = _ring_kernel_means(a, 1.0 - a, gaps, n_theta, 3.0)
+    got = _ring_kernel_means(a, 1.0 - a, gaps, np.full(len(gaps), n_theta), 3.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
